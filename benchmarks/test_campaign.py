@@ -53,17 +53,25 @@ WARM_REPEATS = 3  # best-of, to shrug off scheduler noise
 #: repro.obs.bench.CAMPAIGN_SLACK.
 SLACK = 0.25
 
-#: Environment this benchmark pins so CI job settings (workers, caches,
-#: telemetry) cannot skew the measurement.
-_FORCED = {
-    "REPRO_WORKERS": "1",
-    "REPRO_TELEMETRY": None,
-    "REPRO_PROFILE": None,
-    "REPRO_CACHE_DIR": None,
-    "REPRO_BATCH_UNITS": None,
-    "REPRO_STREAM_STORE_DIR": None,
-    "REPRO_STREAM_REFRESH": None,
-}
+def _pin_env() -> dict[str, str]:
+    """Clear every ``REPRO_*`` variable, then set ``REPRO_WORKERS=1``.
+
+    The pin of ``ledger/_env.py``: any knob a CI job exports (fast-path
+    kill switch, chaos markers, store directories, oversubscription,
+    ...) would skew the measurement, and a hand-kept list of knobs goes
+    stale.  Returns the caller's values for :func:`_restore_env`.
+    """
+    saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    for name in saved:
+        del os.environ[name]
+    os.environ["REPRO_WORKERS"] = "1"
+    return saved
+
+
+def _restore_env(saved: dict[str, str]) -> None:
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        del os.environ[name]
+    os.environ.update(saved)
 
 
 def _strip_meta(metrics) -> dict:
@@ -72,13 +80,26 @@ def _strip_meta(metrics) -> dict:
     return doc
 
 
+def test_env_pin_clears_every_knob(monkeypatch):
+    for name, value in (("REPRO_FAST_PATH", "0"),
+                        ("REPRO_CHAOS_DIR", "/nonexistent"),
+                        ("REPRO_TRACE_STORE_DIR", "/nonexistent"),
+                        ("REPRO_OVERSUBSCRIBE", "1"),
+                        ("REPRO_WORKERS", "4")):
+        monkeypatch.setenv(name, value)
+    before = dict(os.environ)
+    saved = _pin_env()
+    try:
+        pinned = {k: v for k, v in os.environ.items()
+                  if k.startswith("REPRO_")}
+        assert pinned == {"REPRO_WORKERS": "1"}
+    finally:
+        _restore_env(saved)
+    assert dict(os.environ) == before
+
+
 def test_campaign_throughput_holds():
-    saved = {name: os.environ.get(name) for name in _FORCED}
-    for name, value in _FORCED.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    saved = _pin_env()
     engine.reset()
     try:
         with tempfile.TemporaryDirectory() as td:
@@ -132,8 +153,4 @@ def test_campaign_throughput_holds():
     finally:
         engine.reset()
         filtered_stream.cache_clear()
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        _restore_env(saved)

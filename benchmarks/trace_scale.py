@@ -75,8 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         t_filter = time.perf_counter() - t0
 
         peak_kb = peak_rss_kb()
+        # v2 entries hold one shard-NNNNN.<column>.npy per column, v1
+        # entries one shard-NNNNN.npz per shard.
         shard_bytes = sum(p.stat().st_size
-                          for p in Path(trace.directory).glob("*.npz"))
+                          for p in Path(trace.directory).glob("shard-*")
+                          if p.suffix in (".npy", ".npz"))
     finally:
         chunked.reset()
         shutil.rmtree(tmp, ignore_errors=True)
@@ -97,6 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc, indent=2))
 
+    if not shard_bytes:
+        print("FAIL: no shard files found on disk — the chunked store "
+              "layout changed under this script", file=sys.stderr)
+        return 1
     if peak_kb > args.rss_ceiling_mb * 1024:
         print(f"FAIL: peak RSS {doc['peak_rss_mb']} MB exceeds the "
               f"{args.rss_ceiling_mb} MB ceiling — something is "

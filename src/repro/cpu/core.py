@@ -20,6 +20,7 @@ full memory latency on every miss and wants RLDRAM.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -245,10 +246,12 @@ class InOrderWindowCore:
       per-record Python loop, kept as the executable specification;
     * the **fast path** (default) — episode boundaries, per-record issue
       offsets, and channel routing/decode are precomputed as numpy
-      arrays at construction, request batches are drained through the
-      struct-of-arrays kernel (:mod:`repro.memctrl.batch`), and all
-      per-object/per-episode accounting is deferred to one vectorized
-      pass at completion.
+      arrays at construction; the fused replay kernel
+      (:func:`repro.memctrl.batch.replay`) drains every episode in one
+      call from :meth:`run_to_completion` (or, for several cores,
+      :func:`run_interleaved`) and one episode per call from the
+      stepping API; all per-object/per-episode accounting is deferred
+      to one vectorized pass at completion.
 
     The two are **bit-identical** — same :class:`CoreResult`, same
     memory-system counters, same multicore interleave decisions — which
@@ -395,6 +398,22 @@ class InOrderWindowCore:
             self._f_tables = tb
         return tb
 
+    def _lane(self, memsys: MemorySystem):
+        """This core's remaining episodes as a replay-kernel lane."""
+        from repro.memctrl.batch import Lane
+
+        return Lane(self._tables(memsys), self._f_ep_start, self._f_ep_end,
+                    self._f_headgap, self._f_off, self._f_off_last,
+                    self._f_ep_issue0, backlog=self.params.backlog,
+                    k=self._f_ep, cycle=self._cycle, stop=self._f_nep)
+
+    def _absorb(self, lane) -> None:
+        """Take over a fully drained lane's cycle and finalize."""
+        self._cycle = lane.cycle
+        self._f_ep = lane.k
+        self._idx = self._n
+        self._finalize_fast()
+
     # ---- stepping interface -------------------------------------------------------
 
     @property
@@ -417,7 +436,7 @@ class InOrderWindowCore:
         return self._run_episode_ref(memsys)
 
     def _run_episode_fast(self, memsys: MemorySystem) -> int:
-        """Drain one precomputed episode through the SoA batch kernel."""
+        """Drain one precomputed episode: a one-episode kernel call."""
         k = self._f_ep
         s = self._f_ep_start[k]
         e = self._f_ep_end[k]
@@ -441,7 +460,7 @@ class InOrderWindowCore:
         """One vectorized accounting pass, bit-equal to the reference loop.
 
         Also flushes the deferred per-record memory-system statistics the
-        SoA kernel withheld during the replay (module/controller counters,
+        replay kernel withheld during the replay (module/controller counters,
         latency histograms) — nothing reads those mid-replay, so batching
         them here is observation-equivalent to the reference's live
         updates.
@@ -570,12 +589,22 @@ class InOrderWindowCore:
         return self._cycle
 
     def run_to_completion(self, memsys: MemorySystem) -> CoreResult:
-        """Single-core convenience: drain the whole stream."""
+        """Single-core convenience: drain the whole stream.
+
+        The fast path drains every remaining episode in one call of the
+        fused replay kernel.
+        """
         if self._n == 0:
             self._cycle += self.params.cycles_for(self.total_instructions)
             self.result.cycles = self._cycle
             self.publish_obs()
             return self.result
+        if self.fast_path and not self.finished:
+            from repro.memctrl.batch import replay
+
+            lane = self._lane(memsys)
+            replay([lane])
+            self._absorb(lane)
         while not self.finished:
             self.run_episode(memsys)
         self.publish_obs()
@@ -598,3 +627,34 @@ class InOrderWindowCore:
         OBS.add(f"{prefix}.load_misses", r.n_load_misses)
         OBS.add(f"{prefix}.stall_cycles", r.load_stall_cycles)
         OBS.add(f"{prefix}.mem_access_cycles", r.mem_access_cycles)
+
+
+def run_interleaved(cores: list[InOrderWindowCore],
+                    memsys: MemorySystem) -> list[CoreResult]:
+    """Replay ``cores`` against one shared memory system in global time.
+
+    The core whose next episode issues earliest always goes next (ties
+    to the earlier core in ``cores``), so requests from different cores
+    contend for the same banks and buses in time order.  Fast-path cores
+    drain under one call of the fused replay kernel, which keeps that
+    heap inside its loop; otherwise the cores are stepped episode by
+    episode.  Returns every core's finished :class:`CoreResult`.
+    """
+    live = [c for c in cores if not c.finished]
+    if live and all(c.fast_path for c in live):
+        from repro.memctrl.batch import replay
+
+        lanes = [c._lane(memsys) for c in live]
+        replay(lanes)
+        for core, lane in zip(live, lanes):
+            core._absorb(lane)
+    else:
+        heap = [(c.peek_next_issue(), i) for i, c in enumerate(live)]
+        heapq.heapify(heap)
+        while heap:
+            _, i = heapq.heappop(heap)
+            core = live[i]
+            core.run_episode(memsys)
+            if not core.finished:
+                heapq.heappush(heap, (core.peek_next_issue(), i))
+    return [c.run_to_completion(memsys) for c in cores]

@@ -1,16 +1,22 @@
-"""Struct-of-arrays replay tables for the kernelized fast path.
+"""Fused replay kernel: MLP episodes drained against flat device state.
 
 The reference replay builds a :class:`~repro.memctrl.request.MemRequest`
 object per record, routes it through ``MemorySystem.service_batch`` →
-``ChannelGroup.service_batch`` → ``ChannelController.service_batch``, and
-re-decodes its address at every layer.  For a trace replayed start to
-finish all of that is static: the channel a record lands on, its
-module-local address, its (subchannel, bank, row) decode, and its
-FR-FCFS criticality class depend only on the page mapping — never on
-timing.  :class:`ReplayTables` computes them once, vectorized, and the
-per-episode work shrinks to: snapshot row-hit bits, one stable sort of
-plain tuples, and the inlined device-timing kernel
-(:meth:`~repro.memctrl.controller.ChannelController.service_soa`).
+``ChannelGroup.service_batch`` → ``ChannelController.service_batch`` →
+``MemoryModule.access``, and re-decodes its address at every layer.  For
+a trace replayed start to finish all of that is static: the channel a
+record lands on, its (subchannel, bank, row) decode, and its FR-FCFS
+criticality class depend only on the page mapping — never on timing.
+:class:`ReplayTables` computes them once, vectorized.
+
+:func:`replay` is the one kernel that drains them.  Per call it binds
+every channel's timing constants once, copies bank, bus, tFAW and
+refresh state out of the :class:`~repro.memctrl.system.MemorySystem`
+into flat per-system lists, and then runs the episode loop, the
+scheduler key sort, the bank arithmetic and the core-cycle update in one
+frame — for N cores under the same global-time heap the reference
+multicore driver uses.  The state goes back into the ``BankState`` and
+``MemoryModule`` objects when the call returns.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
 
@@ -23,19 +29,28 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   episode entry, exactly when the reference scheduler sorts (before any
   access of the episode drains, and before any refresh those accesses
   may trigger).
-* Mutable device state (bank rows/windows, bus direction and occupancy,
-  tFAW activate history, refresh horizon) is updated live — multicore
+* Cores advance in ``(next issue cycle, core position)`` order, the
+  reference driver's heap order; a core keeps running while it stays
+  the minimum, so a single core never touches the heap.
+* Mutable device state is updated live in the flat lists — multicore
   replays interleave cores through the same devices.  Pure counters
   (module/controller totals, latency histograms) are deferred to
-  :meth:`ReplayTables.flush_stats` at end of replay; nothing reads them
-  mid-replay, so the deferral is observation-equivalent.
+  :meth:`ReplayTables.flush_stats` at end of replay, and the OBS
+  ``memsys.*`` / ``mem.<channel>.*`` counters and queue-occupancy gauges
+  are computed from the per-record columns when a kernel call returns;
+  nothing reads either mid-replay, so the deferral is
+  observation-equivalent.
 
-The routing/decode arithmetic below intentionally mirrors
-``GroupAddressMap.route`` and ``MemoryModule.decode`` — keep them in
-lockstep.
+The routing/decode arithmetic below mirrors ``GroupAddressMap.route``
+and ``MemoryModule.decode``; the device arithmetic in :func:`replay` is
+the fast path's only inline of ``MemoryModule.access``,
+``BankState.service`` and ``BankState.refresh``.  Keep them in lockstep.
 """
 
 from __future__ import annotations
+
+import functools
+import heapq
 
 import numpy as np
 
@@ -43,17 +58,20 @@ from repro.cpu.hierarchy import KIND_STORE, KIND_WRITEBACK
 from repro.memctrl.addrmap import LINE_BITS, LINE_BYTES
 from repro.memctrl.scheduler import fcfs_order, frfcfs_order
 from repro.memctrl.system import MemorySystem
+from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
 from repro.util.resident import ResidentLRU, content_digest
 
 #: Process-level memo of decoded routing columns, keyed by content hash
 #: of (groups, gaddrs, kind) + addressing geometry.  The decode is a
 #: pure function of those inputs and the columns are read-only during
-#: replay (``service_soa`` only writes the per-replay output lists), so
-#: a worker replaying the same placement against interchangeable
-#: systems — or re-running a unit — skips the vectorized decode and the
-#: eight ``tolist()`` materializations entirely.
+#: replay (the kernel only writes the per-replay output lists), so a
+#: worker replaying the same placement against interchangeable systems —
+#: or re-running a unit — skips the vectorized decode and the
+#: ``tolist()`` materializations entirely.
 _DECODE_CACHE = ResidentLRU(16)
+
+_NEG = -(1 << 62)
 
 
 def decode_cache_stats() -> dict:
@@ -78,28 +96,23 @@ class ReplayTables:
     """Precomputed per-record routing/decode columns for one replay.
 
     Built lazily by :class:`~repro.cpu.core.InOrderWindowCore` on the
-    first episode (the memory system is not known at construction) and
-    keyed on the system's identity, one instance per (core, memsys).
+    first kernel call (the memory system is not known at construction)
+    and keyed on the system's identity, one instance per (core, memsys).
+    Bank and subchannel columns index the flat per-system lists of
+    :func:`replay` (controller layout order, ``sub * n_banks + bank``
+    within a module).
     """
 
     def __init__(self, memsys: MemorySystem, groups: np.ndarray,
                  gaddrs: np.ndarray, kind: np.ndarray):
         self.memsys = memsys
         self.controllers, bases = memsys.controller_layout()
-        self._group_names = memsys.group_names
-        self._ctrl_mode: list[int] = []
-        self._banks_by_ctrl = []
         for ctrl in self.controllers:
-            if ctrl.scheduler is frfcfs_order:
-                self._ctrl_mode.append(0)
-            elif ctrl.scheduler is fcfs_order:
-                self._ctrl_mode.append(1)
-            else:
+            if ctrl.scheduler is not frfcfs_order \
+                    and ctrl.scheduler is not fcfs_order:
                 raise ValueError(
                     f"fast path does not support custom scheduler "
                     f"{ctrl.scheduler!r}; run with fast_path=False")
-            self._banks_by_ctrl.append(
-                [b for sub in ctrl.module.banks for b in sub])
 
         n = len(gaddrs)
         groups = np.asarray(groups, dtype=np.int64)
@@ -115,9 +128,9 @@ class ReplayTables:
             OBS.add("replay.decode_reuse")
             OBS.add("data_plane.copies_avoided")
         (self._ctrl_np, self._demand_np, self._write_np,
-         self.ctrl_l, self.grp_l, self.sub_l, self.fbank_l, self.row_l,
+         self.ctrl_l, self.gbank_l, self.gsub_l, self.row_l,
          self.gaddr_l, self.write_l, self.klass_l) = shared
-        # Per-record outputs, filled by service_soa, read at finalize.
+        # Per-record outputs, filled by replay(), read at finalize.
         self.done_l = [0] * n
         self.queue_l = [0] * n
         self.service_l = [0] * n
@@ -160,6 +173,16 @@ class ReplayTables:
             sub[sel] = sb
             fbank[sel] = sb * g.timing.n_banks + bk
             row[sel] = (dline2 >> mod._bank_bits) % g.timing.n_rows
+        # Offsets of each controller's banks and subchannels in the flat
+        # per-system lists (controller layout order).
+        subs = [g.timing.n_subchannels
+                for g in memsys.groups for _ in range(g.n_channels)]
+        banks = [g.timing.n_subchannels * g.timing.n_banks
+                 for g in memsys.groups for _ in range(g.n_channels)]
+        sub_lo = np.cumsum([0] + subs[:-1], dtype=np.int64)
+        bank_lo = np.cumsum([0] + banks[:-1], dtype=np.int64)
+        gsub = sub_lo[ctrl] + sub
+        gbank = bank_lo[ctrl] + fbank
         demand = kind <= KIND_STORE
         write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
         # FR-FCFS criticality: demand read 0, demand write 1, background 2.
@@ -167,9 +190,8 @@ class ReplayTables:
         # Hot-loop columns as plain-int lists (one tolist() each; list
         # indexing beats numpy scalar extraction ~10x in the kernel).
         return (ctrl, demand, write,
-                ctrl.tolist(), groups.tolist(), sub.tolist(),
-                fbank.tolist(), row.tolist(), gaddrs.tolist(),
-                write.tolist(), klass.tolist())
+                ctrl.tolist(), gbank.tolist(), gsub.tolist(), row.tolist(),
+                gaddrs.tolist(), write.tolist(), klass.tolist())
 
     # ---- episode drain ----------------------------------------------------------
 
@@ -177,62 +199,12 @@ class ReplayTables:
                       off: list[int]) -> tuple[int, int]:
         """Serve records [s, e) issued at ``issue0 + off[j]``.
 
+        The stepping API's one-episode call into :func:`replay`.
         Returns ``(max done over demand loads, max done over all
         records)`` — the two quantities the core's cycle update needs.
         """
-        ctrl_l = self.ctrl_l
-        controllers = self.controllers
-        if e - s == 1:
-            # Singleton episodes skip the sort, like the reference skips
-            # the scheduler for len-1 batches.
-            j = s
-            lmax, dmax = controllers[ctrl_l[j]].service_soa(
-                self, ((issue0 + off[j], j),))
-        else:
-            klass_l = self.klass_l
-            row_l = self.row_l
-            fbank_l = self.fbank_l
-            gaddr_l = self.gaddr_l
-            mode = self._ctrl_mode
-            banks_by = self._banks_by_ctrl
-            keyed = []
-            ap = keyed.append
-            for j in range(s, e):
-                c = ctrl_l[j]
-                issue = issue0 + off[j]
-                if mode[c] == 0:
-                    bank = banks_by[c][fbank_l[j]]
-                    ap((c, klass_l[j],
-                        0 if bank.open_row == row_l[j] else 1,
-                        issue, gaddr_l[j], issue, j))
-                else:
-                    ap((c, issue, gaddr_l[j], 0, 0, issue, j))
-            keyed.sort()
-            lmax = dmax = -(1 << 62)
-            lo = 0
-            n = len(keyed)
-            while lo < n:
-                c = keyed[lo][0]
-                hi = lo + 1
-                while hi < n and keyed[hi][0] == c:
-                    hi += 1
-                l2, d2 = controllers[c].service_soa(self, keyed[lo:hi])
-                if l2 > lmax:
-                    lmax = l2
-                if d2 > dmax:
-                    dmax = d2
-                lo = hi
-        if OBS.enabled:
-            OBS.add("memsys.batches")
-            OBS.add("memsys.requests", e - s)
-            grp_l = self.grp_l
-            gcounts: dict[int, int] = {}
-            for j in range(s, e):
-                g = grp_l[j]
-                gcounts[g] = gcounts.get(g, 0) + 1
-            for g, cnt in gcounts.items():
-                OBS.add(f"memsys.group.{self._group_names[g]}.requests", cnt)
-        return lmax, dmax
+        return replay([Lane(self, (s,), (e,), (issue0,), off, (0,), [0],
+                            backlog=0, k=0, cycle=0, stop=1)])
 
     # ---- deferred statistics ----------------------------------------------------
 
@@ -278,3 +250,327 @@ class ReplayTables:
             dsel = sel[demand[sel]]
             if len(dsel):
                 c.latency_hist.record_many(queue[dsel] + service[dsel])
+
+
+class Lane:
+    """One core's episode schedule, as :func:`replay` consumes it.
+
+    Episode ``k`` covers table records ``[ep_start[k], ep_end[k])``; its
+    head issues ``headgap[k]`` cycles after the core's cycle, and record
+    ``j`` ``off[j]`` cycles after the head.  The kernel drains episodes
+    up to ``stop``, advancing ``k`` and ``cycle`` in place and writing
+    each head's issue cycle to ``issue0[k]``.
+    """
+
+    __slots__ = ("tables", "ep_start", "ep_end", "headgap", "issue0",
+                 "cols", "k", "cycle", "stop")
+
+    def __init__(self, tables: ReplayTables, ep_start, ep_end, headgap,
+                 off, off_last, issue0: list[int], *, backlog: int,
+                 k: int, cycle: int, stop: int):
+        self.tables = tables
+        self.ep_start = ep_start
+        self.ep_end = ep_end
+        self.headgap = headgap
+        self.issue0 = issue0
+        self.k = k
+        self.cycle = cycle
+        self.stop = stop
+        tb = tables
+        #: Everything the kernel rebinds when it switches to this lane.
+        self.cols = (tb.ctrl_l, tb.gbank_l, tb.gsub_l, tb.row_l,
+                     tb.write_l, tb.klass_l, tb.gaddr_l, tb.done_l,
+                     tb.queue_l, tb.service_l, tb.hit_l, tb.bb_l,
+                     ep_start, ep_end, headgap, off, off_last, issue0,
+                     backlog)
+
+
+@functools.lru_cache(maxsize=64)
+def _timing_consts(t: DeviceTiming, line_bytes: int) -> tuple:
+    """(hot-loop constants, (tREFI, tRFC)) of one device timing."""
+    transfer = t.transfer_cycles(line_bytes)
+    hot = (t.tCL, t.tCCD, t.tRP, t.tRAS, t.tRC, t.tRCD, t.tFAW,
+           t.turnaround, transfer, t.tCL + transfer,
+           t.row_miss_latency + transfer,
+           t.row_conflict_latency + transfer)
+    return hot, (t.tREFI, t.tRFC)
+
+
+class _FlatDevices:
+    """Every channel's bank, bus, tFAW and refresh state in flat lists.
+
+    Loaded from the modules on construction and written back by
+    :meth:`store`.  Banks are indexed ``bank_lo[c] + sub * n_banks +
+    bank`` and subchannels ``sub_lo[c] + sub`` — the ``gbank``/``gsub``
+    columns of :class:`ReplayTables`.  The per-subchannel tFAW activate
+    histories are the modules' own lists, mutated in place.
+    """
+
+    def __init__(self, controllers) -> None:
+        self.modules = [c.module for c in controllers]
+        self.open_l: list = []
+        self.ready_l: list[int] = []
+        self.lact_l: list[int] = []
+        self.bus_l: list[int] = []
+        self.lastw_l: list = []
+        self.acts_l: list[list[int]] = []
+        self.bank_lo: list[int] = []
+        self.sub_lo: list[int] = []
+        self.nref_l: list[int] = []
+        self.consts: list[tuple] = []
+        self.refresh: list[tuple] = []
+        self.fcfs: list[bool] = []
+        for c, m in zip(controllers, self.modules):
+            self.bank_lo.append(len(self.open_l))
+            self.sub_lo.append(len(self.bus_l))
+            for sub in m.banks:
+                for b in sub:
+                    self.open_l.append(b.open_row)
+                    self.ready_l.append(b.ready_at)
+                    self.lact_l.append(b.last_activate)
+            self.bus_l += m.bus_free_at
+            self.lastw_l += m._last_was_write
+            self.acts_l += m._recent_acts
+            self.nref_l.append(m._next_refresh)
+            hot, refresh = _timing_consts(m.timing, c.line_bytes)
+            self.consts.append(hot)
+            self.refresh.append(refresh)
+            self.fcfs.append(c.scheduler is fcfs_order)
+        self.bank_lo.append(len(self.open_l))
+        self.sub_lo.append(len(self.bus_l))
+
+    def store(self) -> None:
+        open_l, ready_l, lact_l = self.open_l, self.ready_l, self.lact_l
+        i = 0
+        for ci, m in enumerate(self.modules):
+            for sub in m.banks:
+                for b in sub:
+                    b.open_row = open_l[i]
+                    b.ready_at = ready_l[i]
+                    b.last_activate = lact_l[i]
+                    i += 1
+            s0, s1 = self.sub_lo[ci], self.sub_lo[ci + 1]
+            m.bus_free_at[:] = self.bus_l[s0:s1]
+            m._last_was_write[:] = self.lastw_l[s0:s1]
+            m._next_refresh = self.nref_l[ci]
+
+
+def replay(lanes: list[Lane]) -> tuple[int, int]:
+    """Drain ``lanes`` (cores sharing one memory system) to their stops.
+
+    Cores advance in global issue order, ties to the earlier lane.
+    Returns the last drained episode's ``(max done over demand loads,
+    max done over all records)``.
+    """
+    dev = _FlatDevices(lanes[0].tables.controllers)
+    open_l, ready_l, lact_l = dev.open_l, dev.ready_l, dev.lact_l
+    bus_l, lastw_l, acts_l = dev.bus_l, dev.lastw_l, dev.acts_l
+    nref_l, bank_lo, consts = dev.nref_l, dev.bank_lo, dev.consts
+    fcfs = dev.fcfs
+    begins = [ln.k for ln in lanes]
+    heap = [(ln.cycle + ln.headgap[ln.k], i)
+            for i, ln in enumerate(lanes) if ln.k < ln.stop]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    cur_i = cur_c = -1
+    nref = 0
+    lm = dm = _NEG
+    while heap:
+        _, i = heappop(heap)
+        ln = lanes[i]
+        if i != cur_i:
+            cur_i = i
+            (ctrl_l, gbank_l, gsub_l, row_l, write_l, klass_l, gaddr_l,
+             done_l, queue_l, service_l, hit_l, bb_l, ep_start, ep_end,
+             headgap, off, off_last, ep_issue0, backlog) = ln.cols
+        k = ln.k
+        stop = ln.stop
+        cycle = ln.cycle
+        while True:
+            s = ep_start[k]
+            e = ep_end[k]
+            issue0 = cycle + headgap[k]
+            ep_issue0[k] = issue0
+            # Scheduler order: keyed tuples end in the record index.
+            if e - s == 1:
+                # Singletons skip the sort, like the reference skips the
+                # scheduler for len-1 batches.
+                keyed = ((s,),)
+            else:
+                keyed = []
+                ap = keyed.append
+                for j in range(s, e):
+                    c = ctrl_l[j]
+                    if fcfs[c]:
+                        ap((c, issue0 + off[j], gaddr_l[j], j))
+                    else:
+                        ap((c, klass_l[j],
+                            0 if open_l[gbank_l[j]] == row_l[j] else 1,
+                            issue0 + off[j], gaddr_l[j], j))
+                keyed.sort()
+            lm = dm = _NEG
+            for rec in keyed:
+                j = rec[-1]
+                c = ctrl_l[j]
+                issue = issue0 + off[j]
+                if c != cur_c:
+                    cur_c = c
+                    nref = nref_l[c]
+                    (tCL, tCCD, tRP, tRAS, tRC, tRCD, tFAW, turnaround,
+                     transfer, hit_service, miss_service,
+                     conflict_service) = consts[c]
+                if issue >= nref:
+                    # MemoryModule._do_refresh + BankState.refresh.
+                    refi, rfc = dev.refresh[c]
+                    lo, hi = bank_lo[c], bank_lo[c + 1]
+                    while issue >= nref:
+                        for x in range(lo, hi):
+                            r = ready_l[x]
+                            r = (nref if nref > r else r) + rfc
+                            open_l[x] = None
+                            ready_l[x] = r
+                            lact_l[x] = r
+                        nref += refi
+                    nref_l[c] = nref
+                b = gbank_l[j]
+                sub = gsub_l[j]
+                row = row_l[j]
+                ready = ready_l[b]
+                start = issue if issue > ready else ready
+                open_row = open_l[b]
+                if open_row == row:
+                    hit_l[j] = True
+                    data_ready = start + tCL
+                    ready_l[b] = start + tCCD
+                    bb_l[j] = tCCD
+                    service = hit_service
+                else:
+                    acts = acts_l[sub]
+                    if tFAW > 0 and len(acts) >= 4:
+                        faw = acts[-4] + tFAW
+                        if faw > start:
+                            start = faw
+                    la = lact_l[b]
+                    if open_row is not None:
+                        pre = la + tRAS
+                        if start > pre:
+                            pre = start
+                        act = pre + tRP
+                        if la + tRC > act:
+                            act = la + tRC
+                        service = conflict_service
+                    else:
+                        act = la + tRC
+                        if start > act:
+                            act = start
+                        service = miss_service
+                    lact_l[b] = act
+                    open_l[b] = row
+                    data_ready = act + tRCD + tCL
+                    ready_l[b] = data_ready
+                    bb_l[j] = data_ready - start
+                    acts.append(act)
+                    if len(acts) > 4:
+                        del acts[:-4]
+                bus_start = bus_l[sub]
+                if data_ready > bus_start:
+                    bus_start = data_ready
+                is_write = write_l[j]
+                prev_write = lastw_l[sub]
+                if prev_write is not None and prev_write != is_write:
+                    bus_start += turnaround
+                lastw_l[sub] = is_write
+                done = bus_start + transfer
+                bus_l[sub] = done
+                queue = done - issue - service
+                if queue < 0:
+                    queue = 0
+                done_l[j] = done
+                queue_l[j] = queue
+                service_l[j] = service
+                if done > dm:
+                    dm = done
+                if klass_l[j] == 0 and done > lm:
+                    lm = done
+            # Core-cycle update: the ROB head waits for the episode's
+            # loads, retirement reaches its last record, and background
+            # completions run at most ``backlog`` cycles ahead.
+            t = lm if lm > issue0 else issue0
+            c2 = issue0 + off_last[k]
+            if c2 > t:
+                t = c2
+            c3 = dm - backlog
+            cycle = c3 if c3 > t else t
+            k += 1
+            if k == stop:
+                break
+            if heap:
+                nxt = (cycle + headgap[k], i)
+                if nxt > heap[0]:
+                    heappush(heap, nxt)
+                    break
+        ln.k = k
+        ln.cycle = cycle
+    dev.store()
+    if OBS.enabled:
+        _publish_obs(dev, lanes, begins)
+    return lm, dm
+
+
+def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
+                 begins: list[int]) -> None:
+    """OBS counters and gauges for the episodes one kernel call drained.
+
+    Equal to the reference engine's per-batch publication: one
+    ``memsys.batches`` per episode, per-group and per-channel request
+    sums, and each channel's ``queue_occupancy`` gauge left at its size
+    in the last episode (in drain order) that touched it.
+    """
+    tables = lanes[0].tables
+    memsys = tables.memsys
+    nc = len(tables.controllers)
+    requests = np.zeros(nc, dtype=np.int64)
+    row_hits = np.zeros(nc, dtype=np.int64)
+    queue_cycles = np.zeros(nc, dtype=np.int64)
+    batches = 0
+    #: channel -> (drain-order key of its last episode, records in it)
+    last: dict[int, tuple] = {}
+    for i, (ln, k0) in enumerate(zip(lanes, begins)):
+        k1 = ln.k
+        if k1 == k0:
+            continue
+        tb = ln.tables
+        lo, hi = ln.ep_start[k0], ln.ep_end[k1 - 1]
+        batches += k1 - k0
+        ctrl = tb._ctrl_np[lo:hi]
+        requests += np.bincount(ctrl, minlength=nc)
+        hit = np.asarray(tb.hit_l[lo:hi], dtype=bool)
+        row_hits += np.bincount(ctrl[hit], minlength=nc)
+        np.add.at(queue_cycles, ctrl,
+                  np.asarray(tb.queue_l[lo:hi], dtype=np.int64))
+        sizes = (np.asarray(ln.ep_end[k0:k1], dtype=np.int64)
+                 - np.asarray(ln.ep_start[k0:k1], dtype=np.int64))
+        ep = np.repeat(np.arange(k0, k1), sizes)
+        for c in np.unique(ctrl).tolist():
+            at = np.flatnonzero(ctrl == c)
+            kk = int(ep[at[-1]])
+            key = (ln.issue0[kk], i, kk)
+            if c not in last or key > last[c][0]:
+                last[c] = (key, int((ep[at] == kk).sum()))
+    if not batches:
+        return
+    OBS.add("memsys.batches", batches)
+    OBS.add("memsys.requests", int(requests.sum()))
+    lo = 0
+    for name, g in zip(memsys.group_names, memsys.groups):
+        n = int(requests[lo:lo + g.n_channels].sum())
+        lo += g.n_channels
+        if n:
+            OBS.add(f"memsys.group.{name}.requests", n)
+    for c in np.flatnonzero(requests).tolist():
+        name = dev.modules[c].name
+        OBS.add(f"mem.{name}.requests", int(requests[c]))
+        OBS.add(f"mem.{name}.row_hits", int(row_hits[c]))
+        OBS.add(f"mem.{name}.queue_cycles", int(queue_cycles[c]))
+    for c, (_, size) in last.items():
+        OBS.gauge(f"mem.{dev.modules[c].name}.queue_occupancy", size)

@@ -63,10 +63,10 @@ class BankState:
         rounding of tRC — derated or custom parts hit this — so both
         guards are enforced independently.)
 
-        NOTE: :meth:`repro.memctrl.controller.ChannelController
-        .service_soa` inlines this arithmetic on its fast path; keep the
-        two in lockstep (the parity suite in ``tests/test_parity.py``
-        pins the equivalence).
+        NOTE: the fused replay kernel (:func:`repro.memctrl.batch
+        .replay`) inlines this arithmetic and :meth:`refresh` on its fast
+        path; keep them in lockstep (the parity suite in
+        ``tests/test_parity.py`` pins the equivalence).
         """
         start = max(start, self.ready_at)
         if self.open_row == row:

@@ -9,9 +9,7 @@ separates the memory systems in the paper's multicore figures.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.cpu.core import CoreParams, InOrderWindowCore
+from repro.cpu.core import CoreParams, InOrderWindowCore, run_interleaved
 from repro.faults.inject import apply_system_faults, arm_allocator
 from repro.faults.plan import FaultPlan
 from repro.moca.classify import Thresholds
@@ -75,18 +73,7 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
         # Global-time interleave: always advance the core whose next episode
         # issues earliest.  Ties break on core id for determinism.
         with OBS.span("core_replay", mix=workload.name):
-            heap = [(c.peek_next_issue(), i) for i, c in enumerate(cores)
-                    if not c.finished]
-            heapq.heapify(heap)
-            while heap:
-                _, i = heapq.heappop(heap)
-                core = cores[i]
-                core.run_episode(memsys)
-                if not core.finished:
-                    heapq.heappush(heap, (core.peek_next_issue(), i))
-
-            # finalize tails (also publishes per-core obs counters)
-            results = [c.run_to_completion(memsys) for c in cores]
+            results = run_interleaved(cores, memsys)
         meta = run_meta(config=config, policy=label,
                         workload=workload.name, thresholds=thresholds,
                         faults=faults)
