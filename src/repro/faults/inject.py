@@ -6,7 +6,7 @@ Three entry points, one per layer the plan can touch:
   on an already-built :class:`~repro.memctrl.system.MemorySystem`;
 * :func:`arm_allocator` — offline/shrink frame pools on an
   :class:`~repro.vm.allocator.OSPageAllocator`, immediately or after
-  ``trigger_page`` allocations (mid-run pressure);
+  ``trigger_page`` offered pages (mid-run pressure);
 * :func:`apply_lut_faults` — drop or scramble entries of a
   :class:`~repro.moca.profiler.ProfiledApp`'s LUT before classification.
 
@@ -70,25 +70,18 @@ def arm_allocator(allocator, plan: FaultPlan) -> None:
     """Install the plan's capacity faults on an allocator.
 
     ``trigger_page == 0`` applies them before the first allocation;
-    otherwise a hook counts allocations and trips once the threshold is
-    crossed, modelling a module that fails *while* the workload is
-    being placed.
+    otherwise they fire once exactly ``trigger_page`` pages have been
+    offered to the allocator (overcommitted pages included, a run split
+    at the trigger), modelling a module that fails *while* the workload
+    is being placed.
     """
     if not plan.has_capacity_fault:
         return
     if plan.trigger_page <= 0:
         _apply_pool_faults(allocator, plan)
         return
-
-    state = {"pages": 0, "tripped": False}
-
-    def hook() -> None:
-        state["pages"] += 1
-        if not state["tripped"] and state["pages"] > plan.trigger_page:
-            state["tripped"] = True
-            _apply_pool_faults(allocator, plan)
-
-    allocator.fault_hook = hook
+    allocator.arm_trigger(plan.trigger_page,
+                          lambda: _apply_pool_faults(allocator, plan))
 
 
 # ---- guidance (LUT) faults --------------------------------------------------

@@ -48,7 +48,8 @@ class FaultPlan:
         shrink_fraction: Share of the pool's frames to remove, in
             ``[0, 1]``.  Already-granted frames are never revoked.
         trigger_page: Apply the capacity faults after this many pages
-            have been allocated (0 = before the first allocation).
+            have been offered to the allocator, overcommitted ones
+            included (0 = before the first allocation).
         degrade_role: Uniformly derate this role's device timings.
         degrade_factor: Timing multiplier (>= 1); 4.0 means every analog
             timing parameter (tCK, tRCD, tRC, ...) is 4x slower.

@@ -1,11 +1,12 @@
 """Runtime page-allocation policies (paper Secs. III-C, V-C).
 
 A policy answers one question — *what type is this page's object?* — and
-:func:`plan_placement` does the rest: it walks every virtual page of the
-workload in first-touch order (demand paging across all cores), asks the
-policy for the page's type, lets the OS allocator pick a frame through the
-type's fallback chain, and finally translates each core's miss stream to
-``(channel group, physical address)`` arrays for the core model.
+:func:`plan_placement` does the rest: it walks the workload's objects in
+allocation order across all cores, asks the policy for each object's
+type, hands the object's whole run of pages to the OS allocator (which
+walks the type's fallback chain a pool at a time), and finally translates
+each core's miss stream to ``(channel group, physical address)`` arrays
+for the core model.
 
 Policies:
 
@@ -25,11 +26,7 @@ import numpy as np
 from repro.cpu.hierarchy import MissStream
 from repro.obs.registry import OBS
 from repro.trace.events import PAGE_BYTES, VirtualLayout
-from repro.vm.allocator import (
-    AllocationStats,
-    OSPageAllocator,
-    OutOfFramesError,
-)
+from repro.vm.allocator import AllocationStats, OSPageAllocator
 from repro.vm.heap import ObjectType
 
 #: Per-core virtual-address-space separation for page-table keys.
@@ -159,14 +156,16 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
         raise ValueError("need at least one miss stream")
     if layouts is not None and len(layouts) != len(streams):
         raise ValueError("need one layout per stream")
-    # Per (core, object): pages to back, in allocation order.
-    objects: list[tuple[float, int, int, list[int]]] = []
+    # Per (core, object): the run of pages to back, in allocation order.
+    objects: list[tuple[float, int, int, np.ndarray]] = []
     if layouts is not None:
         for core, layout in enumerate(layouts):
             for region in layout.all_regions():
                 prio = policy.object_priority(core, region.obj_id)
+                pages = region.pages()
                 objects.append((prio, region.obj_id, core,
-                                list(region.pages())))
+                                np.arange(pages.start, pages.stop,
+                                          dtype=np.int64)))
     else:
         for core, stream in enumerate(streams):
             if len(stream) == 0:
@@ -174,34 +173,34 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
             vpages = stream.vline // PAGE_BYTES
             uniq, first_idx = np.unique(vpages, return_index=True)
             owners = stream.obj_id[first_idx]
-            for obj in np.unique(owners):
-                mask = owners == obj
-                order = np.argsort(first_idx[mask], kind="stable")
-                pages = uniq[mask][order]
-                prio = policy.object_priority(core, int(obj))
-                objects.append((prio, int(obj), core, pages.tolist()))
+            # Group pages by owner, each object's in first-touch order.
+            order = np.lexsort((first_idx, owners))
+            owners = owners[order]
+            objs, starts = np.unique(owners, return_index=True)
+            for obj, pages in zip(objs.tolist(),
+                                  np.split(uniq[order], starts[1:])):
+                prio = policy.object_priority(core, obj)
+                objects.append((prio, obj, core, pages))
     # Priority first; then instantiation order (segments before heap,
     # lower allocation sites first), round-robin across cores.
     objects.sort(key=lambda t: (t[0], t[1], t[2]))
+    exhausted = allocator.stats.exhausted
     exhausted_warned = False
     for _, obj, core, pages in objects:
         typ = policy.object_type(core, obj)
         base = core * (CORE_STRIDE // PAGE_BYTES)
-        for vpage in pages:
-            try:
-                allocator.allocate_page(base + vpage, typ)
-            except OutOfFramesError:
-                # Every pool is full (offlined/shrunken modules, or a
-                # working set beyond physical capacity): degrade to the
-                # overcommit path instead of aborting the run.  The
-                # paper's OS would swap here; we keep the page in the
-                # worst acceptable module and count it.
-                if not exhausted_warned:
-                    exhausted_warned = True
-                    OBS.warn(
-                        f"placement: all frame pools exhausted placing "
-                        f"{typ.name} pages; overcommitting (degraded run)")
-                allocator.allocate_overcommit(base + vpage, typ)
+        n_exhausted = exhausted[typ]
+        # Pages that find every pool full (offlined/shrunken modules, or
+        # a working set beyond physical capacity) degrade to the
+        # overcommit path instead of aborting the run.  The paper's OS
+        # would swap here; we keep them in the worst acceptable module
+        # and count them.
+        allocator.allocate_pages(pages + base, typ, overcommit=True)
+        if not exhausted_warned and exhausted[typ] != n_exhausted:
+            exhausted_warned = True
+            OBS.warn(
+                f"placement: all frame pools exhausted placing "
+                f"{typ.name} pages; overcommitting (degraded run)")
     # Translate every stream against the finished page table.
     groups: list[np.ndarray] = []
     gaddrs: list[np.ndarray] = []

@@ -5,19 +5,26 @@ latency module, which the bandwidth module, ...), the allocator resolves
 an object type's fallback chain to concrete groups and hands out frames,
 spilling to the next-best module when the preferred pool is full.
 
-Exhaustion is a first-class outcome, not just an exception:
-:meth:`OSPageAllocator.allocate_page` raises :class:`OutOfFramesError`
-(carrying per-pool occupancy and the requested type) when every pool in
-the chain is out of frames, and :meth:`OSPageAllocator.allocate_overcommit`
-is the degraded path the placement planner takes instead of crashing —
-it models the OS swapping past physical capacity, with every such page
-tallied in :class:`AllocationStats` so a degraded run stays measurable.
+Allocation works on *runs* of pages: :meth:`OSPageAllocator.allocate_pages`
+walks a whole object extent down its type's chain, each pool taking as
+many pages as it has frames and the rest spilling to the next.  The
+single-page calls are one-element runs.
+
+Exhaustion is a first-class outcome, not just an exception: by default a
+run raises :class:`OutOfFramesError` (carrying per-pool occupancy and the
+requested type) at its first page that finds every pool in the chain out
+of frames; with ``overcommit=True`` those pages instead take the degraded
+path the placement planner uses rather than crashing — it models the OS
+swapping past physical capacity, with every such page tallied in
+:class:`AllocationStats` so a degraded run stays measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro.obs.registry import OBS
 from repro.vm.heap import FALLBACK_CHAINS, ObjectType
@@ -63,11 +70,13 @@ class AllocationStats:
     exhausted: dict[ObjectType, int] = field(
         default_factory=lambda: {t: 0 for t in ObjectType})
 
-    def record(self, typ: ObjectType, group: int, spilled: bool) -> None:
+    def record(self, typ: ObjectType, group: int, spilled: bool,
+               n: int = 1) -> None:
+        """Count ``n`` pages of ``typ`` placed in ``group``."""
         by_group = self.placed[typ]
-        by_group[group] = by_group.get(group, 0) + 1
+        by_group[group] = by_group.get(group, 0) + n
         if spilled:
-            self.spills[typ] += 1
+            self.spills[typ] += n
 
     @property
     def total_pages(self) -> int:
@@ -112,12 +121,6 @@ class OSPageAllocator:
             A role may be absent (e.g. no RLDRAM in a homogeneous system);
             chains skip absent roles.
         page_table: Shared page table to record mappings into.
-
-    Attributes:
-        fault_hook: Optional callable invoked before every allocation —
-            the fault-injection layer (:mod:`repro.faults.inject`) uses it
-            to offline/shrink pools after a page-count threshold,
-            modelling a module failing mid-run.
     """
 
     def __init__(self, pools: dict[int, FramePool], roles: dict[str, int],
@@ -131,7 +134,9 @@ class OSPageAllocator:
         self.roles = dict(roles)
         self.page_table = page_table or PageTable()
         self.stats = AllocationStats()
-        self.fault_hook: Callable[[], None] | None = None
+        #: Pages offered to :meth:`allocate_pages` so far.
+        self.pages_offered = 0
+        self._trigger: tuple[int, Callable[[], None]] | None = None
         # Resolve each type's role chain to concrete group indices once.
         self._chains: dict[ObjectType, list[int]] = {}
         for typ, role_chain in FALLBACK_CHAINS.items():
@@ -152,51 +157,120 @@ class OSPageAllocator:
         return {g: (p.n_allocated, p.n_frames)
                 for g, p in self.pools.items()}
 
-    def allocate_page(self, vpage: int, typ: ObjectType) -> tuple[int, int]:
-        """Map ``vpage`` with a frame of type ``typ``; returns (group, frame).
+    def arm_trigger(self, after_pages: int,
+                    action: Callable[[], None]) -> None:
+        """Run ``action`` once, when ``after_pages`` more pages have been
+        offered and the next one is about to be placed.
 
-        Raises :class:`OutOfFramesError` (an :class:`OutOfMemory`) when
-        every pool in the chain is exhausted; resilient callers degrade
-        via :meth:`allocate_overcommit` instead of propagating.
+        Offered pages include those that end up overcommitted.  A run
+        that crosses the threshold is split there: its first part is
+        placed (overcommit included) before ``action`` runs, the rest
+        after — the fault-injection layer (:mod:`repro.faults.inject`)
+        uses this to offline/shrink a pool *while* a workload is placed.
         """
-        if self.fault_hook is not None:
-            self.fault_hook()
-        chain = self._chains[typ]
-        for i, group in enumerate(chain):
-            frame = self.pools[group].allocate()
-            if frame is not None:
-                self.page_table.map_page(vpage, group, frame)
-                self.stats.record(typ, group, spilled=i > 0)
-                if OBS.enabled:
-                    OBS.add(f"alloc.placed.{typ.name}")
-                    if i > 0:
-                        # Paper Sec. IV-C/D: the preferred module was
-                        # full and the page fell through its chain.
-                        OBS.add(f"alloc.spill.{typ.name}")
-                return group, frame
-        if OBS.enabled:
-            OBS.add(f"alloc.oom.{typ.name}")
-        raise OutOfFramesError(typ, self.occupancy())
+        self._trigger = (self.pages_offered + after_pages, action)
 
-    def allocate_overcommit(self, vpage: int, typ: ObjectType) -> tuple[int, int]:
+    def allocate_pages(self, vpages, typ: ObjectType, *,
+                       overcommit: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Map a run of vpages with frames of type ``typ``.
+
+        Each pool of the type's chain takes as many of the remaining
+        pages as it has frames, in page order.  Pages that find every
+        pool full are overcommitted (``overcommit=True``, see
+        :meth:`overcommit_pages`); otherwise the first of them raises
+        :class:`OutOfFramesError` (an :class:`OutOfMemory`) with the pages
+        before it mapped.  Returns the run's ``(groups, frames)``.
+        """
+        vpages = np.asarray(vpages, dtype=np.int64).reshape(-1)
+        if self._trigger is not None:
+            at, action = self._trigger
+            k = at - self.pages_offered
+            if k < len(vpages):
+                head = self._place(vpages[:k], typ, overcommit)
+                self._trigger = None
+                action()
+                tail = self._place(vpages[k:], typ, overcommit)
+                return (np.concatenate((head[0], tail[0])),
+                        np.concatenate((head[1], tail[1])))
+        return self._place(vpages, typ, overcommit)
+
+    def _place(self, vpages: np.ndarray, typ: ObjectType,
+               overcommit: bool) -> tuple[np.ndarray, np.ndarray]:
+        n = len(vpages)
+        groups = np.empty(n, dtype=np.int32)
+        frames = np.empty(n, dtype=np.int64)
+        done = 0
+        spilled = 0
+        for i, group in enumerate(self._chains[typ]):
+            if done == n:
+                break
+            got = self.pools[group].allocate_run(n - done)
+            m = len(got)
+            if not m:
+                continue
+            groups[done:done + m] = group
+            frames[done:done + m] = got
+            self.stats.record(typ, group, spilled=i > 0, n=m)
+            done += m
+            if i > 0:
+                spilled += m
+        if OBS.enabled and done:
+            OBS.add(f"alloc.placed.{typ.name}", done)
+            if spilled:
+                # Paper Sec. IV-C/D: the preferred module was full and
+                # the pages fell through its chain.
+                OBS.add(f"alloc.spill.{typ.name}", spilled)
+        short = n - done
+        # Like page-at-a-time allocation, a run that cannot overcommit
+        # stops at its first homeless page, which still counts as offered.
+        self.pages_offered += n if overcommit or not short else done + 1
+        self.page_table.map_pages(vpages[:done], groups[:done], frames[:done])
+        if short:
+            if OBS.enabled:
+                OBS.add(f"alloc.oom.{typ.name}", short if overcommit else 1)
+            if not overcommit:
+                raise OutOfFramesError(typ, self.occupancy())
+            groups[done:], frames[done:] = self.overcommit_pages(
+                vpages[done:], typ)
+        return groups, frames
+
+    def overcommit_pages(self, vpages, typ: ObjectType
+                         ) -> tuple[np.ndarray, np.ndarray]:
         """Degraded allocation when the whole chain is exhausted.
 
-        Places the page in the last online pool of the type's chain (the
+        Places the pages in the last online pool of the type's chain (the
         worst acceptable home) *beyond* its physical capacity — the
-        reproduction's stand-in for the OS swapping — and tallies it in
+        reproduction's stand-in for the OS swapping — and tallies them in
         ``stats.exhausted`` so graceful degradation is visible in every
-        report.
+        report.  Returns the run's ``(groups, frames)``.
         """
+        vpages = np.asarray(vpages, dtype=np.int64).reshape(-1)
+        n = len(vpages)
         chain = self._chains[typ]
         target = next((g for g in reversed(chain)
                        if not self.pools[g].is_offline), chain[-1])
-        frame = self.pools[target].allocate_overcommit()
-        self.page_table.map_page(vpage, target, frame)
-        self.stats.record(typ, target, spilled=True)
-        self.stats.exhausted[typ] += 1
+        frames = self.pools[target].allocate_overcommit_run(n)
+        groups = np.full(n, target, dtype=np.int32)
+        self.page_table.map_pages(vpages, groups, frames)
+        self.stats.record(typ, target, spilled=True, n=n)
+        self.stats.exhausted[typ] += n
         if OBS.enabled:
-            OBS.add(f"alloc.overcommit.{typ.name}")
-        return target, frame
+            OBS.add(f"alloc.overcommit.{typ.name}", n)
+        return groups, frames
+
+    def allocate_page(self, vpage: int, typ: ObjectType) -> tuple[int, int]:
+        """Map one vpage; returns (group, frame).  A one-page
+        :meth:`allocate_pages` run: raises :class:`OutOfFramesError` when
+        every pool in the chain is exhausted."""
+        groups, frames = self.allocate_pages((vpage,), typ)
+        return int(groups[0]), int(frames[0])
+
+    def allocate_overcommit(self, vpage: int,
+                            typ: ObjectType) -> tuple[int, int]:
+        """One-page :meth:`overcommit_pages`; returns (group, frame)."""
+        groups, frames = self.overcommit_pages((vpage,), typ)
+        return int(groups[0]), int(frames[0])
 
     def free_frames(self) -> dict[int, int]:
         """Remaining frames per group."""

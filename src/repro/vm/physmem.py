@@ -3,10 +3,14 @@
 The OS "maintains the starting, ending, and the next available page number
 of each memory module" (paper Sec. IV-D); a :class:`FramePool` is exactly
 that bump allocator, with an optional free list so long-running scenarios
-can return frames.
+can return frames.  Placement takes frames a run at a time
+(:meth:`FramePool.allocate_run`); the scalar :meth:`FramePool.allocate`
+serves page-by-page movers such as the migration engine.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.trace.events import PAGE_BYTES
 
@@ -32,9 +36,11 @@ class FramePool:
 
     @property
     def frames_left(self) -> int:
+        """Frames :meth:`allocate` can still hand out (never negative:
+        overcommitted frames sit beyond ``n_frames``)."""
         if self.is_offline:
             return 0
-        return self.n_frames - self._next + len(self._free)
+        return len(self._free) + max(0, self.n_frames - self._next)
 
     @property
     def full(self) -> bool:
@@ -54,15 +60,38 @@ class FramePool:
         self.n_allocated += 1
         return frame
 
-    def allocate_overcommit(self) -> int:
-        """Hand out a frame *beyond* capacity (the OS's swap of last
+    def allocate_run(self, n: int) -> np.ndarray:
+        """Take up to ``n`` frames at once, in exactly the order ``n``
+        calls of :meth:`allocate` would return them: the free list first
+        (most recently freed first), then ascending bump frames.  Returns
+        fewer than ``n`` frames (possibly none) when the pool fills."""
+        if self.is_offline or n <= 0:
+            return np.empty(0, dtype=np.int64)
+        free = self._free
+        k = min(n, len(free))
+        m = min(n - k, max(0, self.n_frames - self._next))
+        bump = np.arange(self._next, self._next + m, dtype=np.int64)
+        self._next += m
+        self.n_allocated += k + m
+        if not k:
+            return bump
+        reused = np.asarray(free[:-k - 1:-1], dtype=np.int64)
+        del free[-k:]
+        return np.concatenate((reused, bump))
+
+    def allocate_overcommit_run(self, n: int) -> np.ndarray:
+        """Hand out ``n`` frames *beyond* capacity (the OS's swap of last
         resort): never fails, but every such frame is tallied in
         ``n_overcommitted`` so degraded runs are measurable."""
-        frame = self._next
-        self._next += 1
-        self.n_allocated += 1
-        self.n_overcommitted += 1
-        return frame
+        frames = np.arange(self._next, self._next + n, dtype=np.int64)
+        self._next += n
+        self.n_allocated += n
+        self.n_overcommitted += n
+        return frames
+
+    def allocate_overcommit(self) -> int:
+        """One frame beyond capacity; see :meth:`allocate_overcommit_run`."""
+        return int(self.allocate_overcommit_run(1)[0])
 
     # ---- fault injection -----------------------------------------------------
 
@@ -100,6 +129,11 @@ class FramePool:
 
     @property
     def utilization(self) -> float:
+        """Allocated share of the pool's frames (above 1.0 when
+        overcommitted; ``inf`` for a pool shrunk to zero frames that
+        still holds overcommitted ones)."""
+        if not self.n_frames:
+            return float("inf") if self.n_allocated else 0.0
         return self.n_allocated / self.n_frames
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
