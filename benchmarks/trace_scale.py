@@ -75,11 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         t_filter = time.perf_counter() - t0
 
         peak_kb = peak_rss_kb()
-        # v2 entries hold one shard-NNNNN.<column>.npy per column, v1
-        # entries one shard-NNNNN.npz per shard.
-        shard_bytes = sum(p.stat().st_size
-                          for p in Path(trace.directory).glob("shard-*")
-                          if p.suffix in (".npy", ".npz"))
+        shard_bytes = sum(p.stat().st_size for p in
+                          Path(trace.directory).glob("shard-*.npy"))
     finally:
         chunked.reset()
         shutil.rmtree(tmp, ignore_errors=True)

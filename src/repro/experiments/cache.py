@@ -1,90 +1,43 @@
 """Persistent content-addressed result cache for simulation runs.
 
-One entry per :class:`~repro.sim.spec.RunSpec`, stored as
-``<directory>/<sha256-of-canonical-spec>.json`` with the
+One entry per :class:`~repro.sim.spec.RunSpec`: a
+:mod:`repro.util.castore` entry named by :meth:`RunSpec.key` whose
+manifest holds the canonical spec and the
 :class:`~repro.sim.metrics.RunMetrics` round-tripped through
-``to_dict``/``from_dict``.  The key covers everything that determines the
-numbers (workload, config *hash*, policy, trace length, input,
-thresholds, seed), so a cache directory can be shared between processes,
-sweeps, and repeated campaign invocations: online/offline hybrid systems
-for heterogeneous memory amortize profiling across executions the same
-way, by persisting guidance keyed by provenance.
+``to_dict``/``from_dict`` (no columns).  The key covers everything that
+determines the numbers (workload, config *hash*, policy, trace length,
+input, thresholds, seed), so a cache directory can be shared between
+processes, sweeps, and repeated campaign invocations: online/offline
+hybrid systems for heterogeneous memory amortize profiling across
+executions the same way, by persisting guidance keyed by provenance.
 
-Robustness rules:
-
-* writes are atomic (temp file + ``os.replace``), so a concurrent reader
-  never sees a half-written entry;
-* a corrupt entry (truncated JSON, missing fields) warns once via
-  :meth:`OBS.warn`, is deleted, and falls back to re-simulation;
-* entries written by a different cache format version are dropped
-  silently (stale, not corrupt);
-* the simulator's own version is recorded in each entry for forensics
-  but is deliberately **not** part of the key — bump
-  ``repro.__version__`` or pass ``--refresh`` after changing model code.
-
-Hits/misses/stores/evictions flow through ``OBS`` counters
-(``cache.hit``, ``cache.miss``, ...), and :class:`CacheStats` aggregates
-them per cache instance for the sweep manifest's hit ratio.
-
-A process-level memo fronts the disk entries: repeated lookups of the
-same spec (re-executed figures, resumed campaigns, the batched warm
-pass) skip the read+parse entirely.  Memo entries are validated against
-the file's ``(mtime_ns, size)`` so a sibling process overwriting an
-entry invalidates ours, and ``--refresh`` clears the memo outright.
+Publishing, the corrupt/stale paths, ``--refresh`` and the resident
+decode cache (repeat lookups of one spec skip the read and parse) come
+from the store primitive.  The simulator's own version is recorded in
+each entry for forensics but is deliberately **not** part of the key —
+bump ``repro.__version__`` or pass ``--refresh`` after changing model
+code.  Hits/misses/stores flow through ``OBS`` counters (``cache.hit``,
+``cache.miss``, ...) and :attr:`ResultCache.stats` for the sweep
+manifest's hit ratio.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.registry import OBS
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec
-from repro.util.resident import ResidentLRU
+from repro.util.castore import CAStore
 
-__all__ = ["CACHE_VERSION", "CacheStats", "ResultCache", "memo_stats"]
+__all__ = ["CACHE_VERSION", "ResultCache"]
 
 #: On-disk entry format; entries from other versions are ignored.
 CACHE_VERSION = 1
 
-#: Process-level memo of parsed entries, keyed ``(directory, spec key)``
-#: with the entry file's stat signature; bounded so an unbounded
-#: campaign cannot grow it past ~256 parsed metric dicts.
-_MEMO = ResidentLRU(256)
 
-
-def memo_stats() -> dict:
-    """Process-level memo tallies (for telemetry/debugging)."""
-    return _MEMO.stats_dict()
-
-
-@dataclass
-class CacheStats:
-    """Per-instance tallies; ``hit_ratio`` feeds the sweep manifest."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    evicted: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        looked = self.hits + self.misses
-        return self.hits / looked if looked else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "evicted": self.evicted,
-            "hit_ratio": round(self.hit_ratio, 6),
-        }
+def _decode(manifest: dict, views: dict) -> dict:
+    RunMetrics.from_dict(manifest["metrics"])  # validate once
+    return manifest["metrics"]
 
 
 class ResultCache:
@@ -96,136 +49,35 @@ class ResultCache:
         refresh: When true, :meth:`get` always misses (forcing
             re-simulation) while :meth:`put` still overwrites — the
             ``--refresh`` CLI semantics.
-        max_entries: Optional size bound; storing beyond it evicts the
-            oldest entries (by mtime, i.e. least-recently-written).
     """
 
-    def __init__(self, directory: str | Path, *, refresh: bool = False,
-                 max_entries: int | None = None):
-        self.directory = Path(directory)
+    def __init__(self, directory: str | Path, *, refresh: bool = False):
+        self.store = CAStore(directory, version=CACHE_VERSION,
+                             label="result cache", counter="cache",
+                             refresh=refresh, resident=256)
+        self.directory = self.store.directory
         self.refresh = refresh
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        if refresh:
-            # --refresh means "distrust everything cached", including
-            # what this process already parsed.
-            _MEMO.clear()
+        self.stats = self.store.stats
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.directory / f"{spec.key()}.json"
-
-    def _memo_key(self, spec: RunSpec) -> tuple:
-        return (str(self.directory), spec.key())
-
-    @staticmethod
-    def _stat_sig(path: Path) -> tuple | None:
-        try:
-            st = path.stat()
-        except (FileNotFoundError, OSError):
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    # ---- read --------------------------------------------------------------
+        """The entry's manifest path."""
+        return self.store.manifest_path(spec.key())
 
     def get(self, spec: RunSpec) -> RunMetrics | None:
-        """Cached metrics for ``spec``, or ``None`` (= simulate)."""
-        path = self.path_for(spec)
-        if self.refresh:
-            self._miss(refresh=True)
-            return None
-        sig = self._stat_sig(path)
-        if sig is not None:
-            memoed = _MEMO.get(self._memo_key(spec))
-            if memoed is not None and memoed[0] == sig:
-                self.stats.hits += 1
-                OBS.add("cache.hit")
-                OBS.add("cache.memo_hit")
-                OBS.add("data_plane.copies_avoided")
-                return RunMetrics.from_dict(memoed[1])
-        try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError):
-            self._miss()
-            return None
-        try:
-            doc = json.loads(raw)
-            if doc.get("version") != CACHE_VERSION:
-                # A different (older/newer) format is expected after an
-                # upgrade — drop it quietly and re-simulate.
-                path.unlink(missing_ok=True)
-                OBS.add("cache.stale")
-                self._miss()
-                return None
-            metrics = RunMetrics.from_dict(doc["metrics"])
-        except (ValueError, KeyError, TypeError) as exc:
-            OBS.warn(f"result cache: corrupt entry {path.name} "
-                     f"({type(exc).__name__}: {exc}); re-simulating")
-            OBS.add("cache.corrupt")
-            self.stats.corrupt += 1
-            path.unlink(missing_ok=True)
-            self._miss()
-            return None
-        self.stats.hits += 1
-        OBS.add("cache.hit")
-        # Re-stat after the read: the signature must describe the bytes
-        # we actually parsed, not whatever was there before a concurrent
-        # overwrite.
-        sig = self._stat_sig(path)
-        if sig is not None:
-            _MEMO.put(self._memo_key(spec), (sig, doc["metrics"]))
-        return metrics
+        """Cached metrics for ``spec``, or ``None`` (= simulate).
 
-    def _miss(self, refresh: bool = False) -> None:
-        self.stats.misses += 1
-        OBS.add("cache.refresh_bypass" if refresh else "cache.miss")
-
-    # ---- write -------------------------------------------------------------
+        The resident cache holds the metrics *document*, so every hit
+        returns a fresh object that callers may mutate.
+        """
+        doc = self.store.get(spec.key(), _decode)
+        return None if doc is None else RunMetrics.from_dict(doc)
 
     def put(self, spec: RunSpec, metrics: RunMetrics) -> Path:
-        """Store one result atomically; returns the entry path."""
-        from repro import __version__
-
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(spec)
-        doc = {
-            "version": CACHE_VERSION,
-            "repro_version": __version__,
-            "spec": spec.canonical(),
-            "metrics": metrics.to_dict(),
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
-        os.replace(tmp, path)
-        sig = self._stat_sig(path)
-        if sig is not None:
-            _MEMO.put(self._memo_key(spec), (sig, doc["metrics"]))
-        self.stats.stores += 1
-        OBS.add("cache.store")
-        if self.max_entries is not None:
-            self._evict_over(self.max_entries)
-        return path
-
-    def _evict_over(self, limit: int) -> None:
-        # A sibling process sharing the directory may evict (or a reader
-        # may delete a corrupt entry) between our glob and the stat —
-        # treat a vanished file as oldest-possible so it sorts first and
-        # the unlink below is a harmless no-op.
-        def mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except (FileNotFoundError, OSError):
-                return 0.0
-
-        entries = sorted(self.directory.glob("*.json"), key=mtime)
-        for victim in entries[:max(0, len(entries) - limit)]:
-            try:
-                victim.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - platform-dependent race
-                continue
-            self.stats.evicted += 1
-            OBS.add("cache.evict")
+        """Store one result atomically; returns the manifest path."""
+        doc = metrics.to_dict()
+        self.store.put(spec.key(), {"spec": spec.canonical(), "metrics": doc},
+                       resident=doc)
+        return self.path_for(spec)
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return len(self.store)

@@ -60,6 +60,7 @@ from repro.obs.registry import ENV_QUIET, OBS
 from repro.sim import stream_store
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
+from repro.util.castore import Selection
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -103,11 +104,9 @@ DEFAULT_BATCH_UNITS = 4
 #: Never batch wider than this, whatever the cost estimate says.
 MAX_BATCH_UNITS = 16
 
-_UNSET = object()
-#: Explicit configuration: a ResultCache, None (= caching disabled), or
-#: _UNSET (= fall back to the REPRO_CACHE_DIR environment variable).
-_cache_override: object = _UNSET
-_env_cache: ResultCache | None = None
+#: Explicit configuration (a ResultCache, or None = caching disabled),
+#: else the REPRO_CACHE_DIR environment variable.
+_cache = Selection("REPRO_CACHE_DIR", None, ResultCache)
 _sweep_seconds: dict[str, float] = {}
 #: Explicit retry/timeout policy (None = RetryPolicy.from_env()).
 _retry_policy: RetryPolicy | None = None
@@ -157,8 +156,8 @@ def _export_env(name: str, value: str | None) -> None:
         os.environ[name] = value
 
 
-def configure(directory: str | Path | None, *, refresh: bool = False,
-              max_entries: int | None = None) -> ResultCache | None:
+def configure(directory: str | Path | None, *,
+              refresh: bool = False) -> ResultCache | None:
     """Select the process-wide result cache (and the miss-stream store).
 
     ``directory=None`` disables persistent caching entirely (the
@@ -171,15 +170,13 @@ def configure(directory: str | Path | None, *, refresh: bool = False,
     with ``refresh`` carrying over.  The selection is exported through
     the environment so sweep worker processes make the same choice.
     """
-    global _cache_override
     if directory is None:
-        _cache_override = None
+        _cache.configure(None)
         stream_store.configure(None)
         _export_env(stream_store.ENV_DIR, "")
         _export_env(stream_store.ENV_REFRESH, None)
     else:
-        _cache_override = ResultCache(directory, refresh=refresh,
-                                      max_entries=max_entries)
+        _cache.configure(ResultCache(directory, refresh=refresh))
         env = os.environ.get(stream_store.ENV_DIR)
         if env == "":
             stream_store.configure(None)
@@ -188,7 +185,7 @@ def configure(directory: str | Path | None, *, refresh: bool = False,
             stream_store.configure(stream_dir, refresh=refresh)
             _export_env(stream_store.ENV_DIR, str(stream_dir))
             _export_env(stream_store.ENV_REFRESH, "1" if refresh else None)
-    return _cache_override
+    return _cache.active()
 
 
 def configure_resilience(policy: RetryPolicy | None) -> None:
@@ -399,8 +396,8 @@ def reset() -> None:
     (or no cache).  The CLIs call this on exit so embedded invocations
     (tests, notebooks) don't leak one command's cache into the next.
     """
-    global _cache_override, _retry_policy, _campaign
-    _cache_override = _UNSET
+    global _retry_policy, _campaign
+    _cache.reset()
     _retry_policy = None
     _sweep_seconds.clear()
     _resilience.clear()
@@ -420,15 +417,7 @@ def reset() -> None:
 
 def active_cache() -> ResultCache | None:
     """The cache the engine will consult, or ``None``."""
-    global _env_cache
-    if _cache_override is not _UNSET:
-        return _cache_override  # type: ignore[return-value]
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if not env:
-        return None
-    if _env_cache is None or Path(env) != _env_cache.directory:
-        _env_cache = ResultCache(env)
-    return _env_cache
+    return _cache.active()
 
 
 def cache_stats() -> dict | None:

@@ -9,18 +9,13 @@ on disk so each trace is filtered once per *machine* instead of once
 per process, the same profile-once/reuse-everywhere economy MOCA's
 offline profiling pass is built around.
 
-Store format v2 is mmap-native: one entry is a set of raw aligned
-``.npy`` column files plus a ``.json`` meta sidecar, all named by the
-SHA-256 of the canonical key document.  Columns are loaded with
-``np.load(mmap_mode="r")``, so a stream maps once per machine and the
-kernel pages it lazily — workers across processes share the physical
-pages through the OS page cache instead of each inflating a private
-decompressed copy (the v1 ``savez_compressed`` behaviour).  Legacy v1
-``.npz`` entries stay readable: a hit on one is served, rewritten in
-v2, and the npz removed (read-through migration).  A process-level
-:class:`~repro.util.resident.ResidentLRU` additionally keeps recently
-decoded entries resident, so repeated gets within one worker skip even
-the meta parse.
+One entry is a :mod:`repro.util.castore` entry named by
+:func:`key_digest` of the key document: five ``.npy`` columns, served
+as read-only mmaps so workers across processes share the physical pages
+through the OS page cache, plus a manifest holding the scalar stats.
+Publishing, the corrupt/stale paths, ``refresh`` and the resident
+decode cache (a repeated ``get`` returns the *same* objects) come from
+the store primitive.
 
 The key covers everything that determines the stream: application,
 input, trace length, the full hierarchy geometry (sizes, ways, line
@@ -29,33 +24,19 @@ size), the warmup fraction, and the trace RNG root.  The filter
 produce byte-identical streams (``tests/test_filter_parity.py``), so
 entries written by either are interchangeable.
 
-Robustness rules mirror :class:`repro.experiments.cache.ResultCache`:
-atomic writes (temp file + ``os.replace``, meta written *last* so a
-meta sidecar marks a complete entry), corrupt entries warn via
-``OBS.warn`` and are deleted whole, entries from other format versions
-are dropped silently, and ``refresh`` bypasses reads while still
-overwriting.  Eviction (``max_entries``) removes entries as whole
-file *groups* — meta first, then columns — and tolerates halves that
-vanish concurrently.  Module-level wiring follows the result-cache
-precedence: an explicit :func:`configure` call, else
+Module-level wiring: an explicit :func:`configure` call, else
 ``REPRO_STREAM_STORE_DIR`` (empty string = explicitly disabled), else
 ``<REPRO_CACHE_DIR>/streams``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.cpu.hierarchy import CacheHierarchy, CacheStats, MissStream
-from repro.obs.registry import OBS
-from repro.util.resident import ResidentLRU
+from repro.util.castore import CAStore, Selection, digest
 from repro.util.rng import ROOT_SEED
 
 __all__ = [
@@ -63,7 +44,6 @@ __all__ = [
     "ENV_REFRESH",
     "STREAM_STORE_VERSION",
     "StreamStore",
-    "StreamStoreStats",
     "active",
     "configure",
     "filter_key",
@@ -72,20 +52,22 @@ __all__ = [
     "stats_dict",
 ]
 
-#: On-disk entry format; entries from other versions are ignored
-#: (except v1 npz entries, which are migrated read-through).
+#: On-disk entry format; entries from other versions are ignored.
 STREAM_STORE_VERSION = 2
 
 #: Environment selection (inherited by sweep worker processes).
 ENV_DIR = "REPRO_STREAM_STORE_DIR"
 ENV_REFRESH = "REPRO_STREAM_REFRESH"
 
-_ARRAYS = (("inst", np.int64), ("vline", np.int64), ("obj_id", np.int32),
-           ("dep", np.bool_), ("kind", np.int8))
+_ARRAYS = {"inst": np.int64, "vline": np.int64, "obj_id": np.int32,
+           "dep": np.bool_, "kind": np.int8}
 
-#: Decoded entries kept resident per process (tentpole b); sized for a
-#: sweep worker cycling through a handful of workloads.
+#: Decoded entries kept resident per process; sized for a sweep worker
+#: cycling through a handful of workloads.
 _RESIDENT_CAPACITY = 8
+
+#: SHA-256 of the canonical JSON serialization of a key document.
+key_digest = digest
 
 
 def filter_key(app_name: str, input_name: str, n_accesses: int, *,
@@ -113,36 +95,28 @@ def filter_key(app_name: str, input_name: str, n_accesses: int, *,
     }
 
 
-def key_digest(key: dict) -> str:
-    """SHA-256 of the canonical JSON serialization of ``key``."""
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@dataclass
-class StreamStoreStats:
-    """Per-instance tallies; ``hit_ratio`` feeds the sweep manifest."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    evicted: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        looked = self.hits + self.misses
-        return self.hits / looked if looked else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "evicted": self.evicted,
-            "hit_ratio": round(self.hit_ratio, 6),
-        }
+def _decode(doc: dict, arrays: dict) -> tuple[MissStream, CacheStats]:
+    n = len(arrays["inst"])
+    for name, arr in arrays.items():
+        if len(arr) != n:
+            raise ValueError(f"column {name!r} has {len(arr)} rows, "
+                             f"'inst' has {n}")
+    stats_doc = doc["stats"]
+    stream = MissStream(total_instructions=int(doc["total_instructions"]),
+                        **arrays)
+    stats = CacheStats(
+        total_instructions=int(stats_doc["total_instructions"]),
+        l1_hits=int(stats_doc["l1_hits"]),
+        l1_misses=int(stats_doc["l1_misses"]),
+        l2_hits=int(stats_doc["l2_hits"]),
+        l2_misses=int(stats_doc["l2_misses"]),
+        n_writebacks=int(stats_doc["n_writebacks"]),
+        # JSON round-trip preserves list order, so first-touch
+        # iteration order survives; keys come back as ints.
+        per_object={int(obj): [int(acc), int(miss)]
+                    for obj, acc, miss in stats_doc["per_object"]},
+    )
+    return stream, stats
 
 
 class StreamStore:
@@ -153,30 +127,22 @@ class StreamStore:
         refresh: When true, :meth:`get` always misses (forcing
             re-filtering) while :meth:`put` still overwrites — the
             ``--refresh`` CLI semantics extended to streams.
-        max_entries: Evict least-recently-written entries past this
-            count after each :meth:`put` (``None`` = unbounded).
     """
 
-    def __init__(self, directory: str | Path, *, refresh: bool = False,
-                 max_entries: int | None = None):
-        self.directory = Path(directory)
+    def __init__(self, directory: str | Path, *, refresh: bool = False):
+        self.store = CAStore(directory, version=STREAM_STORE_VERSION,
+                             label="stream store", counter="stream_store",
+                             refresh=refresh, resident=_RESIDENT_CAPACITY)
+        self.directory = self.store.directory
         self.refresh = refresh
-        self.max_entries = max_entries
-        self.stats = StreamStoreStats()
-        self._resident = ResidentLRU(_RESIDENT_CAPACITY)
+        self.stats = self.store.stats
 
     def path_for(self, key: dict) -> Path:
-        """Meta sidecar path — presence marks a complete v2 entry."""
-        return self.directory / f"{key_digest(key)}.json"
-
-    def legacy_path_for(self, key: dict) -> Path:
-        """The v1 single-file npz path for ``key`` (read-through only)."""
-        return self.directory / f"{key_digest(key)}.npz"
+        """Manifest path — its presence marks a complete entry."""
+        return self.store.manifest_path(key_digest(key))
 
     def column_path(self, digest: str, name: str) -> Path:
-        return self.directory / f"{digest}.{name}.npy"
-
-    # ---- read --------------------------------------------------------------
+        return self.directory / digest / f"{name}.npy"
 
     def get(self, key: dict) -> tuple[MissStream, CacheStats] | None:
         """Stored stream for ``key``, or ``None`` (= filter the trace).
@@ -184,173 +150,15 @@ class StreamStore:
         A hit returns *shared* read-only views: column arrays are
         ``np.load(mmap_mode="r")`` maps of the entry files (or the
         process-resident decode of a recent hit), so concurrent readers
-        share physical pages.  POSIX keeps an unlinked mapping valid,
-        so a view survives concurrent eviction/overwrite of its entry.
+        share physical pages.
         """
-        digest = key_digest(key)
-        meta_path = self.directory / f"{digest}.json"
-        if self.refresh:
-            self._miss(refresh=True)
-            return None
-        try:
-            stat = meta_path.stat()
-        except OSError:
-            return self._get_legacy(key, digest)
-        resident_key = (str(meta_path), stat.st_mtime_ns, stat.st_size)
-        cached = self._resident.get(resident_key)
-        if cached is not None:
-            self.stats.hits += 1
-            OBS.add("stream_store.hit")
-            OBS.add("stream_store.resident_hit")
-            OBS.add("data_plane.copies_avoided")
-            return cached
-        try:
-            doc = json.loads(meta_path.read_text())
-            if doc.get("version") != STREAM_STORE_VERSION:
-                # Another (older/newer) format after an upgrade —
-                # drop it quietly and re-filter.
-                self._drop_entry(digest)
-                OBS.add("stream_store.stale")
-                self._miss()
-                return None
-            arrays = {}
-            mapped_bytes = 0
-            for name, _ in _ARRAYS:
-                arr = np.load(self.column_path(digest, name), mmap_mode="r")
-                arrays[name] = arr
-                mapped_bytes += arr.nbytes
-            result = self._decode(doc, arrays)
-        except FileNotFoundError:
-            # Meta without all its columns: a half-evicted or truncated
-            # entry — treat as corrupt and clear the remains.
-            OBS.warn(f"stream store: incomplete entry {meta_path.name}; "
-                     "re-filtering")
-            OBS.add("stream_store.corrupt")
-            self.stats.corrupt += 1
-            self._drop_entry(digest)
-            self._miss()
-            return None
-        except (ValueError, KeyError, TypeError, OSError, EOFError) as exc:
-            OBS.warn(f"stream store: corrupt entry {meta_path.name} "
-                     f"({type(exc).__name__}: {exc}); re-filtering")
-            OBS.add("stream_store.corrupt")
-            self.stats.corrupt += 1
-            self._drop_entry(digest)
-            self._miss()
-            return None
-        self._resident.put(resident_key, result)
-        self.stats.hits += 1
-        OBS.add("stream_store.hit")
-        OBS.add("stream_store.mmap_hit")
-        OBS.add("data_plane.copies_avoided")
-        OBS.add("data_plane.bytes_mapped", mapped_bytes)
-        return result
-
-    def _get_legacy(self, key: dict,
-                    digest: str) -> tuple[MissStream, CacheStats] | None:
-        """v1 npz fallback: serve the hit and migrate the entry to v2."""
-        path = self.directory / f"{digest}.npz"
-        try:
-            with np.load(path) as data:
-                doc = json.loads(bytes(data["meta"]).decode())
-                if doc.get("version") != 1:
-                    path.unlink(missing_ok=True)
-                    OBS.add("stream_store.stale")
-                    self._miss()
-                    return None
-                arrays = {name: data[name] for name, _ in _ARRAYS}
-            result = self._decode(doc, arrays)
-        except (FileNotFoundError,):
-            self._miss()
-            return None
-        except (ValueError, KeyError, TypeError, OSError, EOFError,
-                zipfile.BadZipFile) as exc:
-            OBS.warn(f"stream store: corrupt entry {path.name} "
-                     f"({type(exc).__name__}: {exc}); re-filtering")
-            OBS.add("stream_store.corrupt")
-            self.stats.corrupt += 1
-            path.unlink(missing_ok=True)
-            self._miss()
-            return None
-        # Read-through migration: rewrite in v2, drop the npz.  The
-        # stores counter is deliberately not charged — no new content
-        # entered the store, it just changed clothes.
-        stream, stats = result
-        self._write_v2(key, digest, stream, stats)
-        path.unlink(missing_ok=True)
-        OBS.add("stream_store.migrated")
-        self.stats.hits += 1
-        OBS.add("stream_store.hit")
-        return result
-
-    @staticmethod
-    def _decode(doc: dict, arrays: dict) -> tuple[MissStream, CacheStats]:
-        n = len(arrays["inst"])
-        for name, dtype in _ARRAYS:
-            arr = arrays[name]
-            if arr.dtype != dtype or arr.ndim != 1 or len(arr) != n:
-                raise ValueError(
-                    f"column {name!r} has shape {arr.shape} dtype "
-                    f"{arr.dtype} (want ({n},) {np.dtype(dtype)})")
-        stats_doc = doc["stats"]
-        stream = MissStream(
-            inst=arrays["inst"], vline=arrays["vline"],
-            obj_id=arrays["obj_id"], dep=arrays["dep"],
-            kind=arrays["kind"],
-            total_instructions=int(doc["total_instructions"]),
-        )
-        stats = CacheStats(
-            total_instructions=int(stats_doc["total_instructions"]),
-            l1_hits=int(stats_doc["l1_hits"]),
-            l1_misses=int(stats_doc["l1_misses"]),
-            l2_hits=int(stats_doc["l2_hits"]),
-            l2_misses=int(stats_doc["l2_misses"]),
-            n_writebacks=int(stats_doc["n_writebacks"]),
-            # JSON round-trip preserves list order, so first-touch
-            # iteration order survives; keys come back as ints.
-            per_object={int(obj): [int(acc), int(miss)]
-                        for obj, acc, miss in stats_doc["per_object"]},
-        )
-        return stream, stats
-
-    def _miss(self, refresh: bool = False) -> None:
-        self.stats.misses += 1
-        OBS.add("stream_store.refresh_bypass" if refresh
-                else "stream_store.miss")
-
-    def _drop_entry(self, digest: str) -> None:
-        """Remove every file of one entry; meta first so readers that
-        race us see either a complete entry or none."""
-        (self.directory / f"{digest}.json").unlink(missing_ok=True)
-        for name, _ in _ARRAYS:
-            self.column_path(digest, name).unlink(missing_ok=True)
-        (self.directory / f"{digest}.npz").unlink(missing_ok=True)
-
-    # ---- write -------------------------------------------------------------
+        return self.store.get(key_digest(key), _decode, _ARRAYS.items())
 
     def put(self, key: dict, stream: MissStream,
             stats: CacheStats) -> Path:
-        """Store one filtered result atomically; returns the meta path."""
-        digest = key_digest(key)
-        path = self._write_v2(key, digest, stream, stats)
-        # A v2 entry supersedes any v1 leftover under the same digest.
-        (self.directory / f"{digest}.npz").unlink(missing_ok=True)
-        self.stats.stores += 1
-        OBS.add("stream_store.store")
-        if self.max_entries is not None:
-            self._evict_over(self.max_entries)
-        return path
-
-    def _write_v2(self, key: dict, digest: str, stream: MissStream,
-                  stats: CacheStats) -> Path:
-        from repro import __version__
-
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Store one filtered result atomically; returns the manifest path."""
         doc = {
-            "version": STREAM_STORE_VERSION,
-            "repro_version": __version__,
             "key": key,
-            "columns": [name for name, _ in _ARRAYS],
             "total_instructions": stream.total_instructions,
             "stats": {
                 "total_instructions": stats.total_instructions,
@@ -363,103 +171,35 @@ class StreamStore:
                                in stats.per_object.items()],
             },
         }
-        pid = os.getpid()
-        # Columns first, meta last: the sidecar is the completeness
-        # marker, so a crash mid-write leaves stray columns (cleaned by
-        # eviction) but never a readable half-entry.  np.save pads its
-        # header to a 64-byte boundary, so the mapped data is aligned.
-        for name, _ in _ARRAYS:
-            target = self.column_path(digest, name)
-            tmp = target.with_name(f".{target.name}.{pid}.tmp.npy")
-            np.save(tmp, np.ascontiguousarray(getattr(stream, name)))
-            os.replace(tmp, target)
-        path = self.directory / f"{digest}.json"
-        tmp = path.with_name(f".{path.name}.{pid}.tmp")
-        tmp.write_text(json.dumps(doc))
-        os.replace(tmp, path)
-        return path
-
-    # ---- eviction ----------------------------------------------------------
-
-    def _entries_by_age(self) -> list[tuple[float, str]]:
-        """(mtime, digest) per complete entry, oldest first.  Files that
-        vanish mid-scan (a concurrent evictor) sort as oldest."""
-
-        def mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except OSError:
-                return 0.0
-
-        entries = {}
-        for meta in self.directory.glob("*.json"):
-            entries[meta.stem] = mtime(meta)
-        for npz in self.directory.glob("*.npz"):
-            entries.setdefault(npz.stem, mtime(npz))
-        return sorted((when, digest) for digest, when in entries.items())
-
-    def _evict_over(self, limit: int) -> None:
-        """Drop least-recently-written entries past ``limit``.
-
-        Entries are file *groups* (meta + columns, or a legacy npz);
-        each is removed meta-first so a concurrent reader sees either
-        the whole entry or a clean miss, and every unlink tolerates the
-        other half vanishing under a concurrent evictor.
-        """
-        if not self.directory.is_dir():
-            return
-        aged = self._entries_by_age()
-        excess = len(aged) - limit
-        alive = {digest for _, digest in aged}
-        for _, digest in aged[:max(0, excess)]:
-            self._drop_entry(digest)
-            alive.discard(digest)
-            self.stats.evicted += 1
-            OBS.add("stream_store.evicted")
-        # Columns whose meta half vanished (a concurrent evictor, or a
-        # writer that died before publishing) are unreachable — sweep
-        # them, but don't charge eviction: they were never entries.
-        for col in self.directory.glob("*.npy"):
-            if col.name.split(".")[0] not in alive:
-                col.unlink(missing_ok=True)
+        self.store.put(key_digest(key), doc,
+                       ((name, getattr(stream, name)) for name in _ARRAYS))
+        return self.path_for(key)
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return len(self._entries_by_age())
+        return len(self.store)
 
 
 # ---- module-level wiring ---------------------------------------------------
 
-_UNSET = object()
-#: Explicit configuration: a StreamStore, None (= disabled), or _UNSET
-#: (= fall back to the environment).
-_override: object = _UNSET
-_env_store: StreamStore | None = None
+_selection = Selection(ENV_DIR, "streams", StreamStore, ENV_REFRESH)
 
 
-def configure(directory: str | Path | None, *, refresh: bool = False,
-              max_entries: int | None = None) -> StreamStore | None:
+def configure(directory: str | Path | None, *,
+              refresh: bool = False) -> StreamStore | None:
     """Select the process-wide stream store.
 
     ``directory=None`` disables the store entirely (the ``--no-cache``
     semantics); otherwise a fresh :class:`StreamStore` (with fresh
     stats) is installed.  Returns the active store.
     """
-    global _override
-    if directory is None:
-        _override = None
-    else:
-        _override = StreamStore(directory, refresh=refresh,
-                                max_entries=max_entries)
-    return _override  # type: ignore[return-value]
+    return _selection.configure(
+        None if directory is None else StreamStore(directory,
+                                                   refresh=refresh))
 
 
 def reset() -> None:
     """Drop explicit configuration; the environment decides again."""
-    global _override, _env_store
-    _override = _UNSET
-    _env_store = None
+    _selection.reset()
 
 
 def active() -> StreamStore | None:
@@ -467,28 +207,10 @@ def active() -> StreamStore | None:
 
     Precedence: explicit :func:`configure` call, else
     ``REPRO_STREAM_STORE_DIR`` (the empty string means *explicitly
-    disabled* — how a ``--no-cache`` parent shields its workers), else
-    ``<REPRO_CACHE_DIR>/streams`` so one ``--cache-dir`` flag keeps
-    both caches side by side.
+    disabled*), else ``<REPRO_CACHE_DIR>/streams`` so one
+    ``--cache-dir`` flag keeps both caches side by side.
     """
-    global _env_store
-    if _override is not _UNSET:
-        return _override  # type: ignore[return-value]
-    env = os.environ.get(ENV_DIR)
-    if env is not None:
-        if env == "":
-            return None
-        directory = Path(env)
-    else:
-        base = os.environ.get("REPRO_CACHE_DIR")
-        if not base:
-            return None
-        directory = Path(base) / "streams"
-    refresh = os.environ.get(ENV_REFRESH) == "1"
-    if (_env_store is None or _env_store.directory != directory
-            or _env_store.refresh != refresh):
-        _env_store = StreamStore(directory, refresh=refresh)
-    return _env_store
+    return _selection.active()
 
 
 def stats_dict() -> dict | None:

@@ -11,58 +11,49 @@ cache *filtering*
 bounded RSS while producing byte-identical results to the monolithic
 path (pinned by ``tests/test_trace_chunked.py``).
 
-Store format v2 writes each shard as raw aligned ``.npy`` column files
-loaded with ``np.load(mmap_mode="r")`` — a window maps lazily off the
-page cache instead of decompressing into private memory, so concurrent
-readers of one entry share physical pages.  Legacy v1 entries
-(``numpy.savez_compressed`` shards) stay readable in place; the
-``shard_format`` manifest field tells the loader which shape an entry
-has, and the version field keeps genuinely unknown formats out.
+One trace is one :mod:`repro.util.castore` entry, named by the SHA-256
+of its canonical key document (the :mod:`repro.sim.stream_store`
+economy applied one stage earlier in the pipeline)::
 
-Store layout — one directory per trace, named by the SHA-256 of its
-canonical key document (the :mod:`repro.sim.stream_store` economy
-applied one stage earlier in the pipeline)::
-
-    <store>/<digest>/shard-00000.inst.npy   # one file per column (v2)
+    <store>/<digest>/shard-00000.inst.npy   # one file per column
     <store>/<digest>/shard-00000.vaddr.npy  # ... is_write/obj_id/dep
     <store>/<digest>/shard-00001.inst.npy
     <store>/<digest>/manifest.json          # written last = complete
 
-Robustness rules mirror the stream store: every file is written to a
-temp name and ``os.replace``d, the manifest is written only after all
-shards (a crashed build leaves no manifest, so the entry reads as
-absent), entries from other format versions are dropped silently, and
-a shard that fails to load warns via ``OBS``, deletes the whole entry,
-and raises :class:`CorruptTraceError` — callers rebuild and retry
+Each window maps its shard's columns read-only off the page cache, so
+concurrent readers of one entry share physical pages.  Publishing and
+the corrupt/stale paths come from the store primitive.  Shards load
+lazily, so a shard that fails to load is caught here: it drops the
+whole entry through the same corrupt path and raises
+:class:`CorruptTraceError` — callers rebuild and retry
 (:func:`repro.sim.single.filtered_stream_chunked` does exactly that).
 
-Module-level wiring follows the stream-store precedence: an explicit
-:func:`configure` call, else ``REPRO_TRACE_STORE_DIR``, else
-``<REPRO_CACHE_DIR>/traces``, else a process-lifetime temporary
-directory (chunked traces must live *somewhere* on disk — that is the
-point).
+Module-level wiring: an explicit :func:`configure` call, else
+``REPRO_TRACE_STORE_DIR``, else ``<REPRO_CACHE_DIR>/traces``, else a
+process-lifetime temporary directory (chunked traces must live
+*somewhere* on disk — that is the point).  An empty
+``REPRO_TRACE_STORE_DIR`` also selects the temporary directory.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
-import json
-import os
 import shutil
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.obs.registry import OBS
 from repro.trace.events import AccessTrace, VirtualLayout
 from repro.trace.io import COLUMN_DTYPES, layout_from_doc, layout_to_doc
+from repro.util.castore import (CORRUPT_ERRORS, MANIFEST_NAME, CAStore,
+                                Selection, digest, load_column, quarantine,
+                                write_entry)
 from repro.util.rng import ROOT_SEED
 
 __all__ = [
     "ENV_DIR",
+    "MANIFEST_NAME",
     "TRACE_STORE_VERSION",
     "ChunkedTrace",
     "CorruptTraceError",
@@ -75,17 +66,11 @@ __all__ = [
     "trace_key",
 ]
 
-#: On-disk entry format; entries from other versions are dropped —
-#: except v1 (npz shards), which stays readable in place.
+#: On-disk entry format; entries from other versions are dropped.
 TRACE_STORE_VERSION = 2
-
-#: Versions :meth:`TraceStore.get` will serve.
-READABLE_VERSIONS = (1, TRACE_STORE_VERSION)
 
 #: Environment selection (inherited by sweep worker processes).
 ENV_DIR = "REPRO_TRACE_STORE_DIR"
-
-MANIFEST_NAME = "manifest.json"
 
 
 class CorruptTraceError(RuntimeError):
@@ -114,11 +99,6 @@ def trace_key(app_name: str, input_name: str, n_accesses: int,
     }
 
 
-def _digest(key: dict) -> str:
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 class ChunkedTrace:
     """A trace stored as fixed-size column shards under one directory.
 
@@ -138,11 +118,6 @@ class ChunkedTrace:
             raise ValueError(
                 f"shard rows sum to {sum(self.shard_rows)}, manifest "
                 f"says {self.n_accesses} accesses")
-        # v1 manifests predate the field and always hold npz shards.
-        self.shard_format = manifest.get("shard_format", "npz")
-        if self.shard_format not in ("npz", "npy"):
-            raise ValueError(
-                f"unknown shard format {self.shard_format!r}")
         self.layout = layout_from_doc(manifest["layout"])
 
     def __len__(self) -> int:
@@ -153,10 +128,8 @@ class ChunkedTrace:
         return len(self.shard_rows)
 
     def shard_path(self, i: int) -> Path:
-        """A representative file of shard ``i`` (the whole npz in v1,
-        the ``inst`` column in v2) — damage it and the shard is gone."""
-        if self.shard_format == "npz":
-            return self.directory / f"shard-{i:05d}.npz"
+        """A representative file of shard ``i`` (its ``inst`` column) —
+        damage it and the shard is gone."""
         return self.column_path(i, "inst")
 
     def column_path(self, i: int, name: str) -> Path:
@@ -175,36 +148,13 @@ class ChunkedTrace:
             yield self._load_shard(i)
 
     def _load_shard(self, i: int) -> AccessTrace:
-        path = self.shard_path(i)
         try:
-            if self.shard_format == "npy":
-                # v2: map each column read-only; pages fault in lazily
-                # and are shared machine-wide through the page cache.
-                cols = {}
-                mapped = 0
-                for name in COLUMN_DTYPES:
-                    arr = np.load(self.column_path(i, name), mmap_mode="r")
-                    cols[name] = arr
-                    mapped += arr.nbytes
-                OBS.add("data_plane.bytes_mapped", mapped)
-            else:
-                with np.load(path) as data:
-                    cols = {name: data[name] for name in COLUMN_DTYPES}
-            n = self.shard_rows[i]
-            for name, dtype in COLUMN_DTYPES.items():
-                col = cols[name]
-                if col.dtype != dtype or col.shape != (n,):
-                    raise ValueError(
-                        f"column {name!r} has shape {col.shape} dtype "
-                        f"{col.dtype} (want ({n},) {np.dtype(dtype)})")
-        except (FileNotFoundError, ValueError, KeyError, TypeError,
-                OSError, EOFError, zipfile.BadZipFile) as exc:
-            OBS.warn(f"trace store: corrupt shard {path.name} in "
-                     f"{self.directory.name} ({type(exc).__name__}: {exc});"
-                     f" entry deleted")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(self.directory, ignore_errors=True)
-            raise CorruptTraceError(str(path)) from exc
+            cols = {name: load_column(self.column_path(i, name), dtype,
+                                      self.shard_rows[i])
+                    for name, dtype in COLUMN_DTYPES.items()}
+        except CORRUPT_ERRORS as exc:
+            quarantine(self.directory, exc, "trace store", "trace_store")
+            raise CorruptTraceError(str(self.shard_path(i))) from exc
         return AccessTrace(layout=self.layout,
                            total_instructions=self.total_instructions,
                            **cols)
@@ -230,109 +180,89 @@ class ChunkedTrace:
 # ---- writing ----------------------------------------------------------------
 
 
-class _Resharder:
-    """Accumulate variable-size column blocks, emit fixed-size shards."""
+def _shards(blocks, chunk_accesses: int, shard_rows: list[int]):
+    """Reshard variable-size column blocks into fixed-size shards.
 
-    def __init__(self, directory: Path, chunk_accesses: int):
-        self.directory = directory
-        self.chunk = chunk_accesses
-        self.bufs: dict[str, list[np.ndarray]] = \
-            {name: [] for name in COLUMN_DTYPES}
-        self.buffered = 0
-        self.shard_rows: list[int] = []
-
-    def push(self, cols: dict[str, np.ndarray]) -> None:
-        n = len(cols["inst"])
-        if n == 0:
-            return
-        for name, dtype in COLUMN_DTYPES.items():
-            self.bufs[name].append(cols[name].astype(dtype, copy=False))
-        self.buffered += n
-        while self.buffered >= self.chunk:
-            self._emit(self.chunk)
-
-    def finish(self) -> list[int]:
-        if self.buffered:
-            self._emit(self.buffered)
-        return self.shard_rows
-
-    def _emit(self, rows: int) -> None:
-        stem = f"shard-{len(self.shard_rows):05d}"
-        pid = os.getpid()
-        for name in COLUMN_DTYPES:
-            whole = np.concatenate(self.bufs[name])
-            self.bufs[name] = [whole[rows:]] if rows < len(whole) else []
-            # Raw .npy per column: np.save pads the header to a 64-byte
-            # boundary, so readers can map the data aligned.
-            target = self.directory / f"{stem}.{name}.npy"
-            tmp = target.with_name(f".{target.name}.{pid}.tmp.npy")
-            np.save(tmp, np.ascontiguousarray(whole[:rows]))
-            os.replace(tmp, target)
-        self.shard_rows.append(rows)
-        self.buffered -= rows
-
-
-def _publish(tmp: Path, final: Path) -> None:
-    """Move a fully-built entry directory into place.
-
-    A concurrent builder may have won the race; their entry is
-    interchangeable (content-addressed), so ours is discarded.
+    Yields ``(file stem, column)`` pairs for the store to save, one
+    column at a time, and appends each shard's row count to
+    ``shard_rows`` — so only one shard plus one block is ever resident.
     """
-    try:
-        os.rename(tmp, final)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (final / MANIFEST_NAME).exists():
-            raise
+    bufs: dict[str, list[np.ndarray]] = {name: [] for name in COLUMN_DTYPES}
+
+    def emit(rows: int):
+        stem = f"shard-{len(shard_rows):05d}"
+        for name in COLUMN_DTYPES:
+            whole = np.concatenate(bufs[name])
+            bufs[name] = [whole[rows:]] if rows < len(whole) else []
+            yield f"{stem}.{name}", whole[:rows]
+        shard_rows.append(rows)
+
+    buffered = 0
+    for cols in blocks:
+        for name, dtype in COLUMN_DTYPES.items():
+            bufs[name].append(cols[name].astype(dtype, copy=False))
+        buffered += len(cols["inst"])
+        while buffered >= chunk_accesses:
+            yield from emit(chunk_accesses)
+            buffered -= chunk_accesses
+    if buffered:
+        yield from emit(buffered)
 
 
-def _write_entry(directory: str | Path, chunk_accesses: int,
-                 layout: VirtualLayout, total_instructions,
-                 fill, key: dict | None) -> ChunkedTrace:
-    """Build one store entry atomically; ``fill(resharder)`` streams rows.
+def _entry(blocks, chunk_accesses: int, layout: VirtualLayout,
+           total_instructions, key: dict | None):
+    """``(columns, manifest)`` of one entry, for the store to write.
 
     ``total_instructions`` may be a zero-arg callable, evaluated after
-    ``fill`` ran — generation only knows the final instruction count
-    once the last block has streamed through.
+    the last block streamed — generation only knows the final
+    instruction count then.
     """
-    from repro import __version__
-
     if chunk_accesses <= 0:
         raise ValueError(
             f"chunk_accesses must be positive, got {chunk_accesses}")
-    final = Path(directory)
-    final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.parent / f".{final.name}.{os.getpid()}.tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir()
-    try:
-        sharder = _Resharder(tmp, chunk_accesses)
-        fill(sharder)
-        shard_rows = sharder.finish()
-        if callable(total_instructions):
-            total_instructions = total_instructions()
-        manifest = {
-            "version": TRACE_STORE_VERSION,
-            "repro_version": __version__,
-            "key": key,
-            "shard_format": "npy",
-            "n_accesses": sum(shard_rows),
-            "chunk_accesses": int(chunk_accesses),
-            "shard_rows": shard_rows,
-            "total_instructions": int(total_instructions),
-            "layout": layout_to_doc(layout),
-        }
-        # Manifest last: its presence marks the entry complete.
-        mtmp = tmp / f".{MANIFEST_NAME}.tmp"
-        mtmp.write_text(json.dumps(manifest))
-        os.replace(mtmp, tmp / MANIFEST_NAME)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    shutil.rmtree(final, ignore_errors=True)
-    _publish(tmp, final)
-    OBS.add("trace_store.store")
-    return ChunkedTrace(final, manifest)
+    shard_rows: list[int] = []
+
+    def manifest() -> dict:
+        total = (total_instructions() if callable(total_instructions)
+                 else total_instructions)
+        return {"key": key, "n_accesses": sum(shard_rows),
+                "chunk_accesses": int(chunk_accesses),
+                "shard_rows": shard_rows,
+                "total_instructions": int(total),
+                "layout": layout_to_doc(layout)}
+
+    return _shards(blocks, chunk_accesses, shard_rows), manifest
+
+
+def _synthesize(builder, n_accesses: int, rng: np.random.Generator,
+                chunk_accesses: int, layout: VirtualLayout | None,
+                fast_path: bool | None, key: dict | None):
+    """``(columns, manifest)`` streamed from ``builder.iter_blocks``.
+
+    The cumulative instruction counter is threaded across blocks, the
+    excess rows of the final burst are dropped exactly as
+    ``TraceBuilder.build`` truncates them, and the generator is always
+    drained so the caller's ``rng`` finishes in the identical end state.
+    """
+    layout = layout if layout is not None else VirtualLayout()
+    default_gap = max(1.0, 1000.0 / builder.mem_per_ki)
+    carry = {"inst": 0, "total": 0}
+
+    def blocks():
+        for vaddr, is_write, dep, obj_id, gaps in builder.iter_blocks(
+                n_accesses, rng, layout=layout, fast_path=fast_path):
+            take = min(len(vaddr), n_accesses - carry["total"])
+            if take <= 0:
+                continue  # drain: the kernel commits rng state at the end
+            inst = np.cumsum(gaps[:take]) + carry["inst"]
+            carry["inst"] = int(inst[-1])
+            carry["total"] += take
+            yield {"inst": inst, "vaddr": vaddr[:take],
+                   "is_write": is_write[:take], "obj_id": obj_id[:take],
+                   "dep": dep[:take]}
+
+    return _entry(blocks(), chunk_accesses, layout,
+                  lambda: carry["inst"] + round(default_gap), key)
 
 
 def build_chunked(builder, n_accesses: int, rng: np.random.Generator,
@@ -343,34 +273,15 @@ def build_chunked(builder, n_accesses: int, rng: np.random.Generator,
     """Generate a chunked trace shard-by-shard from a ``TraceBuilder``.
 
     Streams ``builder.iter_blocks`` (kernel or reference engine per
-    ``fast_path``) through a resharding accumulator, threading the
-    cumulative instruction counter across blocks, so peak RSS is one
+    ``fast_path``) through a resharding accumulator, so peak RSS is one
     shard plus one generator block — never the whole trace.  Content
-    is byte-identical to ``builder.build`` with the same arguments:
-    the excess rows of the final burst are dropped exactly as
-    ``build`` truncates them, and the generator is always drained so
-    the caller's ``rng`` finishes in the identical end state.
+    is byte-identical to ``builder.build`` with the same arguments,
+    including the final state of ``rng``.
     """
-    layout = layout if layout is not None else VirtualLayout()
-    default_gap = max(1.0, 1000.0 / builder.mem_per_ki)
-    carry = {"inst": 0, "total": 0}
-
-    def fill(sharder: _Resharder) -> None:
-        for vaddr, is_write, dep, obj_id, gaps in builder.iter_blocks(
-                n_accesses, rng, layout=layout, fast_path=fast_path):
-            take = min(len(vaddr), n_accesses - carry["total"])
-            if take <= 0:
-                continue  # drain: the kernel commits rng state at the end
-            inst = np.cumsum(gaps[:take]) + carry["inst"]
-            carry["inst"] = int(inst[-1])
-            carry["total"] += take
-            sharder.push({"inst": inst, "vaddr": vaddr[:take],
-                          "is_write": is_write[:take],
-                          "obj_id": obj_id[:take], "dep": dep[:take]})
-
-    return _write_entry(directory, chunk_accesses, layout,
-                        lambda: carry["inst"] + round(default_gap),
-                        fill, key)
+    columns, manifest = _synthesize(builder, n_accesses, rng,
+                                    chunk_accesses, layout, fast_path, key)
+    return ChunkedTrace(directory, write_entry(
+        directory, columns, manifest, TRACE_STORE_VERSION, replace=True))
 
 
 def chunk_trace(trace: AccessTrace, directory: str | Path, *,
@@ -378,20 +289,17 @@ def chunk_trace(trace: AccessTrace, directory: str | Path, *,
     """Reshard an in-memory trace into a chunked store entry.
 
     The import path for external traces: :func:`repro.trace.io
-    .import_trace` loads a captured ``*.trace.npz`` and hands it here.
+    .import_trace` loads a captured trace file and hands it here.
     """
-    def fill(sharder: _Resharder) -> None:
-        n = len(trace)
-        for s in range(0, n, chunk_accesses):
-            e = min(s + chunk_accesses, n)
-            sharder.push({"inst": trace.inst[s:e],
-                          "vaddr": trace.vaddr[s:e],
-                          "is_write": trace.is_write[s:e],
-                          "obj_id": trace.obj_id[s:e],
-                          "dep": trace.dep[s:e]})
+    def blocks():
+        for s in range(0, len(trace), chunk_accesses):
+            yield {name: getattr(trace, name)[s:s + chunk_accesses]
+                   for name in COLUMN_DTYPES}
 
-    return _write_entry(directory, chunk_accesses, trace.layout,
-                        trace.total_instructions, fill, key)
+    columns, manifest = _entry(blocks(), chunk_accesses, trace.layout,
+                               trace.total_instructions, key)
+    return ChunkedTrace(directory, write_entry(
+        directory, columns, manifest, TRACE_STORE_VERSION, replace=True))
 
 
 # ---- the store --------------------------------------------------------------
@@ -401,10 +309,12 @@ class TraceStore:
     """Content-addressed ``trace_key -> ChunkedTrace`` directory store."""
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
+        self.store = CAStore(directory, version=TRACE_STORE_VERSION,
+                             label="trace store", counter="trace_store")
+        self.directory = self.store.directory
 
     def entry_dir(self, key: dict) -> Path:
-        return self.directory / _digest(key)
+        return self.directory / digest(key)
 
     def get(self, key: dict) -> ChunkedTrace | None:
         """Stored trace for ``key``, or ``None`` (= build it).
@@ -414,80 +324,38 @@ class TraceStore:
         entry is deleted and reads as a miss.
         """
         entry = self.entry_dir(key)
-        path = entry / MANIFEST_NAME
-        try:
-            manifest = json.loads(path.read_text())
-        except FileNotFoundError:
-            OBS.add("trace_store.miss")
-            return None
-        except (ValueError, OSError) as exc:
-            OBS.warn(f"trace store: corrupt manifest {entry.name} "
-                     f"({type(exc).__name__}: {exc}); rebuilding")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(entry, ignore_errors=True)
-            return None
-        if manifest.get("version") not in READABLE_VERSIONS:
-            # A genuinely unknown (newer, or pre-v1) format after an
-            # upgrade — drop it quietly and rebuild.
-            shutil.rmtree(entry, ignore_errors=True)
-            OBS.add("trace_store.stale")
-            return None
-        if manifest.get("version") != TRACE_STORE_VERSION:
-            # v1 npz shards: served in place (no rewrite — resharding
-            # a large entry on read would defeat the bounded-RSS point;
-            # it ages out via normal rebuild/eviction instead).
-            OBS.add("trace_store.legacy_hit")
-        try:
-            trace = ChunkedTrace(entry, manifest)
-        except (KeyError, TypeError, ValueError) as exc:
-            OBS.warn(f"trace store: bad manifest {entry.name} "
-                     f"({type(exc).__name__}: {exc}); rebuilding")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(entry, ignore_errors=True)
-            return None
-        OBS.add("trace_store.hit")
-        return trace
+        return self.store.get(entry.name,
+                              lambda manifest, _: ChunkedTrace(entry,
+                                                               manifest))
 
     def build(self, key: dict, builder, n_accesses: int,
               rng: np.random.Generator, *,
               fast_path: bool | None = None) -> ChunkedTrace:
         """Build (and publish) the entry for a synthetic-trace key."""
-        return build_chunked(builder, n_accesses, rng, self.entry_dir(key),
-                             chunk_accesses=key["chunk_accesses"],
-                             fast_path=fast_path, key=key)
+        columns, manifest = _synthesize(builder, n_accesses, rng,
+                                        key["chunk_accesses"], None,
+                                        fast_path, key)
+        return ChunkedTrace(self.entry_dir(key),
+                            self.store.put(digest(key), manifest, columns))
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for p in self.directory.iterdir()
-                   if (p / MANIFEST_NAME).exists())
+        return len(self.store)
 
 
 # ---- module-level wiring ---------------------------------------------------
 
-_UNSET = object()
-_override: object = _UNSET
-_env_store: TraceStore | None = None
+_selection = Selection(ENV_DIR, "traces", lambda d, refresh: TraceStore(d))
 _tmp_store: TraceStore | None = None
 
 
-def configure(directory: str | Path | None) -> TraceStore | None:
-    """Select the process-wide trace store.
-
-    ``directory=None`` drops the explicit choice — the environment (or
-    the temp-dir fallback) decides again.  Unlike the stream store, a
-    chunked trace cannot be "disabled": the shards must live somewhere.
-    """
-    global _override
-    _override = None if directory is None else TraceStore(directory)
-    return _override  # type: ignore[return-value]
+def configure(directory: str | Path) -> TraceStore:
+    """Select the process-wide trace store explicitly."""
+    return _selection.configure(TraceStore(directory))
 
 
 def reset() -> None:
     """Drop explicit configuration; the environment decides again."""
-    global _override, _env_store
-    _override = _UNSET
-    _env_store = None
+    _selection.reset()
 
 
 def active() -> TraceStore:
@@ -497,22 +365,12 @@ def active() -> TraceStore:
     ``REPRO_TRACE_STORE_DIR``, else ``<REPRO_CACHE_DIR>/traces``, else
     a process-lifetime temporary directory (removed at exit).
     """
-    global _env_store, _tmp_store
-    if _override is not _UNSET and _override is not None:
-        return _override  # type: ignore[return-value]
-    env = os.environ.get(ENV_DIR)
-    if env:
-        directory = Path(env)
-    else:
-        base = os.environ.get("REPRO_CACHE_DIR")
-        if base:
-            directory = Path(base) / "traces"
-        else:
-            if _tmp_store is None:
-                tmp = tempfile.mkdtemp(prefix="repro-traces-")
-                atexit.register(shutil.rmtree, tmp, ignore_errors=True)
-                _tmp_store = TraceStore(tmp)
-            return _tmp_store
-    if _env_store is None or _env_store.directory != directory:
-        _env_store = TraceStore(directory)
-    return _env_store
+    global _tmp_store
+    store = _selection.active()
+    if store is not None:
+        return store
+    if _tmp_store is None:
+        tmp = tempfile.mkdtemp(prefix="repro-traces-")
+        atexit.register(shutil.rmtree, tmp, ignore_errors=True)
+        _tmp_store = TraceStore(tmp)
+    return _tmp_store

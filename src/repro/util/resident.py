@@ -1,7 +1,7 @@
 """Process-level resident caches for the zero-copy data plane.
 
-The mmap-native stores (:mod:`repro.sim.stream_store`,
-:mod:`repro.trace.chunked`) map artefacts straight off disk, so the
+The mmap-native stores (:mod:`repro.util.castore` and the stores
+built on it) map artefacts straight off disk, so the
 expensive part of a warm load is no longer I/O but the *decode* around
 it: rebuilding ``MissStream``/``CacheStats`` wrappers, or re-deriving
 the per-access controller decode tables in

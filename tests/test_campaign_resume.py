@@ -120,7 +120,7 @@ class TestKilledCampaign:
             # still a valid outcome, just a less interesting one.
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if cache.exists() and any(cache.glob("*.json")):
+                if cache.exists() and any(cache.glob("*/manifest.json")):
                     break
                 if proc.poll() is not None:
                     break

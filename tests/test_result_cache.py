@@ -1,7 +1,7 @@
 """Tests for the persistent result cache and the sweep engine.
 
-Covers the on-disk entry lifecycle (hit/miss/corrupt/stale/refresh/
-evict), the engine's cache wiring and precedence rules, lossless
+Covers the on-disk entry lifecycle (hit/miss/corrupt/stale/refresh),
+the engine's cache wiring and precedence rules, lossless
 ``RunMetrics`` round-trips (including a hypothesis property test),
 cross-process reuse through the CLI, and the cold-vs-warm campaign
 equivalence the cache exists to provide.
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro.cpu.core import CoreResult
 from repro.experiments import engine
-from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache
+from repro.experiments.cache import CACHE_VERSION, ResultCache
 from repro.obs.registry import OBS
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
+from repro.util.castore import StoreStats
 
 N = 8_000
 
@@ -56,7 +57,8 @@ class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
         path = cache.put(SPEC, metrics)
-        assert path.name == f"{SPEC.key()}.json"
+        assert path.name == "manifest.json"
+        assert path.parent.name == SPEC.key()
         restored = cache.get(SPEC)
         assert restored == metrics
         assert restored.per_core == metrics.per_core
@@ -116,26 +118,17 @@ class TestResultCache:
         assert cache.stats.misses == 1 and cache.stats.stores == 1
         assert ResultCache(tmp_path).get(SPEC) == metrics
 
-    def test_eviction_keeps_newest(self, tmp_path, metrics):
-        cache = ResultCache(tmp_path, max_entries=1)
-        p1 = cache.put(SPEC, metrics)
-        os.utime(p1, (1, 1))  # force a stale mtime
-        p2 = cache.put(SPEC2, metrics)
-        assert not p1.exists() and p2.exists()
-        assert cache.stats.evicted == 1
-        assert len(cache) == 1
-
     def test_hit_ratio(self):
-        stats = CacheStats(hits=3, misses=1)
+        stats = StoreStats(hits=3, misses=1)
         assert stats.hit_ratio == 0.75
-        assert CacheStats().hit_ratio == 0.0
+        assert StoreStats().hit_ratio == 0.0
         assert stats.to_dict()["hit_ratio"] == 0.75
 
 
 class TestMemoLayer:
-    """The process-level memo fronting the disk entries: repeat lookups
+    """The resident cache fronting the disk entries: repeat lookups
     skip read+parse, the stat signature keeps sibling processes honest,
-    and ``--refresh`` distrusts it wholesale."""
+    and a new (e.g. ``--refresh``) cache instance starts without it."""
 
     @pytest.fixture(autouse=True)
     def _obs(self):
@@ -147,40 +140,40 @@ class TestMemoLayer:
         cache = ResultCache(tmp_path)
         cache.put(SPEC, metrics)  # put seeds the memo
         assert cache.get(SPEC) == metrics
-        assert OBS.counters.get("cache.memo_hit") == 1
+        assert OBS.counters.get("cache.resident_hit") == 1
         assert OBS.counters.get("data_plane.copies_avoided") == 1
         assert cache.stats.hits == 1  # memo hits are still cache hits
 
     def test_memo_keyed_by_directory(self, tmp_path, metrics):
         ResultCache(tmp_path / "a").put(SPEC, metrics)
-        # Same spec, different cache root: the memo entry for "a" must
-        # not leak into "b".
+        # Same spec, different cache root: the resident entry for "a"
+        # must not leak into "b".
         assert ResultCache(tmp_path / "b").get(SPEC) is None
 
     def test_external_overwrite_invalidates_memo(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
         path = cache.put(SPEC, metrics)
         # A sibling process replaces the entry: new bytes, new stat
-        # signature — our memo entry must be bypassed in favour of disk.
+        # signature — our resident entry must be bypassed for disk.
         doc = json.loads(path.read_text())
         doc["metrics"]["exec_cycles"] = doc["metrics"]["exec_cycles"] + 1
         path.write_text(json.dumps(doc))
         got = cache.get(SPEC)
         assert got.exec_cycles == metrics.exec_cycles + 1
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
     def test_vanished_file_misses_despite_memo(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
         cache.put(SPEC, metrics).unlink()
         assert cache.get(SPEC) is None
         assert cache.stats.misses == 1
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
     def test_refresh_clears_memo(self, tmp_path, metrics):
         ResultCache(tmp_path).put(SPEC, metrics)
-        ResultCache(tmp_path, refresh=True)  # construction clears memo
+        assert ResultCache(tmp_path, refresh=True).get(SPEC) is None
         assert ResultCache(tmp_path).get(SPEC) == metrics  # via disk
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
 
 class TestMetricsRoundTrip:
@@ -337,53 +330,3 @@ class TestCampaignEquivalence:
             assert a["columns"] == b["columns"]
             assert a["rows"] == b["rows"]
         runner.single_sweep.cache_clear()
-
-
-#: Worker body for the concurrent-eviction stress test below: hammer a
-#: shared size-bounded cache with distinct keys so every process evicts
-#: entries while its siblings are storing (and vice versa).
-EVICT_WORKER = """
-import sys
-sys.path.insert(0, "src")
-from repro.experiments.cache import ResultCache
-from repro.sim.spec import RunSpec, run
-
-directory, tag = sys.argv[1], int(sys.argv[2])
-metrics = run(RunSpec("sift", "Homogen-DDR3", "homogen", 1_000))
-cache = ResultCache(directory, max_entries=4)
-for i in range(40):
-    spec = RunSpec("sift", "Homogen-DDR3", "homogen",
-                   2_000 + tag * 1_000 + i)
-    cache.put(spec, metrics)
-print(cache.stats.evicted)
-"""
-
-
-class TestConcurrentEviction:
-    def test_parallel_processes_evicting_one_directory(self, tmp_path):
-        """Several processes store into one bounded cache at once; the
-        glob/stat/unlink races inside ``_evict_over`` must all be
-        harmless (satellite: tolerate concurrently-evicted entries)."""
-        shared = tmp_path / "cache"
-        env = {**os.environ, "PYTHONPATH": "src"}
-        procs = [subprocess.Popen(
-                     [sys.executable, "-c", EVICT_WORKER, str(shared),
-                      str(tag)],
-                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                     text=True, env=env, cwd=Path(__file__).parent.parent)
-                 for tag in range(4)]
-        outs = [p.communicate(timeout=300) for p in procs]
-        assert all(p.returncode == 0 for p in procs), \
-            [err for _, err in outs]
-        # Every worker actually exercised eviction, nobody crashed.
-        assert all(int(out.strip()) > 0 for out, _ in outs)
-        # The bound roughly holds (transient overshoot while several
-        # puts race is fine; unbounded growth is not).
-        survivors = list(shared.glob("*.json"))
-        assert 1 <= len(survivors) <= 16
-        # Survivors are intact, readable entries.
-        for path in survivors:
-            doc = json.loads(path.read_text())
-            assert doc["version"] == CACHE_VERSION
-        # No temp-file debris from the atomic writes.
-        assert not list(shared.glob("*.tmp"))

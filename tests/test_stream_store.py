@@ -1,9 +1,8 @@
 """Tests for the persistent miss-stream store and its engine wiring.
 
-Store format v2 (mmap-native `.npy` columns + `.json` meta) is covered
-here: round-trips, corrupt/stale handling, legacy-npz read-through
-migration, pair-aware eviction, the writer/mmap-reader race, and
-cross-process sharing.
+Round-trips, stream-specific corrupt/stale handling, the writer/mmap-
+reader race, and cross-process sharing; the crash-consistency cases
+every store shares live in ``tests/test_castore.py``.
 """
 
 import json
@@ -53,35 +52,6 @@ def _assert_equal_result(a, b):
     assert list(c1.per_object) == list(c2.per_object)
 
 
-def _write_legacy_npz(store, key, result):
-    """Replicate the v1 single-npz writer for migration tests."""
-    miss, stats = result
-    doc = {
-        "version": 1,
-        "repro_version": "legacy",
-        "key": key,
-        "total_instructions": miss.total_instructions,
-        "stats": {
-            "total_instructions": stats.total_instructions,
-            "l1_hits": stats.l1_hits,
-            "l1_misses": stats.l1_misses,
-            "l2_hits": stats.l2_hits,
-            "l2_misses": stats.l2_misses,
-            "n_writebacks": stats.n_writebacks,
-            "per_object": [[obj, acc, m] for obj, (acc, m)
-                           in stats.per_object.items()],
-        },
-    }
-    store.directory.mkdir(parents=True, exist_ok=True)
-    path = store.legacy_path_for(key)
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
-        inst=miss.inst, vline=miss.vline, obj_id=miss.obj_id,
-        dep=miss.dep, kind=miss.kind)
-    return path
-
-
 class TestStoreRoundTrip:
     def test_put_get(self, tmp_path):
         store = stream_store.StreamStore(tmp_path)
@@ -94,7 +64,7 @@ class TestStoreRoundTrip:
         _assert_equal_result(got, result)
         assert store.stats.to_dict() == {
             "hits": 1, "misses": 1, "stores": 1, "corrupt": 0,
-            "evicted": 0, "hit_ratio": 0.5}
+            "hit_ratio": 0.5}
         assert len(store) == 1
 
     def test_hit_returns_mmap_views(self, tmp_path):
@@ -115,8 +85,9 @@ class TestStoreRoundTrip:
         # exact decoded object while the entry file is unchanged.
         assert second[0] is first[0]
         assert store.stats.hits == 2
-        # Rewriting the entry (new mtime) invalidates residency.
-        store.put(key, *first)
+        # Rewriting the entry (a new manifest file) invalidates
+        # residency; only a refresh overwrites a published entry.
+        stream_store.StreamStore(tmp_path, refresh=True).put(key, *first)
         third = store.get(key)
         assert third[0] is not first[0]
         _assert_equal_result(third, first)
@@ -198,109 +169,18 @@ class TestStoreRoundTrip:
         assert store.stats.corrupt == 1
 
 
-class TestLegacyMigration:
-    def test_npz_entry_read_through_and_migrated(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        result = _filtered()
-        npz = _write_legacy_npz(store, key, result)
-        got = store.get(key)
-        assert got is not None
-        _assert_equal_result(got, result)
-        assert store.stats.hits == 1
-        # Migration: rewritten as a v2 entry, npz gone.
-        assert not npz.exists()
-        assert store.path_for(key).exists()
-        doc = json.loads(store.path_for(key).read_text())
-        assert doc["version"] == stream_store.STREAM_STORE_VERSION
-        # And the migrated entry serves v2 (mmap) hits.
-        again, _ = stream_store.StreamStore(tmp_path).get(key)
-        assert isinstance(again.inst, np.memmap)
-
-    def test_stale_npz_version_dropped(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        npz = _write_legacy_npz(store, key, _filtered())
-        with np.load(npz) as data:
-            arrays = {k: data[k] for k in data.files}
-        doc = json.loads(bytes(arrays["meta"]).decode())
-        doc["version"] = 0
-        arrays["meta"] = np.frombuffer(json.dumps(doc).encode(),
-                                       dtype=np.uint8)
-        np.savez_compressed(npz, **arrays)
-        assert store.get(key) is None
-        assert store.stats.corrupt == 0
-        assert not npz.exists()
-
-    def test_corrupt_npz_recovered(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        npz = _write_legacy_npz(store, key, _filtered())
-        npz.write_bytes(b"not an npz")
-        assert store.get(key) is None
-        assert store.stats.corrupt == 1
-        assert not npz.exists()
-
-
-class TestEviction:
-    def _put_aged(self, store, n):
-        keys = []
-        for i in range(n):
-            key = stream_store.filter_key("mcf", "ref", 6000 + i)
-            store.put(key, *_filtered())
-            # Deterministic ages regardless of filesystem timestamp
-            # granularity: entry i is i seconds old.
-            for p in store.directory.glob(
-                    f"{stream_store.key_digest(key)}*"):
-                os.utime(p, (1000.0 + i, 1000.0 + i))
-            keys.append(key)
-        return keys
-
-    def test_oldest_entries_evicted_as_groups(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path, max_entries=2)
-        keys = self._put_aged(store, 2)
-        # Third put (newest mtime, no utime rewind) evicts entry 0.
-        extra = stream_store.filter_key("mcf", "ref", 9000)
-        store.put(extra, *_filtered())
-        assert len(store) == 2
-        assert store.stats.evicted == 1
-        gone = stream_store.key_digest(keys[0])
-        assert not list(store.directory.glob(f"{gone}*"))  # no orphans
-        assert stream_store.StreamStore(tmp_path).get(keys[1]) is not None
-
-    def test_eviction_counts_legacy_npz_entries(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path, max_entries=1)
-        old_key = stream_store.filter_key("mcf", "ref", 5000)
-        npz = _write_legacy_npz(store, old_key, _filtered())
-        os.utime(npz, (1000.0, 1000.0))
-        store.put(stream_store.filter_key("mcf", "ref", 6000), *_filtered())
-        assert not npz.exists()
-        assert store.stats.evicted == 1
-        assert len(store) == 1
-
-    def test_tolerates_vanishing_halves(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        store.put(key, *_filtered())
-        # A concurrent evictor already took the meta; ours must not
-        # trip over the remains.
-        store.path_for(key).unlink()
-        store._evict_over(0)
-        assert not list(store.directory.glob("*.npy"))
-
-
 class TestWriterReaderRace:
     def test_reader_keeps_view_after_eviction(self, tmp_path):
         """POSIX keeps an unlinked mapping valid: a reader's arrays
-        survive concurrent eviction and overwrite of their entry."""
+        survive a concurrent drop and overwrite of their entry."""
         store = stream_store.StreamStore(tmp_path)
         key = stream_store.filter_key("mcf", "ref", 6000)
         result = _filtered()
         store.put(key, *result)
         miss, stats = stream_store.StreamStore(tmp_path).get(key)
         snapshot = miss.inst[:10].copy()
-        # Evict the entry out from under the live mapping...
-        store._evict_over(0)
+        # Drop the entry out from under the live mapping...
+        store.store.drop(stream_store.key_digest(key))
         assert len(store) == 0
         assert np.array_equal(miss.inst[:10], snapshot)
         _assert_equal_result((miss, stats), result)

@@ -19,7 +19,7 @@ from repro.sim.spec import RunSpec
 import repro.sim.single as single
 from repro.trace import chunked
 from repro.trace.builder import TraceBuilder
-from repro.trace.io import COLUMN_DTYPES, import_trace, save_trace
+from repro.trace.io import import_trace, save_trace
 from repro.util.rng import stream
 
 
@@ -102,6 +102,21 @@ class TestChunkedGeneration:
         vaddr = built.materialize().vaddr
         np.testing.assert_array_equal(a.resolve(vaddr), b.resolve(vaddr))
 
+    def test_rebuild_into_named_directory_replaces(self, tiny_behaviors,
+                                                   tmp_path):
+        """A caller-named directory is not content-addressed: writing a
+        different trace there must replace the old one."""
+        for seed, n in ((4, N), (5, N // 2)):
+            chunked.build_chunked(
+                TraceBuilder(tiny_behaviors), n, stream("chunktest", seed),
+                tmp_path / "entry", chunk_accesses=5000)
+        want = TraceBuilder(tiny_behaviors).build(N // 2,
+                                                  stream("chunktest", 5))
+        got = chunked.ChunkedTrace(
+            tmp_path / "entry",
+            json.loads((tmp_path / "entry" / "manifest.json").read_text()))
+        _assert_traces_equal(got.materialize(), want)
+
     def test_rejects_nonpositive_chunk(self, tiny_behaviors, tmp_path):
         with pytest.raises(ValueError, match="chunk_accesses"):
             chunked.build_chunked(
@@ -176,38 +191,6 @@ class TestTraceStore:
         (built.directory / chunked.MANIFEST_NAME).write_text("{oops")
         assert trace_store.get(key) is None
         assert not built.directory.exists()
-
-    def _downgrade_to_v1(self, entry):
-        """Rewrite a v2 entry into the legacy npz-shard layout."""
-        for i in range(entry.n_shards):
-            cols = {name: np.load(entry.column_path(i, name))
-                    for name in COLUMN_DTYPES}
-            np.savez_compressed(
-                entry.directory / f"shard-{i:05d}.npz", **cols)
-            for name in COLUMN_DTYPES:
-                entry.column_path(i, name).unlink()
-        mpath = entry.directory / chunked.MANIFEST_NAME
-        doc = json.loads(mpath.read_text())
-        doc["version"] = 1
-        doc.pop("shard_format", None)
-        mpath.write_text(json.dumps(doc))
-
-    def test_legacy_v1_entry_served_in_place(self, tiny_behaviors,
-                                             trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        want = built.materialize()
-        self._downgrade_to_v1(built)
-
-        legacy = trace_store.get(key)
-        assert legacy is not None
-        assert legacy.shard_format == "npz"
-        _assert_traces_equal(legacy.materialize(), want)
-        # Served in place: no rewrite-on-read (resharding a large entry
-        # would defeat the bounded-RSS point), manifest still v1.
-        doc = json.loads(
-            (built.directory / chunked.MANIFEST_NAME).read_text())
-        assert doc["version"] == 1
-        assert not list(built.directory.glob("*.npy"))
 
     def test_filtered_stream_chunked_retries_corruption(self, trace_store):
         """The runner-facing wrapper recovers from a corrupt entry by
