@@ -56,9 +56,9 @@ SLACK = 0.25
 def _pin_env() -> dict[str, str]:
     """Clear every ``REPRO_*`` variable, then set ``REPRO_WORKERS=1``.
 
-    The pin of ``ledger/_env.py``: any knob a CI job exports (fast-path
-    kill switch, chaos markers, store directories, oversubscription,
-    ...) would skew the measurement, and a hand-kept list of knobs goes
+    The pin of ``ledger/_env.py``: any knob a CI job exports (batch
+    size, chaos markers, store directories, oversubscription, ...)
+    would skew the measurement, and a hand-kept list of knobs goes
     stale.  Returns the caller's values for :func:`_restore_env`.
     """
     saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
@@ -81,7 +81,7 @@ def _strip_meta(metrics) -> dict:
 
 
 def test_env_pin_clears_every_knob(monkeypatch):
-    for name, value in (("REPRO_FAST_PATH", "0"),
+    for name, value in (("REPRO_BATCH_UNITS", "3"),
                         ("REPRO_CHAOS_DIR", "/nonexistent"),
                         ("REPRO_TRACE_STORE_DIR", "/nonexistent"),
                         ("REPRO_OVERSUBSCRIBE", "1"),

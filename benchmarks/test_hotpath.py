@@ -1,19 +1,27 @@
-"""Hot-loop benchmarks: kernelized fast paths vs reference loops.
+"""Hot-loop benchmarks: the kernels vs their reference loops.
 
-Times the two per-access Python loops that PRs 4 and 5 kernelized —
-the memory-side replay and the cache-filter front end — on both engines
-and asserts each kernel keeps its advantage:
+Times the three per-access Python loops that were kernelized — the
+memory-side replay, the cache-filter front end and trace synthesis —
+on the kernel and on the reference loop, and asserts each kernel keeps
+its advantage:
 
 * results must be bit-identical (cheap smoke on top of the exhaustive
-  ``tests/test_parity.py`` / ``tests/test_filter_parity.py``);
+  ``tests/test_parity.py`` / ``tests/test_filter_parity.py`` /
+  ``tests/test_trace_parity.py``);
 * the speedup must not regress more than 15% against the committed
-  baselines in ``hotpath_baseline.json`` / ``filter_baseline.json``
-  (and never below the floors the fast paths were built to clear:
-  5x for replay, 4x for filtering).
+  baselines in ``hotpath_baseline.json`` / ``filter_baseline.json`` /
+  ``synthesis_baseline.json`` (and never below the floors the kernels
+  were built to clear: 5x for replay, 4x for filtering and synthesis).
 
-The timed region covers ``InOrderWindowCore`` construction *plus* the
-full replay — episode segmentation happens at construction on the fast
-path, so excluding it would flatter the kernel.  Speedup (a ratio on the
+The reference loops are the oracles: the replay interpreter
+``ReferenceCore`` lives in ``tests/reference_core.py``, and the filter
+and synthesis loops are the private reference methods the hierarchy
+and the trace builder fall back to (``CacheHierarchy
+._filter_trace_reference``, ``TraceBuilder._iter_reference``).
+
+The timed region covers core construction *plus* the full replay —
+episode segmentation happens at ``InOrderWindowCore`` construction, so
+excluding it would flatter the kernel.  Speedup (a ratio on the
 same machine) is compared rather than absolute records/sec, which vary
 across CI runners.  Measurements land in ``BENCH_hotpath.json`` next to
 this file for the CI job to archive.
@@ -31,6 +39,7 @@ process), which would poison the speedup measurement.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -42,11 +51,15 @@ from repro.moca.allocation import HomogeneousPolicy, plan_placement
 from repro.sim.config import ALL_SYSTEMS
 from repro.sim.single import filtered_stream
 from repro.trace.builder import TraceBuilder
+from repro.trace.events import VirtualLayout
 from repro.util.rng import stream
 from repro.workloads.inputs import REF, build_app_trace
 from repro.workloads.spec import app
 
 HERE = Path(__file__).parent
+sys.path.insert(0, str(HERE.parent / "tests"))
+from reference_core import ReferenceCore  # noqa: E402
+
 BASELINE_PATH = HERE / "hotpath_baseline.json"
 RESULT_PATH = HERE / "BENCH_hotpath.json"
 FILTER_BASELINE_PATH = HERE / "filter_baseline.json"
@@ -73,9 +86,9 @@ def _replay_once(fast: bool):
     allocator = config.make_allocator(memsys)
     plan = plan_placement([stream], HomogeneousPolicy(), allocator,
                           layouts=[layout])
+    core_cls = InOrderWindowCore if fast else ReferenceCore
     t0 = time.perf_counter()
-    core = InOrderWindowCore(stream, plan.groups[0], plan.gaddrs[0],
-                             fast_path=fast)
+    core = core_cls(stream, plan.groups[0], plan.gaddrs[0])
     result = core.run_to_completion(memsys)
     return time.perf_counter() - t0, result, len(stream)
 
@@ -116,7 +129,7 @@ def test_hotpath_speedup_holds():
     baseline = json.loads(BASELINE_PATH.read_text())
     floor = max(5.0, 0.85 * baseline["speedup"])
     assert speedup >= floor, (
-        f"fast-path speedup regressed: measured {speedup:.2f}x, "
+        f"replay-kernel speedup regressed: measured {speedup:.2f}x, "
         f"floor {floor:.2f}x (baseline {baseline['speedup']}x - 15%); "
         f"see {RESULT_PATH}")
 
@@ -131,7 +144,11 @@ def test_filter_speedup_holds():
         for _ in range(REPEATS):
             hierarchy = CacheHierarchy()
             t0 = time.perf_counter()
-            result = hierarchy.filter_trace(trace, fast_path=fast)
+            if fast:
+                result = hierarchy.filter_trace(trace)
+            else:
+                result = hierarchy._filter_trace_reference(
+                    trace, int(len(trace) * 0.2))
             times.append(time.perf_counter() - t0)
         best[fast] = min(times)
         streams[fast] = result
@@ -190,7 +207,14 @@ def test_synthesis_speedup_holds():
             builder = TraceBuilder(behaviors)
             rng = stream("bench-synthesis", SYN_APP, SYN_ACCESSES)
             t0 = time.perf_counter()
-            trace = builder.build(SYN_ACCESSES, rng, fast_path=fast)
+            if fast:
+                trace = builder.build(SYN_ACCESSES, rng)
+            else:
+                layout = VirtualLayout()
+                trace = builder._concat(
+                    builder._iter_reference(SYN_ACCESSES, rng,
+                                            *builder._place(layout)),
+                    SYN_ACCESSES, layout)
             times.append(time.perf_counter() - t0)
         best[fast] = min(times)
         traces[fast] = trace

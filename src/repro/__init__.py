@@ -33,9 +33,7 @@ processes and caches their results on disk keyed by the spec's content
 hash.  The spec's ``policy`` field names a policy from the pluggable
 registry (:mod:`repro.moca.policy`) — the stock trio plus the
 capacity-aware ``knapsack`` and learned ``ranker`` policies, or anything
-registered via :func:`~repro.moca.policy.register_policy`.  The old
-``run_single``/``run_multi`` aliases were removed after their
-deprecation cycle.
+registered via :func:`~repro.moca.policy.register_policy`.
 """
 
 from repro.memdev import DDR3, HBM, LPDDR2, RLDRAM3, DeviceTiming, MemoryModule
@@ -88,15 +86,6 @@ from repro.experiments.runner import (
 )
 
 __version__ = "1.1.0"
-
-
-def __getattr__(name: str):
-    # Removed pre-RunSpec entry points: surface the migration hint from
-    # repro.sim (AttributeError on access, ImportError on from-import).
-    if name in ("run_single", "run_multi"):
-        from repro.sim import multi, single
-        getattr(single if name == "run_single" else multi, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -20,7 +20,6 @@ full memory latency on every miss and wants RLDRAM.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,12 +28,9 @@ import numpy as np
 
 from repro.cpu.hierarchy import (
     KIND_LOAD,
-    KIND_PREFETCH,
     KIND_STORE,
-    KIND_WRITEBACK,
     MissStream,
 )
-from repro.memctrl.request import MemRequest
 from repro.memctrl.system import MemorySystem
 from repro.obs.registry import OBS
 
@@ -163,20 +159,6 @@ class CoreResult:
         )
 
 
-def _env_fast_default() -> bool:
-    """Process-wide fast-path default (``REPRO_FAST_PATH=0`` kills it).
-
-    The kill switch exists so a suspect result can be re-derived on the
-    reference implementations fleet-wide — sweeps, profiling replays,
-    cache filtering, and migration epochs alike — without editing any
-    figure code.  One shared switch: the cache-filter kernel
-    (:mod:`repro.cpu.filter_kernel`) reads the same variable.
-    """
-    from repro.cpu.filter_kernel import fast_path_default
-
-    return fast_path_default()
-
-
 _NEG = -(1 << 62)
 
 
@@ -239,23 +221,19 @@ def _sums_by_first_occurrence(objs: np.ndarray,
 class InOrderWindowCore:
     """Steppable per-core replay state (multicore drivers interleave cores).
 
-    Two interchangeable execution engines sit behind the same stepping
-    interface:
+    Episode boundaries, per-record issue offsets, and channel
+    routing/decode are precomputed as numpy arrays at construction; the
+    fused replay kernel (:func:`repro.memctrl.batch.replay`) drains every
+    episode in one call from :meth:`run_to_completion` (or, for several
+    cores, :func:`run_interleaved`) and one episode per call from the
+    stepping API; all per-object/per-episode accounting is deferred to
+    one vectorized pass at completion.
 
-    * the **reference path** (``fast_path=False``) — the original
-      per-record Python loop, kept as the executable specification;
-    * the **fast path** (default) — episode boundaries, per-record issue
-      offsets, and channel routing/decode are precomputed as numpy
-      arrays at construction; the fused replay kernel
-      (:func:`repro.memctrl.batch.replay`) drains every episode in one
-      call from :meth:`run_to_completion` (or, for several cores,
-      :func:`run_interleaved`) and one episode per call from the
-      stepping API; all per-object/per-episode accounting is deferred
-      to one vectorized pass at completion.
-
-    The two are **bit-identical** — same :class:`CoreResult`, same
-    memory-system counters, same multicore interleave decisions — which
-    ``tests/test_parity.py`` enforces over randomized traces.
+    The result is **bit-identical** to the per-record reference
+    interpreter kept under ``tests/`` as the oracle — same
+    :class:`CoreResult`, same memory-system counters, same multicore
+    interleave decisions — which ``tests/test_parity.py`` enforces over
+    randomized traces.
 
     Args:
         stream: LLC miss stream for this core's application.
@@ -266,47 +244,31 @@ class InOrderWindowCore:
         start_cycle: Initial cycle (0 unless modelling staggered starts).
         inst_prev: Instruction count already retired before this stream
             slice (used by epoch-sliced replays, e.g. page migration).
-        fast_path: ``True``/``False`` select the engine; ``None`` (the
-            default) defers to the ``REPRO_FAST_PATH`` environment
-            variable (on unless set to ``0``).
     """
 
     def __init__(self, stream: MissStream, groups: np.ndarray, gaddrs: np.ndarray,
                  params: CoreParams | None = None, core_id: int = 0,
-                 start_cycle: int = 0, inst_prev: int = 0,
-                 fast_path: bool | None = None):
+                 start_cycle: int = 0, inst_prev: int = 0):
         if len(groups) != len(stream) or len(gaddrs) != len(stream):
             raise ValueError("translation arrays must match the miss stream length")
         self.params = params or CoreParams()
         self.core_id = core_id
-        self.fast_path = _env_fast_default() if fast_path is None else bool(fast_path)
         self.total_instructions = stream.total_instructions
         self._n = len(stream)
         self._idx = 0
         self._cycle = start_cycle
-        self._inst_prev = inst_prev
         self.result = CoreResult(
             core_id=core_id, cycles=start_cycle,
             total_instructions=self.total_instructions,
             n_demand=0, n_load_misses=0, n_writebacks=0, n_prefetches=0,
             n_episodes=0, mem_access_cycles=0, load_stall_cycles=0,
         )
-        if self.fast_path:
-            self._init_fast(stream, groups, gaddrs, inst_prev)
-        else:
-            # Plain-int lists: the episode loop is dict/int-bound, numpy
-            # scalar extraction would dominate (profile-driven choice).
-            self._inst = stream.inst.tolist()
-            self._dep = stream.dep.tolist()
-            self._kind = stream.kind.tolist()
-            self._obj = stream.obj_id.tolist()
-            self._group = groups.tolist()
-            self._gaddr = gaddrs.tolist()
+        self._segment(stream, groups, gaddrs, inst_prev)
 
-    # ---- fast-path precompute -----------------------------------------------------
+    # ---- episode segmentation -----------------------------------------------------
 
-    def _init_fast(self, stream: MissStream, groups: np.ndarray,
-                   gaddrs: np.ndarray, inst_prev: int) -> None:
+    def _segment(self, stream: MissStream, groups: np.ndarray,
+                 gaddrs: np.ndarray, inst_prev: int) -> None:
         """Vectorized episode segmentation + issue-offset precompute.
 
         Episode membership depends only on the stream and the core
@@ -319,15 +281,15 @@ class InOrderWindowCore:
         """
         p = self.params
         num, den = p.ipc_ratio
-        self._f_stream = stream
-        self._f_groups = np.asarray(groups)
-        self._f_gaddrs = np.asarray(gaddrs)
-        self._f_tables = None
-        self._f_ep = 0
+        self._stream = stream
+        self._groups = np.asarray(groups)
+        self._gaddrs = np.asarray(gaddrs)
+        self._tb = None
+        self._ep = 0
         n = self._n
         if n == 0:
-            self._f_nep = 0
-            self._f_tail = (self.total_instructions * den) // num
+            self._nep = 0
+            self._tail = (self.total_instructions * den) // num
             return
         inst = stream.inst
         kind = stream.kind
@@ -377,42 +339,42 @@ class InOrderWindowCore:
         if nep > 1:
             prev_inst[1:] = inst[ep_start[1:] - 1]
         headgap = ((head_inst - prev_inst) * den) // num
-        self._f_nep = nep
-        self._f_ep_of = ep_of
-        self._f_off_np = off
-        self._f_ep_start = ep_start.tolist()
-        self._f_ep_end = ep_end.tolist()
-        self._f_headgap = headgap.tolist()
-        self._f_off = off.tolist()
-        self._f_off_last = off[ep_end - 1].tolist()
-        self._f_ep_issue0 = [0] * nep
-        self._f_tail = ((self.total_instructions - int(inst[n - 1])) * den) // num
+        self._nep = nep
+        self._ep_of = ep_of
+        self._off_np = off
+        self._ep_start = ep_start.tolist()
+        self._ep_end = ep_end.tolist()
+        self._headgap = headgap.tolist()
+        self._off = off.tolist()
+        self._off_last = off[ep_end - 1].tolist()
+        self._ep_issue0 = [0] * nep
+        self._tail = ((self.total_instructions - int(inst[n - 1])) * den) // num
 
     def _tables(self, memsys: MemorySystem):
-        tb = self._f_tables
+        tb = self._tb
         if tb is None or tb.memsys is not memsys:
             from repro.memctrl.batch import ReplayTables
 
-            tb = ReplayTables(memsys, self._f_groups, self._f_gaddrs,
-                              self._f_stream.kind)
-            self._f_tables = tb
+            tb = ReplayTables(memsys, self._groups, self._gaddrs,
+                              self._stream.kind)
+            self._tb = tb
         return tb
 
     def _lane(self, memsys: MemorySystem):
         """This core's remaining episodes as a replay-kernel lane."""
         from repro.memctrl.batch import Lane
 
-        return Lane(self._tables(memsys), self._f_ep_start, self._f_ep_end,
-                    self._f_headgap, self._f_off, self._f_off_last,
-                    self._f_ep_issue0, backlog=self.params.backlog,
-                    k=self._f_ep, cycle=self._cycle, stop=self._f_nep)
+        return Lane(self._tables(memsys), self._ep_start, self._ep_end,
+                    self._headgap, self._off, self._off_last,
+                    self._ep_issue0, backlog=self.params.backlog,
+                    k=self._ep, cycle=self._cycle, stop=self._nep)
 
     def _absorb(self, lane) -> None:
         """Take over a fully drained lane's cycle and finalize."""
         self._cycle = lane.cycle
-        self._f_ep = lane.k
+        self._ep = lane.k
         self._idx = self._n
-        self._finalize_fast()
+        self._finalize()
 
     # ---- stepping interface -------------------------------------------------------
 
@@ -424,39 +386,31 @@ class InOrderWindowCore:
         """Earliest cycle at which this core's next episode head issues."""
         if self.finished:
             return 1 << 62
-        if self.fast_path:
-            return self._cycle + self._f_headgap[self._f_ep]
-        gap = self._inst[self._idx] - self._inst_prev
-        return self._cycle + self.params.cycles_for(gap)
+        return self._cycle + self._headgap[self._ep]
 
     def run_episode(self, memsys: MemorySystem) -> int:
-        """Issue one MLP episode against ``memsys``; returns new core cycle."""
-        if self.fast_path:
-            return self._run_episode_fast(memsys)
-        return self._run_episode_ref(memsys)
-
-    def _run_episode_fast(self, memsys: MemorySystem) -> int:
-        """Drain one precomputed episode: a one-episode kernel call."""
-        k = self._f_ep
-        s = self._f_ep_start[k]
-        e = self._f_ep_end[k]
-        issue0 = self._cycle + self._f_headgap[k]
-        self._f_ep_issue0[k] = issue0
+        """Drain one precomputed MLP episode against ``memsys`` (a
+        one-episode kernel call); returns the new core cycle."""
+        k = self._ep
+        s = self._ep_start[k]
+        e = self._ep_end[k]
+        issue0 = self._cycle + self._headgap[k]
+        self._ep_issue0[k] = issue0
         load_done_max, done_max = self._tables(memsys).drain_episode(
-            s, e, issue0, self._f_off)
+            s, e, issue0, self._off)
         t = load_done_max if load_done_max > issue0 else issue0
-        c2 = issue0 + self._f_off_last[k]
+        c2 = issue0 + self._off_last[k]
         if c2 > t:
             t = c2
         c3 = done_max - self.params.backlog
         self._cycle = c3 if c3 > t else t
-        self._f_ep = k + 1
+        self._ep = k + 1
         self._idx = e
         if self._idx >= self._n:
-            self._finalize_fast()
+            self._finalize()
         return self._cycle
 
-    def _finalize_fast(self) -> None:
+    def _finalize(self) -> None:
         """One vectorized accounting pass, bit-equal to the reference loop.
 
         Also flushes the deferred per-record memory-system statistics the
@@ -466,25 +420,24 @@ class InOrderWindowCore:
         updates.
         """
         res = self.result
-        self._cycle += self._f_tail
+        self._cycle += self._tail
         res.cycles = self._cycle
-        res.n_episodes = self._f_nep
-        stream = self._f_stream
+        res.n_episodes = self._nep
+        stream = self._stream
         n_load, n_store, n_wb, n_pf = stream.kind_counts()
         res.n_demand = n_load + n_store
         res.n_load_misses = n_load
         res.n_writebacks = n_wb
         res.n_prefetches = n_pf
-        tb = self._f_tables
+        tb = self._tb
         if tb is None:
             return
-        self._inst_prev = int(stream.inst[self._n - 1])
         tb.flush_stats()
         kind = stream.kind
         obj = stream.obj_id.astype(np.int64)
         done = np.asarray(tb.done_l, dtype=np.int64)
-        ep_issue0 = np.asarray(self._f_ep_issue0, dtype=np.int64)
-        issue = ep_issue0[self._f_ep_of] + self._f_off_np
+        ep_issue0 = np.asarray(self._ep_issue0, dtype=np.int64)
+        issue = ep_issue0[self._ep_of] + self._off_np
         dsel = np.flatnonzero(kind <= KIND_STORE)
         if len(dsel):
             res.mem_access_cycles = int((done[dsel] - issue[dsel]).sum())
@@ -493,7 +446,7 @@ class InOrderWindowCore:
         ld = np.flatnonzero(kind == KIND_LOAD)
         if len(ld):
             ld_done = done[ld]
-            ld_seg = self._f_ep_of[ld]
+            ld_seg = self._ep_of[ld]
             # ROB-head time just before each load: the episode's issue0,
             # raised by every earlier load completion in the episode.
             t_arr = np.maximum(ep_issue0[ld_seg],
@@ -505,108 +458,23 @@ class InOrderWindowCore:
                 _sums_by_first_occurrence(
                     obj[ld], stall, np.ones(len(ld), dtype=np.int64))
 
-    def _run_episode_ref(self, memsys: MemorySystem) -> int:
-        p = self.params
-        num, den = p.ipc_ratio
-        inst, dep, kind = self._inst, self._dep, self._kind
-        obj, group, gaddr = self._obj, self._group, self._gaddr
-        i = self._idx
-        head_inst = inst[i]
-        issue0 = self._cycle + ((head_inst - self._inst_prev) * den) // num
-
-        # Gather the episode: head record plus every subsequent record that
-        # fits the ROB window, has an MSHR, and is not a dependent miss.
-        # Non-demand records (writebacks, prefetches) ride along but the
-        # total batch is bounded — queues are finite and the multicore
-        # driver interleaves cores at episode granularity.
-        batch_cap = 4 * p.max_overlap
-        j = i
-        n_demand = 0
-        batch: list[MemRequest] = []
-        members: list[int] = []
-        while j < self._n:
-            if len(members) >= batch_cap:
-                break
-            k = kind[j]
-            is_demand = k == KIND_LOAD or k == KIND_STORE
-            if j > i and is_demand:
-                if dep[j]:
-                    break
-                if inst[j] - head_inst > p.rob_size:
-                    break
-                if n_demand >= p.max_overlap:
-                    break
-            issue = issue0 + ((inst[j] - head_inst) * den) // num
-            batch.append(MemRequest(
-                group=group[j], gaddr=gaddr[j], issue_cycle=issue,
-                is_write=(k == KIND_STORE or k == KIND_WRITEBACK),
-                demand=is_demand,
-                obj_id=obj[j], core_id=self.core_id,
-            ))
-            members.append(j)
-            n_demand += is_demand
-            j += 1
-
-        memsys.service_batch(batch)
-
-        # Program-order ROB-head accounting over demand loads.
-        res = self.result
-        t = issue0
-        for req, k in zip(batch, (kind[m] for m in members)):
-            if k == KIND_WRITEBACK:
-                res.n_writebacks += 1
-                continue
-            if k == KIND_PREFETCH:
-                res.n_prefetches += 1
-                continue
-            res.n_demand += 1
-            res.mem_access_cycles += req.done_cycle - req.issue_cycle
-            res.demand_by_obj[req.obj_id] = res.demand_by_obj.get(req.obj_id, 0) + 1
-            if k == KIND_LOAD:
-                stall = req.done_cycle - max(t, req.issue_cycle)
-                if stall < 0:
-                    stall = 0
-                if req.done_cycle > t:
-                    t = req.done_cycle
-                res.n_load_misses += 1
-                res.load_stall_cycles += stall
-                res.stall_by_obj[req.obj_id] = res.stall_by_obj.get(req.obj_id, 0) + stall
-                res.load_misses_by_obj[req.obj_id] = (
-                    res.load_misses_by_obj.get(req.obj_id, 0) + 1
-                )
-
-        res.n_episodes += 1
-        last = members[-1]
-        tail_done = max(r.done_cycle for r in batch)
-        self._cycle = max(t, issue0 + ((inst[last] - head_inst) * den) // num,
-                          tail_done - p.backlog)
-        self._inst_prev = inst[last]
-        self._idx = j
-        if self.finished:
-            tail = self.total_instructions - self._inst_prev
-            self._cycle += (tail * den) // num
-            res.cycles = self._cycle
-        return self._cycle
-
     def run_to_completion(self, memsys: MemorySystem) -> CoreResult:
         """Single-core convenience: drain the whole stream.
 
-        The fast path drains every remaining episode in one call of the
-        fused replay kernel.
+        Drains every remaining episode in one call of the fused replay
+        kernel.
         """
         if self._n == 0:
             self._cycle += self.params.cycles_for(self.total_instructions)
             self.result.cycles = self._cycle
             self.publish_obs()
             return self.result
-        if self.fast_path and not self.finished:
+        if not self.finished:
             from repro.memctrl.batch import replay
 
             lane = self._lane(memsys)
             replay([lane])
             self._absorb(lane)
-        while not self.finished:
-            self.run_episode(memsys)
         self.publish_obs()
         return self.result
 
@@ -635,26 +503,16 @@ def run_interleaved(cores: list[InOrderWindowCore],
 
     The core whose next episode issues earliest always goes next (ties
     to the earlier core in ``cores``), so requests from different cores
-    contend for the same banks and buses in time order.  Fast-path cores
-    drain under one call of the fused replay kernel, which keeps that
-    heap inside its loop; otherwise the cores are stepped episode by
-    episode.  Returns every core's finished :class:`CoreResult`.
+    contend for the same banks and buses in time order.  All cores drain
+    under one call of the fused replay kernel, which keeps that heap
+    inside its loop.  Returns every core's finished :class:`CoreResult`.
     """
     live = [c for c in cores if not c.finished]
-    if live and all(c.fast_path for c in live):
+    if live:
         from repro.memctrl.batch import replay
 
         lanes = [c._lane(memsys) for c in live]
         replay(lanes)
         for core, lane in zip(live, lanes):
             core._absorb(lane)
-    else:
-        heap = [(c.peek_next_issue(), i) for i, c in enumerate(live)]
-        heapq.heapify(heap)
-        while heap:
-            _, i = heapq.heappop(heap)
-            core = live[i]
-            core.run_episode(memsys)
-            if not core.finished:
-                heapq.heappush(heap, (core.peek_next_issue(), i))
     return [c.run_to_completion(memsys) for c in cores]

@@ -1,13 +1,13 @@
-"""Vectorized cache-filter kernel: the fast path of ``filter_trace``.
+"""Vectorized cache-filter kernel: the default engine of ``filter_trace``.
 
 The reference loop in :meth:`~repro.cpu.hierarchy.CacheHierarchy
 .filter_trace` pushes every access through dict-based LRU sets, one
 Python iteration per access.  This module replays the *same* hierarchy
 with numpy and produces byte-identical results (``tests/
 test_filter_parity.py`` pins this over randomized traces and
-geometries), following the PR 4 replay-kernel playbook: the reference
-loop stays as the executable specification and ``REPRO_FAST_PATH=0`` /
-``RunSpec(fast_path=False)`` switch back to it.
+geometries).  The reference loop stays as the executable specification
+and as the engine for the inputs the kernel cannot take (see the end of
+this docstring).
 
 Algorithm — round-parallel LRU simulation across sets
 -----------------------------------------------------
@@ -48,12 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.fastpath import fast_path_default
-
 __all__ = [
     "FilterAccumulator",
     "LevelResult",
-    "fast_path_default",
     "finalize_filter",
     "run_filter",
     "run_filter_window",

@@ -78,7 +78,7 @@ class MissStream:
     def kind_counts(self) -> tuple[int, int, int, int]:
         """``(n_loads, n_stores, n_writebacks, n_prefetches)``.
 
-        One vectorized bincount; the replay fast path uses this for its
+        One vectorized bincount; the replay kernel uses this for its
         deferred record-kind accounting instead of per-record increments.
         """
         counts = np.bincount(self.kind, minlength=4)
@@ -180,7 +180,6 @@ class CacheHierarchy:
         self.last_engine: str | None = None
 
     def filter_trace(self, trace: "AccessTrace", warmup_frac: float = 0.2,
-                     *, fast_path: bool | None = None,
                      ) -> tuple[MissStream, CacheStats]:
         """Run every access through the hierarchy.
 
@@ -195,29 +194,24 @@ class CacheHierarchy:
         object is resolved from the victim's address via the trace's
         object map (vectorized at the end).
 
-        ``fast_path`` selects the engine per the
-        :class:`~repro.cpu.core.InOrderWindowCore` convention: ``None``
-        defers to the process default (``REPRO_FAST_PATH``), ``False``
-        forces the reference loop.  Both engines are bit-identical
-        (pinned by ``tests/test_filter_parity.py``); hierarchies with a
-        prefetcher always use the reference loop, because runahead fills
-        break the kernel's per-set batching.
+        The engine follows from the hierarchy: the vectorized kernel
+        (:mod:`repro.cpu.filter_kernel`) normally, the per-access
+        reference loop when a prefetcher is attached, because runahead
+        fills break the kernel's per-set batching.  The two are
+        bit-identical (pinned by ``tests/test_filter_parity.py``).
         """
         if not 0.0 <= warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
         warm_until = int(len(trace) * warmup_frac)
         from repro.cpu import filter_kernel
 
-        use_kernel = (fast_path if fast_path is not None
-                      else filter_kernel.fast_path_default())
-        if use_kernel and self.prefetcher is None:
+        if self.prefetcher is None:
             self.last_engine = "kernel"
             return filter_kernel.run_filter(trace, self, warm_until)
         self.last_engine = "reference"
         return self._filter_trace_reference(trace, warm_until)
 
     def filter_chunked(self, chunked, warmup_frac: float = 0.2,
-                       *, fast_path: bool | None = None,
                        ) -> tuple[MissStream, CacheStats]:
         """Filter a chunked trace window-by-window in bounded RSS.
 
@@ -226,19 +220,17 @@ class CacheHierarchy:
         :class:`AccessTrace` windows carrying global ``inst`` counts).
         The result — stream rows, stats, final tag-store state — is
         byte-identical to :meth:`filter_trace` on the materialized
-        trace, for both engines: tag stores already live on the
-        hierarchy, and the remaining cross-window state is carried in
-        an explicit accumulator.  Peak RSS is one window plus the
-        accumulated miss records.
+        trace, for both engines (chosen as in :meth:`filter_trace`): tag
+        stores already live on the hierarchy, and the remaining
+        cross-window state is carried in an explicit accumulator.  Peak
+        RSS is one window plus the accumulated miss records.
         """
         if not 0.0 <= warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
         warm_until = int(len(chunked) * warmup_frac)
         from repro.cpu import filter_kernel
 
-        use_kernel = (fast_path if fast_path is not None
-                      else filter_kernel.fast_path_default())
-        if use_kernel and self.prefetcher is None:
+        if self.prefetcher is None:
             self.last_engine = "kernel"
             acc = filter_kernel.FilterAccumulator()
             for window in chunked.windows():

@@ -445,38 +445,26 @@ def sweep_seconds() -> dict[str, float]:
 # ---- execution -------------------------------------------------------------
 
 
-_warned_slow_path = False
-
-
 def _execute_spec(spec: RunSpec) -> RunMetrics:
     """Top-level (picklable) worker entry: simulate one run unit.
 
     The chaos probe makes this the fault site harness tests exercise
     (worker crash / hung unit / transient error); it is a no-op unless
     ``REPRO_CHAOS_DIR`` is set.
-
-    ``REPRO_FAST_PATH=0`` (inherited by worker processes) downgrades
-    every default-valued spec to the reference replay interpreter *and*
-    the reference cache-filter loop inside :func:`repro.sim.run`; the
-    results are bit-identical, only slower, so cache identity is
-    unaffected.  One warning per process makes the mode visible in
-    campaign logs.
     """
     chaos_probe()
     if not obstel.capture_enabled():
-        _warn_if_slow_path()
         return _run_unit(spec)
     cap = obstel.begin_unit()
     try:
-        # Inside the capture on purpose: a quiet worker's warning is
-        # then shipped back in UnitTelemetry and reprinted (once) by
-        # the parent's _fold_unit; likewise the dispatch counters land
-        # in this unit's telemetry delta and fold campaign-wide.
+        # Inside the capture on purpose: the dispatch counters land in
+        # this unit's telemetry delta and fold campaign-wide, like the
+        # warnings a quiet worker ships back for the parent's
+        # _fold_unit to reprint (once).
         bs = current_batch_size()
         if bs > 1:
             OBS.add("dispatch.batched_units")
             OBS.add("dispatch.batch_size", bs)
-        _warn_if_slow_path()
         metrics = _run_unit(spec)
     except BaseException:
         obstel.abort_unit(cap)
@@ -484,16 +472,6 @@ def _execute_spec(spec: RunSpec) -> RunMetrics:
     ut = obstel.end_unit(cap, label=spec.describe(), meta=metrics.meta)
     metrics.meta["unit_telemetry"] = ut.to_dict()
     return metrics
-
-
-def _warn_if_slow_path() -> None:
-    global _warned_slow_path
-    if os.environ.get("REPRO_FAST_PATH") == "0" and not _warned_slow_path:
-        _warned_slow_path = True
-        OBS.warn("REPRO_FAST_PATH=0: fast paths disabled; runs use the "
-                 "reference replay interpreter and cache-filter loop "
-                 "(bit-identical, several times slower)",
-                 key="slow-path")
 
 
 def _run_unit(spec: RunSpec) -> RunMetrics:

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.cpu.hierarchy import KIND_STORE, KIND_WRITEBACK
 from repro.memctrl.addrmap import LINE_BITS, LINE_BYTES
-from repro.memctrl.scheduler import fcfs_order, frfcfs_order
+from repro.memctrl.scheduler import SCHEDULERS, fcfs_order
 from repro.memctrl.system import MemorySystem
 from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
@@ -108,11 +108,12 @@ class ReplayTables:
         self.memsys = memsys
         self.controllers, bases = memsys.controller_layout()
         for ctrl in self.controllers:
-            if ctrl.scheduler is not frfcfs_order \
-                    and ctrl.scheduler is not fcfs_order:
+            if ctrl.scheduler not in SCHEDULERS.values():
                 raise ValueError(
-                    f"fast path does not support custom scheduler "
-                    f"{ctrl.scheduler!r}; run with fast_path=False")
+                    f"replay kernel does not support custom scheduler "
+                    f"{ctrl.scheduler!r}; use one of "
+                    f"repro.memctrl.scheduler.SCHEDULERS "
+                    f"({', '.join(sorted(SCHEDULERS))})")
 
         n = len(gaddrs)
         groups = np.asarray(groups, dtype=np.int64)

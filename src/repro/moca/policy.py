@@ -15,8 +15,8 @@ surface:
 * :class:`PolicySpec` — the structured policy field of a ``RunSpec``:
   a name plus optional parameters.  Its canonical form is the *bare
   name string* when there are no parameters, so every stock-policy cache
-  key is byte-identical to the pre-API era (the ``fast_path``/
-  ``FaultPlan`` precedent: only non-defaults extend the canonical dict).
+  key is byte-identical to the pre-API era (the ``FaultPlan`` precedent:
+  only non-defaults extend the canonical dict).
 
 Stock policies (registered below): ``homogen``, ``heter-app`` and
 ``moca`` exactly as before, plus two capacity-aware additions —
@@ -441,7 +441,7 @@ def policy_names() -> tuple[str, ...]:
 
 
 def stock_policy_names() -> tuple[str, ...]:
-    """The pre-API trio (the deprecated ``POLICIES`` tuple)."""
+    """The pre-API trio: ``homogen``, ``heter-app`` and ``moca``."""
     return tuple(n for n, info in _REGISTRY.items() if info.stock)
 
 

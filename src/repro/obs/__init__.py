@@ -20,8 +20,7 @@ Public surface:
 * :func:`run_meta` / :func:`config_hash` — provenance ``meta`` blocks.
 """
 
-from repro.obs.dashboard import Dashboard
-from repro.obs.progress import ProgressReporter, supports_repaint
+from repro.obs.dashboard import Dashboard, ProgressReporter, supports_repaint
 from repro.obs.provenance import config_hash, run_meta
 from repro.obs.registry import OBS, Registry, SpanEvent
 from repro.obs.sinks import (

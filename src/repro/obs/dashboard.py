@@ -1,16 +1,28 @@
-"""Live campaign dashboard: one stderr status line + heartbeat file.
+"""Human progress output: span narration and the live campaign dashboard.
 
-The ``--dashboard`` flag of ``python -m repro.experiments`` attaches a
-:class:`Dashboard` to the sweep engine's observer hook.  It renders a
-single status line — figure progress, units done/total, throughput, ETA,
-cache and stream-store hit ratios, resilience counts, and the top-3
-hottest spans so far — using the same tty detection as the progress
-reporter: in-place repaints on a terminal, throttled plain lines on a
-pipe.  No dependencies beyond the standard library.
+Two stderr reporters share one tty rule (:func:`supports_repaint`): on
+an interactive terminal each update repaints a single status line in
+place with a carriage return; on a pipe or file they fall back to plain
+lines, so redirected logs stay clean of control characters.  No
+dependencies beyond the standard library.
 
-Alongside the human view, the dashboard maintains a machine-readable
-heartbeat file (``<save>/.heartbeat.json``, atomic tmp-then-replace)
-so external tooling can tail a running campaign without parsing stderr.
+* :class:`ProgressReporter` is a registry listener: it narrates closed
+  spans at or above a configurable depth, so a FULL-fidelity
+  ``single_sweep()`` reports ``run.mcf.moca (4.2s)`` instead of grinding
+  silently for minutes.  Attach with ``reporter.attach(OBS)`` (the
+  ``--progress`` CLI flag does exactly this).  Sweeps run with
+  ``REPRO_WORKERS > 1`` execute rows in worker processes whose
+  registries are separate; progress lines then cover only the parent
+  process's own spans.
+* :class:`Dashboard` gives campaign-wide visibility.  The
+  ``--dashboard`` flag of ``python -m repro.experiments`` attaches it
+  to the sweep engine's observer hook.  It renders a single status
+  line — figure progress, units done/total, throughput, ETA, cache and
+  stream-store hit ratios, resilience counts, and the top-3 hottest
+  spans so far — repainted on a terminal, throttled on a pipe.
+  Alongside the human view it maintains a machine-readable heartbeat
+  file (``<save>/.heartbeat.json``, atomic tmp-then-replace) so
+  external tooling can tail a running campaign without parsing stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +35,29 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, TextIO
 
-from repro.obs.progress import _CLEAR_EOL, supports_repaint
+from repro.obs.registry import Registry, SpanEvent
 
-__all__ = ["Dashboard", "HEARTBEAT_NAME"]
+__all__ = ["Dashboard", "HEARTBEAT_NAME", "ProgressReporter",
+           "supports_repaint"]
+
+#: Erase-to-end-of-line after a carriage return, so shorter repaints
+#: don't leave stale tail characters.
+_CLEAR_EOL = "\x1b[K"
+
+
+def supports_repaint(stream: TextIO) -> bool:
+    """Whether in-place carriage-return repaints are safe on ``stream``.
+
+    True only for a real tty whose ``TERM`` is not ``dumb``; pipes,
+    files, and ``StringIO`` buffers get plain line-per-update output.
+    """
+    try:
+        if not stream.isatty():
+            return False
+    except (AttributeError, ValueError, OSError):
+        return False
+    return os.environ.get("TERM", "") != "dumb"
+
 
 #: File name of the machine-readable heartbeat inside ``--save`` dirs.
 HEARTBEAT_NAME = ".heartbeat.json"
@@ -43,6 +75,55 @@ def _fmt_eta(seconds: float | None) -> str:
     if s >= 60:
         return f"{s // 60}m{s % 60:02d}s"
     return f"{s}s"
+
+
+class ProgressReporter:
+    """Narrate closed spans (depth-filtered) to a stream.
+
+    ``repaint=None`` (the default) auto-detects via
+    :func:`supports_repaint`; pass ``True``/``False`` to force a mode.
+    In repaint mode call :meth:`close` (or detach) when done so the last
+    status line is terminated with a newline.
+    """
+
+    def __init__(self, stream: TextIO | None = None, max_depth: int = 1,
+                 repaint: bool | None = None):
+        self.stream = stream if stream is not None else sys.stderr
+        self.max_depth = max_depth
+        self.repaint = (supports_repaint(self.stream)
+                        if repaint is None else repaint)
+        self.n_reported = 0
+        self._t0 = time.perf_counter()
+        self._open_line = False
+
+    def __call__(self, event: SpanEvent) -> None:
+        if event.kind != "span" or event.depth > self.max_depth:
+            return
+        self.n_reported += 1
+        elapsed = time.perf_counter() - self._t0
+        indent = "  " * event.depth
+        line = (f"[{elapsed:8.1f}s] {indent}{event.name} "
+                f"({event.duration_s:.2f}s)")
+        if self.repaint:
+            print(f"\r{line}{_CLEAR_EOL}", file=self.stream,
+                  flush=True, end="")
+            self._open_line = True
+        else:
+            print(line, file=self.stream, flush=True)
+
+    def close(self) -> None:
+        """Terminate a pending repaint line (no-op in line mode)."""
+        if self._open_line:
+            print(file=self.stream, flush=True)
+            self._open_line = False
+
+    def attach(self, registry: Registry) -> "ProgressReporter":
+        registry.add_listener(self)
+        return self
+
+    def detach(self, registry: Registry) -> None:
+        registry.remove_listener(self)
+        self.close()
 
 
 class Dashboard:

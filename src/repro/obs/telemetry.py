@@ -13,14 +13,14 @@ three mergeable value types:
   *delta* accrued while the unit ran (counters, per-span stats, raw
   span events for trace merging, newly-raised warning keys) plus
   resource facts from :func:`resource.getrusage` (peak RSS, user/sys
-  CPU time), GC collections, the replay engine used, and the
-  cache-filter source (kernel / reference / store / memo).  Captured in
+  CPU time), GC collections, and the cache-filter source (kernel /
+  reference / store / memo).  Captured in
   the worker by :func:`begin_unit`/:func:`end_unit`, shipped back to
   the parent inside ``RunMetrics.meta["unit_telemetry"]``, and popped
   off by the engine before the result reaches the persistent cache.
 * :class:`CampaignTelemetry` — the campaign-wide fold: summed counters,
   merged span histograms, per-worker (pid) busy time and peak RSS,
-  deduplicated warnings, engine/filter-source tallies.  ``merge`` is
+  deduplicated warnings, filter-source tallies.  ``merge`` is
   associative and order-independent (integer sums, maxes, element-wise
   histogram addition — pinned by hypothesis tests), and
   ``to_dict``/``from_dict`` round-trip losslessly through the campaign
@@ -217,7 +217,6 @@ class UnitTelemetry:
     gc_collections: int = 0
     accesses: int = 0  #: Trace accesses replayed (n_accesses x cores).
     filter_accesses: int = 0  #: Accesses actually cache-filtered here.
-    engine: str | None = None  #: Replay engine: ``"kernel"``/``"reference"``.
     filter_sources: dict[str, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
     spans: dict[str, SpanStats] = field(default_factory=dict)
@@ -236,7 +235,6 @@ class UnitTelemetry:
             "gc_collections": self.gc_collections,
             "accesses": self.accesses,
             "filter_accesses": self.filter_accesses,
-            "engine": self.engine,
             "filter_sources": dict(self.filter_sources),
             "counters": dict(self.counters),
             "spans": {k: v.to_dict() for k, v in self.spans.items()},
@@ -257,7 +255,6 @@ class UnitTelemetry:
             gc_collections=int(data.get("gc_collections", 0)),
             accesses=int(data.get("accesses", 0)),
             filter_accesses=int(data.get("filter_accesses", 0)),
-            engine=data.get("engine"),
             filter_sources=dict(data.get("filter_sources", {})),
             counters=dict(data.get("counters", {})),
             spans={k: SpanStats.from_dict(v)
@@ -356,8 +353,8 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
              meta: dict | None = None) -> UnitTelemetry:
     """Close a capture; returns the unit's telemetry snapshot.
 
-    ``meta`` is the finished run's ``RunMetrics.meta`` — the engine
-    used, cache-filter provenance, and access counts are lifted from it.
+    ``meta`` is the finished run's ``RunMetrics.meta`` — cache-filter
+    provenance and access counts are lifted from it.
     """
     reg = cap.registry
     wall_ns = time.perf_counter_ns() - cap.t0_ns
@@ -380,7 +377,6 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
                 if k not in cap.warned0}
 
     meta = meta or {}
-    fast = meta.get("fast_path")
     sources, _ = _filter_source_counts(meta)
     ut = UnitTelemetry(
         pid=os.getpid(),
@@ -393,7 +389,6 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
         gc_collections=_gc_collections() - cap.gc0,
         accesses=int(meta.get("accesses", 0)),
         filter_accesses=int(counters.get("filter.accesses", 0)),
-        engine=None if fast is None else ("kernel" if fast else "reference"),
         filter_sources=sources,
         counters=counters,
         spans=spans,
@@ -440,7 +435,6 @@ class CampaignTelemetry:
     spans: dict[str, SpanStats] = field(default_factory=dict)
     workers: dict[str, dict] = field(default_factory=dict)  #: pid -> facts
     warnings: dict[str, dict] = field(default_factory=dict)  #: key -> info
-    engines: dict[str, int] = field(default_factory=dict)
     filter_sources: dict[str, int] = field(default_factory=dict)
 
     # ---- folding -----------------------------------------------------------
@@ -472,8 +466,6 @@ class CampaignTelemetry:
                                              {"count": 0, "message": message})
             entry["count"] += 1
             entry["message"] = min(entry["message"], message)
-        if ut.engine is not None:
-            self.engines[ut.engine] = self.engines.get(ut.engine, 0) + 1
         self.filter_sources = _merge_counts(self.filter_sources,
                                             ut.filter_sources)
 
@@ -490,7 +482,6 @@ class CampaignTelemetry:
             accesses=self.accesses + other.accesses,
             filter_accesses=self.filter_accesses + other.filter_accesses,
             counters=_merge_counts(self.counters, other.counters),
-            engines=_merge_counts(self.engines, other.engines),
             filter_sources=_merge_counts(self.filter_sources,
                                          other.filter_sources),
         )
@@ -565,7 +556,6 @@ class CampaignTelemetry:
                         for pid, w in sorted(self.workers.items())},
             "warnings": {k: dict(v)
                          for k, v in sorted(self.warnings.items())},
-            "engines": dict(self.engines),
             "filter_sources": dict(self.filter_sources),
             # Derived, for human readers; from_dict recomputes them.
             "wall_s": round(self.wall_s, 6),
@@ -586,7 +576,6 @@ class CampaignTelemetry:
             accesses=int(data.get("accesses", 0)),
             filter_accesses=int(data.get("filter_accesses", 0)),
             counters=dict(data.get("counters", {})),
-            engines=dict(data.get("engines", {})),
             filter_sources=dict(data.get("filter_sources", {})),
         )
         out.spans = {k: SpanStats.from_dict(v)

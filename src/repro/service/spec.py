@@ -5,9 +5,9 @@ loop — epoch length, detector sensitivity, hysteresis depth, cooldown,
 the per-epoch migration budget, sample-quality floors, and when a
 :class:`~repro.faults.plan.FaultPlan`'s capacity/timing faults fire in
 epoch time.  It is frozen and hashable so it can sit directly in a
-:class:`~repro.sim.spec.RunSpec`; following the ``faults``/``fast_path``
-precedent it enters ``RunSpec.canonical()`` **only when set**, so every
-pre-existing (offline) cache key stays byte-identical.
+:class:`~repro.sim.spec.RunSpec`; following the ``faults`` precedent it
+enters ``RunSpec.canonical()`` **only when set**, so every pre-existing
+(offline) cache key stays byte-identical.
 """
 
 from __future__ import annotations

@@ -11,10 +11,8 @@
 * :mod:`repro.sim.single` — single-core runs (Figs. 8–9);
 * :mod:`repro.sim.multi` — 4-core multi-programmed runs (Figs. 10–15).
 
-The pre-RunSpec ``run_single``/``run_multi`` entry points were removed
-after their deprecation cycle — accessing them raises with a migration
-hint.  ``POLICIES`` remains as a deprecated re-export of the stock names;
-the policy registry (:mod:`repro.moca.policy`) is the source of truth.
+Every run goes through ``run(RunSpec(...))``; the policy registry
+(:mod:`repro.moca.policy`) names the placement policies.
 """
 
 from repro.sim.config import (
@@ -35,19 +33,6 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
 from repro.sim.single import filtered_stream, filter_provenance
 from repro.sim.migration import run_single_migration
-
-
-def __getattr__(name: str):
-    # POLICIES: deprecated re-export (warns in repro.sim.spec).
-    # run_single/run_multi: removed — the underlying modules raise an
-    # AttributeError carrying the RunSpec migration hint.
-    if name == "POLICIES":
-        from repro.sim import spec
-        return spec.POLICIES
-    if name in ("run_single", "run_multi"):
-        from repro.sim import multi, single
-        getattr(single if name == "run_single" else multi, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

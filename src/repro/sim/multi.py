@@ -31,8 +31,7 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
                thresholds: Thresholds | None = None,
                profile_accesses: int | None = None,
                core_params: CoreParams | None = None,
-               faults: FaultPlan | None = None,
-               fast_path: bool | None = None) -> RunMetrics:
+               faults: FaultPlan | None = None) -> RunMetrics:
     """Run a 4-app workload set on a fresh instance of ``config``.
 
     Internal driver behind :func:`repro.sim.run`.
@@ -50,7 +49,7 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
     label = pspec.label()
     with OBS.span(f"run.{workload.name}.{label}", system=config.name,
                   n_cores=len(workload.apps)):
-        streams = [filtered_stream(a, input_name, n_accesses, fast_path)[0]
+        streams = [filtered_stream(a, input_name, n_accesses)[0]
                    for a in workload.apps]
         layouts = [build_app_trace(a, input_name, n_accesses).layout
                    for a in workload.apps]
@@ -66,7 +65,7 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
                                   layouts=layouts)
         cores = [
             InOrderWindowCore(s, plan.groups[i], plan.gaddrs[i],
-                              core_params, core_id=i, fast_path=fast_path)
+                              core_params, core_id=i)
             for i, s in enumerate(streams)
         ]
 
@@ -78,7 +77,6 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
                         workload=workload.name, thresholds=thresholds,
                         faults=faults)
         meta["placement"] = plan.stats.to_dict()
-        meta["fast_path"] = cores[0].fast_path if cores else True
         meta["filter"] = {
             a: filter_provenance(a, input_name, n_accesses)
             for a in workload.apps}
@@ -86,18 +84,3 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
         return collect_metrics(config.name, label, workload.name,
                                results, memsys, meta=meta)
 
-
-_REMOVED = {
-    "run_multi": "run_multi() was removed (deprecated since the RunSpec "
-                 "API landed); build a spec and call repro.sim.run — "
-                 "run(RunSpec('2L1B1N', 'Heter-config1', 'moca', 60_000)). "
-                 "Ad-hoc SystemConfig objects can be registered in "
-                 "repro.sim.config.ALL_SYSTEMS to become addressable by "
-                 "name (see docs/extending.md)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(_REMOVED[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@ from repro.cpu.core import CoreParams, InOrderWindowCore
 from repro.cpu.hierarchy import CacheHierarchy, CacheStats, MissStream
 from repro.faults.inject import apply_system_faults, arm_allocator
 from repro.faults.plan import FaultPlan
-from repro.moca.allocation import PlacementPolicy, plan_placement
+from repro.moca.allocation import plan_placement
 from repro.moca.classify import Thresholds
 from repro.moca.policy import (
     CapacityBudget,
@@ -33,8 +33,7 @@ from repro.workloads.inputs import REF, build_app_trace, build_app_trace_chunked
 from repro.sim.metrics import RunMetrics, collect_metrics
 
 #: (app, input, n_accesses) → how its stream was obtained; feeds
-#: ``meta["filter"]`` provenance.  Keyed without ``fast_path`` because
-#: engines are bit-identical — the record says what actually happened.
+#: ``meta["filter"]`` provenance — the record says what actually happened.
 _filter_provenance: dict[tuple[str, str, int], dict] = {}
 
 
@@ -51,7 +50,6 @@ def filter_provenance(app_name: str, input_name: str,
 
 @lru_cache(maxsize=128)
 def filtered_stream(app_name: str, input_name: str, n_accesses: int,
-                    fast_path: bool | None = None,
                     ) -> tuple[MissStream, CacheStats]:
     """Cache-filter one application input (memoized — **do not mutate**).
 
@@ -67,8 +65,7 @@ def filtered_stream(app_name: str, input_name: str, n_accesses: int,
     :mod:`repro.sim.stream_store` (when active): a store hit skips
     filtering entirely, and a computed result is written back so other
     worker processes can skip it too.  Store content is engine-agnostic
-    — kernel and reference produce byte-identical streams — so
-    ``fast_path`` only selects *how* a missing entry gets computed.
+    — kernel and reference produce byte-identical streams.
     """
     with OBS.span("cache_filter", app=app_name, input=input_name,
                   n_accesses=n_accesses):
@@ -84,7 +81,7 @@ def filtered_stream(app_name: str, input_name: str, n_accesses: int,
                 return cached
         trace = build_app_trace(app_name, input_name, n_accesses)
         hierarchy = CacheHierarchy()
-        result = hierarchy.filter_trace(trace, fast_path=fast_path)
+        result = hierarchy.filter_trace(trace)
         OBS.add("filter.computed")
         OBS.add("filter.accesses", n_accesses)
         _filter_provenance[(app_name, input_name, n_accesses)] = {
@@ -97,7 +94,6 @@ def filtered_stream(app_name: str, input_name: str, n_accesses: int,
 @lru_cache(maxsize=32)
 def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
                             chunk_accesses: int,
-                            fast_path: bool | None = None,
                             ) -> tuple[MissStream, CacheStats, VirtualLayout]:
     """Cache-filter one application input via the chunked trace store.
 
@@ -141,8 +137,7 @@ def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
                     return (*cached, layout)
             hierarchy = CacheHierarchy()
             try:
-                result = hierarchy.filter_chunked(chunked,
-                                                  fast_path=fast_path)
+                result = hierarchy.filter_chunked(chunked)
             except CorruptTraceError as exc:
                 last_error = exc
                 continue
@@ -154,33 +149,6 @@ def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
                 store.put(key, *result)
             return (*result, layout)
         raise last_error  # both attempts hit corrupt shards
-
-
-def make_policy(policy_name: str, app_names: list[str],
-                input_name: str, n_accesses: int, *,
-                thresholds: Thresholds | None = None,
-                profile_accesses: int | None = None,
-                faults: FaultPlan | None = None) -> PlacementPolicy:
-    """Legacy policy constructor — a shim over the policy registry.
-
-    Policy construction lives in :mod:`repro.moca.policy` now: look
-    names up with :func:`~repro.moca.policy.policy_info`, build with
-    :func:`~repro.moca.policy.build_policy`, register new policies with
-    :func:`~repro.moca.policy.register_policy` (see
-    ``docs/extending.md``).  This wrapper keeps old call sites working
-    with the historical unlimited fast-tier budget; budget-aware
-    construction (what the runners do) also passes the system config's
-    ``lat`` capacity via :func:`policy_context`.
-
-    ``faults`` only affects profile-guided policies: a plan with a
-    guidance fault degrades the profiling LUT before classification
-    (the baselines carry no profile to corrupt).
-    """
-    context = PolicyContext(
-        app_names=tuple(app_names), input_name=input_name,
-        n_accesses=n_accesses, thresholds=thresholds,
-        profile_accesses=profile_accesses, faults=faults)
-    return build_policy(PolicySpec.parse(policy_name), context)
 
 
 def policy_context(policy: str | PolicySpec, app_names: list[str],
@@ -222,15 +190,12 @@ def _run_single(app_name: str, config: SystemConfig,
                 profile_accesses: int | None = None,
                 core_params: CoreParams | None = None,
                 faults: FaultPlan | None = None,
-                fast_path: bool | None = None,
                 trace_chunk_accesses: int | None = None) -> RunMetrics:
     """Run one application on a fresh instance of ``config``.
 
-    Internal driver behind :func:`repro.sim.run`.  ``fast_path`` follows
-    the :class:`~repro.cpu.core.InOrderWindowCore` convention (``None``
-    = process default).  ``trace_chunk_accesses`` switches the trace +
-    filter stage to the bounded-RSS chunked pipeline; results are
-    byte-identical either way.
+    Internal driver behind :func:`repro.sim.run`.
+    ``trace_chunk_accesses`` switches the trace + filter stage to the
+    bounded-RSS chunked pipeline; results are byte-identical either way.
     """
     pspec, context = policy_context(
         policy, [app_name], input_name, n_accesses, config=config,
@@ -240,11 +205,9 @@ def _run_single(app_name: str, config: SystemConfig,
     with OBS.span(f"run.{app_name}.{label}", system=config.name):
         if trace_chunk_accesses is not None:
             stream, _, layout = filtered_stream_chunked(
-                app_name, input_name, n_accesses, trace_chunk_accesses,
-                fast_path)
+                app_name, input_name, n_accesses, trace_chunk_accesses)
         else:
-            stream, _ = filtered_stream(app_name, input_name, n_accesses,
-                                        fast_path)
+            stream, _ = filtered_stream(app_name, input_name, n_accesses)
             layout = build_app_trace(app_name, input_name, n_accesses).layout
         with OBS.span("placement", policy=label):
             memsys = config.build()
@@ -258,13 +221,12 @@ def _run_single(app_name: str, config: SystemConfig,
                                   layouts=[layout])
         with OBS.span("core_replay", app=app_name):
             core = InOrderWindowCore(stream, plan.groups[0], plan.gaddrs[0],
-                                     core_params, fast_path=fast_path)
+                                     core_params)
             result = core.run_to_completion(memsys)
         meta = run_meta(config=config, policy=label,
                         workload=app_name, thresholds=thresholds,
                         faults=faults)
         meta["placement"] = plan.stats.to_dict()
-        meta["fast_path"] = core.fast_path
         meta["filter"] = filter_provenance(app_name, input_name, n_accesses)
         meta["accesses"] = n_accesses
         if trace_chunk_accesses is not None:
@@ -272,18 +234,3 @@ def _run_single(app_name: str, config: SystemConfig,
         return collect_metrics(config.name, label, app_name,
                                [result], memsys, meta=meta)
 
-
-#: Removed entry points → migration hint.  ``__getattr__`` turns an
-#: attribute access into AttributeError and a ``from``-import into
-#: ImportError, both carrying the replacement.
-_REMOVED = {
-    "run_single": "run_single() was removed (deprecated since the RunSpec "
-                  "API landed); build a spec and call repro.sim.run — "
-                  "run(RunSpec('mcf', 'Heter-config1', 'moca', 120_000))",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(_REMOVED[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

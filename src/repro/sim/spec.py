@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 
 from repro.faults.plan import FaultPlan
@@ -34,7 +33,6 @@ from repro.moca.policy import (
     PolicySpec,
     policy_canonical,
     policy_info,
-    stock_policy_names,
     thresholds_to_dict,
 )
 from repro.service.spec import OnlineSpec
@@ -51,19 +49,6 @@ __all__ = ["RunSpec", "run"]
 #: Bumped whenever the canonical form (and therefore every cache key)
 #: changes shape.
 SPEC_SCHEMA = 1
-
-
-def __getattr__(name: str):
-    # Deprecated re-export, kept for one release: the policy registry
-    # (repro.moca.policy) is the single source of truth now.
-    if name == "POLICIES":
-        warnings.warn(
-            "repro.sim.spec.POLICIES is deprecated; use "
-            "repro.moca.policy.policy_names() (all registered policies) "
-            "or stock_policy_names() (the original trio)",
-            DeprecationWarning, stacklevel=2)
-        return stock_policy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ class RunSpec:
             construction: parameterless specs collapse to the bare name
             string, so stock-policy cache keys are byte-identical to the
             pre-API era; parameterized specs extend the canonical form
-            (the ``fast_path``/``FaultPlan`` precedent).
+            (the ``FaultPlan`` precedent).
         n_accesses: Trace length — per core for mixes.
         input_name: Runtime input (``"ref"``, a variant like ``"ref2"``,
             or ``"train"``); profiling always uses the training input.
@@ -96,15 +81,6 @@ class RunSpec:
             or ``None`` for a clean run.  Part of the canonical form, so
             fault runs never share cache entries with clean runs — while
             clean specs keep their pre-fault-era keys.
-        fast_path: Replay engine selector.  ``True`` (the default) uses
-            the kernelized SoA replay, ``False`` forces the per-record
-            reference interpreter.  The two are bit-identical (pinned by
-            ``tests/test_parity.py``), so the flag enters the canonical
-            form only when *off* — every default spec keeps the exact
-            cache key it had before the fast path existed.  The
-            ``REPRO_FAST_PATH=0`` environment variable downgrades
-            default-valued specs process-wide (debugging kill switch)
-            without touching cache identity.
         migration: Hotness-driven page-migration knobs
             (:class:`~repro.vm.migration.MigrationConfig`).  When set,
             the run replays in epochs under the hot-page migrator
@@ -124,9 +100,9 @@ class RunSpec:
             addressed trace store and cache-filtered window-by-window,
             bounding peak RSS at large ``n_accesses``.  Results are
             byte-identical to the monolithic pipeline (pinned by
-            ``tests/test_trace_chunked.py``), so — like ``fast_path``
-            — the knob enters the canonical form only when set and
-            every default spec keeps its pre-chunking cache key.
+            ``tests/test_trace_chunked.py``), so — like ``faults`` —
+            the knob enters the canonical form only when set and every
+            default spec keeps its pre-chunking cache key.
             Single-core plain runs only.
     """
 
@@ -138,7 +114,6 @@ class RunSpec:
     thresholds: Thresholds | None = None
     seed: int = ROOT_SEED
     faults: FaultPlan | None = None
-    fast_path: bool = True
     migration: MigrationConfig | None = None
     online: OnlineSpec | None = None
     trace_chunk_accesses: int | None = None
@@ -269,20 +244,15 @@ class RunSpec:
         # warm across the upgrade).
         if self.faults is not None:
             doc["faults"] = self.faults.canonical()
-        # Same key-stability rule: the reference interpreter produces the
-        # same bits, but a forced-reference run is a distinct request, so
-        # only the non-default value is serialized.
-        if not self.fast_path:
-            doc["fast_path"] = False
         # Epoch-replay variants extend the form only when requested, so
         # every pre-existing key stays byte-identical.
         if self.migration is not None:
             doc["migration"] = self.migration.canonical()
         if self.online is not None:
             doc["online"] = self.online.canonical()
-        # Chunked synthesis/filtering produces the same bits, but — as
-        # with fast_path — a chunked run is a distinct request, and only
-        # the non-default value is serialized.
+        # Chunked synthesis/filtering produces the same bits, but a
+        # chunked run is a distinct request, and only the non-default
+        # value is serialized.
         if self.trace_chunk_accesses is not None:
             doc["trace_chunk_accesses"] = self.trace_chunk_accesses
         return doc
@@ -329,20 +299,15 @@ def run(spec: RunSpec) -> RunMetrics:
         from repro.sim.migration import _run_migration
 
         return _run_migration(spec)
-    # True defers to the process default (REPRO_FAST_PATH kill switch);
-    # False is an explicit forced-reference request.
-    fast = None if spec.fast_path else False
     if spec.is_multi:
         return _run_multi(spec.workload, spec.system_config, spec.policy,
                           input_name=spec.input_name,
                           n_accesses=spec.n_accesses,
                           thresholds=spec.thresholds,
-                          faults=spec.faults,
-                          fast_path=fast)
+                          faults=spec.faults)
     return _run_single(spec.workload, spec.system_config, spec.policy,
                        input_name=spec.input_name,
                        n_accesses=spec.n_accesses,
                        thresholds=spec.thresholds,
                        faults=spec.faults,
-                       fast_path=fast,
                        trace_chunk_accesses=spec.trace_chunk_accesses)

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.trace import patterns
 from repro.trace.events import AccessTrace, VirtualLayout
-from repro.util.fastpath import fast_path_default
 
 PATTERNS = ("seq", "strided", "rand", "chase", "hotspot")
 
@@ -96,18 +95,15 @@ class TraceBuilder:
         self.access_bytes = access_bytes
 
     def build(self, n_accesses: int, rng: np.random.Generator,
-              layout: VirtualLayout | None = None,
-              fast_path: bool | None = None) -> AccessTrace:
-        """Generate a trace of ``n_accesses`` memory references.
-
-        ``fast_path`` selects the vectorized synthesis kernel
-        (:mod:`repro.trace.kernel`), which is bit-identical to the
-        reference chunk loop; ``None`` follows the process-wide
-        ``REPRO_FAST_PATH`` switch.
-        """
+              layout: VirtualLayout | None = None) -> AccessTrace:
+        """Generate a trace of ``n_accesses`` memory references."""
         layout = layout or VirtualLayout()
-        blocks = self.iter_blocks(n_accesses, rng, layout=layout,
-                                  fast_path=fast_path)
+        return self._concat(self.iter_blocks(n_accesses, rng, layout=layout),
+                            n_accesses, layout)
+
+    def _concat(self, blocks, n_accesses: int,
+                layout: VirtualLayout) -> AccessTrace:
+        """One :class:`AccessTrace` from ``iter_blocks``-shaped blocks."""
         vaddr_parts: list[np.ndarray] = []
         write_parts: list[np.ndarray] = []
         dep_parts: list[np.ndarray] = []
@@ -134,19 +130,31 @@ class TraceBuilder:
         )
 
     def iter_blocks(self, n_accesses: int, rng: np.random.Generator,
-                    layout: VirtualLayout | None = None,
-                    fast_path: bool | None = None):
+                    layout: VirtualLayout | None = None):
         """Stream the trace as ``(vaddr, is_write, dep, obj_id, gaps)``
         column blocks totalling exactly ``n_accesses`` rows.
 
         This is the bounded-RSS entry point ``trace.chunked`` shards
-        from; :meth:`build` is a concatenation of it.  Blocks are
-        per-chunk on the reference path and larger batches on the
-        kernel path — concatenated content is identical either way.
+        from; :meth:`build` is a concatenation of it.  The vectorized
+        synthesis kernel (:mod:`repro.trace.kernel`) runs every build it
+        can replay bit-exactly (``kernel.supported``); the rest — a
+        non-PCG64 generator, an invalid behaviour, an object of 4 GiB or
+        more — run the reference chunk loop.  Blocks are per-chunk on
+        the reference loop and larger batches on the kernel, and the
+        concatenated content is identical either way.
         """
         if n_accesses <= 0:
             raise ValueError("n_accesses must be positive")
         layout = layout if layout is not None else VirtualLayout()
+        bases, ids = self._place(layout)
+        from repro.trace import kernel
+        if kernel.supported(self, rng):
+            return kernel.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
+        return self._iter_reference(n_accesses, rng, bases, ids)
+
+    def _place(self, layout: VirtualLayout) -> tuple[list[int], list[int]]:
+        """Each behaviour's ``(vbase, obj_id)``, placing objects in
+        ``layout`` (segment behaviours reuse their segment's)."""
         bases: list[int] = []
         ids: list[int] = []
         for b in self.behaviors:
@@ -161,19 +169,15 @@ class TraceBuilder:
                         f"behaviour {b.name!r} larger than its segment")
                 bases.append(seg.vbase)
                 ids.append(seg.obj_id)
-
-        from repro.trace import kernel
-        fast = fast_path if fast_path is not None else fast_path_default()
-        if fast and kernel.supported(self, rng):
-            return kernel.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
-        return self._iter_reference(n_accesses, rng, bases, ids)
+        return bases, ids
 
     def _iter_reference(self, n_accesses: int, rng: np.random.Generator,
                         bases: list[int], ids: list[int]):
         """The reference chunk loop, yielding one column block per chunk.
 
         This is the executable specification the kernel is pinned
-        against — keep it scalar and obvious.
+        against, and the engine for builds the kernel declines — keep it
+        scalar and obvious.
         """
         # Chunk-selection probability is weight/burst so that the *access*
         # share of each behaviour equals its weight (a chunk contributes

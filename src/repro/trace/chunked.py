@@ -236,7 +236,7 @@ def _entry(blocks, chunk_accesses: int, layout: VirtualLayout,
 
 def _synthesize(builder, n_accesses: int, rng: np.random.Generator,
                 chunk_accesses: int, layout: VirtualLayout | None,
-                fast_path: bool | None, key: dict | None):
+                key: dict | None):
     """``(columns, manifest)`` streamed from ``builder.iter_blocks``.
 
     The cumulative instruction counter is threaded across blocks, the
@@ -250,7 +250,7 @@ def _synthesize(builder, n_accesses: int, rng: np.random.Generator,
 
     def blocks():
         for vaddr, is_write, dep, obj_id, gaps in builder.iter_blocks(
-                n_accesses, rng, layout=layout, fast_path=fast_path):
+                n_accesses, rng, layout=layout):
             take = min(len(vaddr), n_accesses - carry["total"])
             if take <= 0:
                 continue  # drain: the kernel commits rng state at the end
@@ -268,18 +268,17 @@ def _synthesize(builder, n_accesses: int, rng: np.random.Generator,
 def build_chunked(builder, n_accesses: int, rng: np.random.Generator,
                   directory: str | Path, *, chunk_accesses: int,
                   layout: VirtualLayout | None = None,
-                  fast_path: bool | None = None,
                   key: dict | None = None) -> ChunkedTrace:
     """Generate a chunked trace shard-by-shard from a ``TraceBuilder``.
 
-    Streams ``builder.iter_blocks`` (kernel or reference engine per
-    ``fast_path``) through a resharding accumulator, so peak RSS is one
-    shard plus one generator block — never the whole trace.  Content
+    Streams ``builder.iter_blocks`` (kernel or reference engine, as the
+    builder chooses) through a resharding accumulator, so peak RSS is
+    one shard plus one generator block — never the whole trace.  Content
     is byte-identical to ``builder.build`` with the same arguments,
     including the final state of ``rng``.
     """
     columns, manifest = _synthesize(builder, n_accesses, rng,
-                                    chunk_accesses, layout, fast_path, key)
+                                    chunk_accesses, layout, key)
     return ChunkedTrace(directory, write_entry(
         directory, columns, manifest, TRACE_STORE_VERSION, replace=True))
 
@@ -329,12 +328,10 @@ class TraceStore:
                                                                manifest))
 
     def build(self, key: dict, builder, n_accesses: int,
-              rng: np.random.Generator, *,
-              fast_path: bool | None = None) -> ChunkedTrace:
+              rng: np.random.Generator) -> ChunkedTrace:
         """Build (and publish) the entry for a synthetic-trace key."""
         columns, manifest = _synthesize(builder, n_accesses, rng,
-                                        key["chunk_accesses"], None,
-                                        fast_path, key)
+                                        key["chunk_accesses"], None, key)
         return ChunkedTrace(self.entry_dir(key),
                             self.store.put(digest(key), manifest, columns))
 

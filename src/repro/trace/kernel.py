@@ -1,13 +1,12 @@
-"""Bit-exact vectorized trace-synthesis fast path.
+"""Bit-exact vectorized trace-synthesis kernel.
 
 Replays :meth:`repro.trace.builder.TraceBuilder.build`'s chunk loop —
 including every ``numpy.random.Generator`` draw it makes — directly
 from the underlying PCG64 *raw word stream*, so the synthesized columns
 and the caller's final RNG state are byte-identical to the reference
 loop (``tests/test_trace_parity.py`` pins this).  The reference stays
-the executable specification per the repo's replay-kernel playbook;
-``REPRO_FAST_PATH=0`` / ``TraceBuilder.build(fast_path=False)`` switch
-back to it.
+the executable specification, and the engine for the builds
+:func:`supported` declines.
 
 Why this is possible
 --------------------

@@ -26,9 +26,9 @@ class MigrationConfig:
     """Knobs of the interval-based migrator.
 
     Frozen and hashable so it can sit directly in a
-    :class:`~repro.sim.spec.RunSpec`; like ``faults``/``fast_path`` it
-    enters ``RunSpec.canonical()`` only when set, keeping every
-    pre-existing cache key byte-stable.
+    :class:`~repro.sim.spec.RunSpec`; like ``faults`` it enters
+    ``RunSpec.canonical()`` only when set, keeping every pre-existing
+    cache key byte-stable.
 
     Attributes:
         epoch_misses: LLC misses between migration decisions.

@@ -1,8 +1,11 @@
 """Tests for the set-associative cache and the L1+L2 hierarchy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.cpu import filter_kernel
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.hierarchy import (
     CacheHierarchy,
@@ -261,6 +264,18 @@ def _stream_tuples(s):
             for a in (s.inst, s.vline, s.obj_id, s.dep, s.kind)]
 
 
+def _filter(trace, warmup_frac, kernel):
+    """``filter_trace`` on the kernel, or with the reference loop
+    substituted for it (same warmup-boundary arithmetic either way)."""
+    h = CacheHierarchy()
+    if kernel:
+        return h.filter_trace(trace, warmup_frac=warmup_frac)
+    with mock.patch.object(filter_kernel, "run_filter",
+                           lambda t, hier, warm_until:
+                           hier._filter_trace_reference(t, warm_until)):
+        return h.filter_trace(trace, warmup_frac=warmup_frac)
+
+
 class TestWarmupBoundary:
     """The ``inst_offset`` edge cases, pinned on both filter engines."""
 
@@ -269,37 +284,33 @@ class TestWarmupBoundary:
                             gap_mean=5, site=1)]
         return TraceBuilder(b).build(n, stream("tests", key))
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_zero_warmup_keeps_trace_numbering(self, fast_path):
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_zero_warmup_keeps_trace_numbering(self, kernel):
         t = self._trace(5000)
-        s, stats = CacheHierarchy().filter_trace(
-            t, warmup_frac=0.0, fast_path=fast_path)
+        s, stats = _filter(t, 0.0, kernel)
         # No offset: the stream keeps the trace's own instruction counts
         # and the full trace length is the measured window.
         assert stats.total_instructions == int(t.inst[-1])
         # Every record carries a raw trace instruction count.
         assert len(s) > 0 and np.isin(s.inst, t.inst).all()
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_nonzero_warmup_offsets_numbering(self, fast_path):
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_nonzero_warmup_offsets_numbering(self, kernel):
         t = self._trace(5000)
-        s, stats = CacheHierarchy().filter_trace(
-            t, warmup_frac=0.5, fast_path=fast_path)
+        s, stats = _filter(t, 0.5, kernel)
         boundary = int(t.inst[int(len(t) * 0.5) - 1])
         assert stats.total_instructions == int(t.inst[-1]) - boundary
         assert len(s) > 0 and int(s.inst.min()) >= 0
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_tiny_trace_flooring_equals_zero_warmup(self, fast_path):
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_tiny_trace_flooring_equals_zero_warmup(self, kernel):
         # 9 accesses at warmup_frac=0.1 floors to warm_until == 0: the
         # documented contract is exact warmup_frac=0.0 behaviour (no
         # exclusion window, no offset) — not a silent half-state.
         t = self._trace(9, key="tinywarm")
         assert int(len(t) * 0.1) == 0
-        floored = CacheHierarchy().filter_trace(
-            t, warmup_frac=0.1, fast_path=fast_path)
-        explicit = CacheHierarchy().filter_trace(
-            t, warmup_frac=0.0, fast_path=fast_path)
+        floored = _filter(t, 0.1, kernel)
+        explicit = _filter(t, 0.0, kernel)
         assert _stream_tuples(floored[0]) == _stream_tuples(explicit[0])
         assert floored[0].total_instructions == explicit[0].total_instructions
         assert floored[1] == explicit[1]

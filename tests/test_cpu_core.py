@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_core import ReferenceCore
 
 from repro.cpu.core import CoreParams, InOrderWindowCore
 from repro.cpu.hierarchy import KIND_LOAD, KIND_WRITEBACK, MissStream
@@ -174,8 +175,8 @@ class TestFractionalIPC:
     def test_first_issue_uses_exact_gap(self, fast):
         s = _stream([3])
         groups, gaddrs = _translate(s)
-        core = InOrderWindowCore(s, groups, gaddrs, CoreParams(ipc=0.1),
-                                 fast_path=fast)
+        core_cls = InOrderWindowCore if fast else ReferenceCore
+        core = core_cls(s, groups, gaddrs, CoreParams(ipc=0.1))
         # 3 instructions at 0.1 IPC = exactly 30 cycles, not 29.
         assert core.peek_next_issue() == 30
 

@@ -6,9 +6,9 @@ The vectorized filter kernel (``repro.cpu.filter_kernel``) must be
 (values and dtypes), same ``CacheStats`` including per-object tallies
 and their first-touch ordering, same final tag-store state.  This suite
 pins that over randomized traces and geometries, plus the engineered
-corners (both kernel dispatch modes, the prefetcher fallback, the
-``REPRO_FAST_PATH`` kill switch, and ``filtered_stream``'s
-shared-identity contract).
+corners (both kernel dispatch modes, the input-driven engine choice —
+the prefetcher fallback — and ``filtered_stream``'s shared-identity
+contract).
 """
 
 import numpy as np
@@ -68,6 +68,11 @@ def _assert_identical(res_kernel, res_reference):
     assert list(c_k.per_object) == list(c_r.per_object)
 
 
+def _reference(h, trace, warmup=0.2):
+    """The reference loop on ``trace``, at ``filter_trace``'s boundary."""
+    return h._filter_trace_reference(trace, int(len(trace) * warmup))
+
+
 def _assert_same_state(h_a, h_b):
     for lvl_a, lvl_b in ((h_a.l1, h_b.l1), (h_a.l2, h_b.l2)):
         addr_a, dirty_a = lvl_a.resident_arrays()
@@ -103,10 +108,9 @@ class TestRandomizedParity:
         trace = _make_trace(n, seed, write_frac=write_frac)
         h_k = CacheHierarchy(l1s, l1a, l2s, l2a, lb)
         h_r = CacheHierarchy(l1s, l1a, l2s, l2a, lb)
-        res_k = h_k.filter_trace(trace, warmup_frac=warmup, fast_path=True)
-        res_r = h_r.filter_trace(trace, warmup_frac=warmup, fast_path=False)
+        res_k = h_k.filter_trace(trace, warmup_frac=warmup)
+        res_r = _reference(h_r, trace, warmup)
         assert h_k.last_engine == "kernel"
-        assert h_r.last_engine == "reference"
         _assert_identical(res_k, res_r)
         _assert_same_state(h_k, h_r)
 
@@ -117,8 +121,8 @@ class TestRandomizedParity:
         """Single-set hammering drives the kernel's scalar dispatch."""
         trace = _make_trace(n, seed, hot=True)
         h_k, h_r = CacheHierarchy(), CacheHierarchy()
-        res_k = h_k.filter_trace(trace, fast_path=True)
-        res_r = h_r.filter_trace(trace, fast_path=False)
+        res_k = h_k.filter_trace(trace)
+        res_r = _reference(h_r, trace)
         _assert_identical(res_k, res_r)
         _assert_same_state(h_k, h_r)
 
@@ -128,10 +132,10 @@ class TestRandomizedParity:
         t1 = _make_trace(300, 1)
         t2 = _make_trace(300, 2)
         h_k, h_r = CacheHierarchy(), CacheHierarchy()
-        h_k.filter_trace(t1, fast_path=True)
-        h_r.filter_trace(t1, fast_path=False)
-        res_k = h_k.filter_trace(t2, warmup_frac=0.0, fast_path=True)
-        res_r = h_r.filter_trace(t2, warmup_frac=0.0, fast_path=False)
+        h_k.filter_trace(t1)
+        _reference(h_r, t1)
+        res_k = h_k.filter_trace(t2, warmup_frac=0.0)
+        res_r = _reference(h_r, t2, 0.0)
         _assert_identical(res_k, res_r)
         _assert_same_state(h_k, h_r)
 
@@ -167,34 +171,30 @@ class TestKernelModes:
 
 
 class TestEngineSelection:
+    """The engine follows from the hierarchy alone."""
+
     def test_prefetcher_pins_reference_fallback(self):
         """Runahead fills break per-set batching: a prefetcher-equipped
-        hierarchy must use the reference loop even when asked fast."""
+        hierarchy must use the reference loop."""
         trace = _make_trace(400, 11)
         h_pf = CacheHierarchy(prefetcher=StridePrefetcher())
-        res_pf = h_pf.filter_trace(trace, fast_path=True)
+        res_pf = h_pf.filter_trace(trace)
         assert h_pf.last_engine == "reference"
         h_ref = CacheHierarchy(prefetcher=StridePrefetcher())
-        res_ref = h_ref.filter_trace(trace, fast_path=False)
+        res_ref = _reference(h_ref, trace)
         _assert_identical(res_pf, res_ref)
 
-    def test_env_kill_switch(self, monkeypatch):
-        trace = _make_trace(100, 13)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        h = CacheHierarchy()
-        h.filter_trace(trace)
-        assert h.last_engine == "reference"
-        monkeypatch.delenv("REPRO_FAST_PATH")
-        h2 = CacheHierarchy()
-        h2.filter_trace(trace)
-        assert h2.last_engine == "kernel"
+    def test_default_dispatch_reaches_kernel(self, monkeypatch):
+        calls = []
+        real = filter_kernel.run_filter
 
-    def test_explicit_flag_overrides_env(self, monkeypatch):
-        trace = _make_trace(100, 17)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
+        def spy(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+        monkeypatch.setattr(filter_kernel, "run_filter", spy)
         h = CacheHierarchy()
-        h.filter_trace(trace, fast_path=True)
-        assert h.last_engine == "kernel"
+        h.filter_trace(_make_trace(100, 13))
+        assert calls and h.last_engine == "kernel"
 
 
 class TestFilteredStreamContract:
@@ -210,8 +210,10 @@ class TestFilteredStreamContract:
                                                        "store")
 
     def test_engines_produce_identical_streams(self):
+        """The memoized stream is the reference loop's, byte for byte."""
         from repro.sim.single import filtered_stream
-        s_k, c_k = filtered_stream("stitch", "ref", 4001, True)
-        s_r, c_r = filtered_stream("stitch", "ref", 4001, False)
-        assert s_k is not s_r  # distinct memo entries...
-        _assert_identical((s_k, c_k), (s_r, c_r))  # ...identical bytes
+        from repro.workloads.inputs import build_app_trace
+        s_k, c_k = filtered_stream("stitch", "ref", 4001)
+        trace = build_app_trace("stitch", "ref", 4001)
+        s_r, c_r = _reference(CacheHierarchy(), trace)
+        _assert_identical((s_k, c_k), (s_r, c_r))

@@ -1,7 +1,10 @@
 """Tests for the controller layer: address map, scheduler, channels."""
 
+import numpy as np
 import pytest
 
+from repro.cpu.core import InOrderWindowCore
+from repro.cpu.hierarchy import KIND_LOAD, MissStream
 from repro.memctrl.addrmap import GroupAddressMap, LINE_BYTES
 from repro.memctrl.controller import ChannelController
 from repro.memctrl.request import MemRequest
@@ -105,6 +108,24 @@ class TestSchedulers:
     def test_registry(self):
         assert SCHEDULERS["frfcfs"] is frfcfs_order
         assert SCHEDULERS["fcfs"] is fcfs_order
+
+    def test_replay_kernel_rejects_custom_scheduler(self):
+        """The replay kernel runs only the registered schedulers; a
+        custom one fails at replay with an error naming the choices."""
+        memsys = MemorySystem({"main": ChannelGroup(
+            DDR3, 1, 8 * MIB, scheduler=lambda module, batch: list(batch))})
+        stream = MissStream(
+            inst=np.array([1], dtype=np.int64),
+            vline=np.zeros(1, dtype=np.int64),
+            obj_id=np.zeros(1, dtype=np.int32),
+            dep=np.zeros(1, dtype=bool),
+            kind=np.array([KIND_LOAD], dtype=np.int8),
+            total_instructions=10)
+        core = InOrderWindowCore(stream, np.zeros(1, dtype=np.int32),
+                                 np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"<lambda>.*repro\.memctrl"
+                           r"\.scheduler\.SCHEDULERS \(fcfs, frfcfs\)"):
+            core.run_to_completion(memsys)
 
     def test_frfcfs_row_hit_is_a_batch_snapshot(self):
         """Hit/miss classification is frozen when the batch arrives: a

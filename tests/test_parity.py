@@ -1,13 +1,13 @@
-"""Fast-path vs reference replay parity: bit-identical, at volume.
+"""Replay kernel vs reference interpreter parity: bit-identical, at volume.
 
 The fused replay kernel (``repro.memctrl.batch.replay``, which
-``InOrderWindowCore`` drives in fast mode) is an *optimization*, not a
-model change: for any trace, memory system, and core parameterization
-it must produce byte-for-byte the same :class:`CoreResult` and leave the
-memory system in byte-for-byte the same state (module counters,
-controller counters, latency histograms, per-bank timing state, bus
-direction and occupancy, tFAW activate history, refresh horizon) as the
-retained per-record reference interpreter.
+``InOrderWindowCore`` drives) is an *optimization*, not a model change:
+for any trace, memory system, and core parameterization it must produce
+byte-for-byte the same :class:`CoreResult` and leave the memory system
+in byte-for-byte the same state (module counters, controller counters,
+latency histograms, per-bank timing state, bus direction and occupancy,
+tFAW activate history, refresh horizon) as the per-record reference
+interpreter, :class:`reference_core.ReferenceCore` — the test oracle.
 
 This file pins that contract four ways:
 
@@ -15,28 +15,32 @@ This file pins that contract four ways:
   kinds, dependence chains, fractional IPC, multi-group heterogeneous
   systems, derated timings that exercise the tRAS precharge guard,
   FCFS and FR-FCFS scheduling, single-core and multicore heap
-  interleave through both the fused kernel and the stepping API);
+  interleave through both the fused kernel and the stepping API, with
+  the oracle's multicore driver being :func:`_step`);
 * hypothesis property tests (fewer examples, but shrinkable — a failure
   here minimizes itself), including parts with a short refresh interval
   and a wide tFAW window run through the fused one- and four-core loops;
 * OBS parity: with observability on, fused runs publish the same
   counters and gauges as the stepping API and the reference engine;
-* whole-pipeline ``run(spec)`` comparisons plus pinned cache keys and
-  result digests, so the fast path can never silently change either the
-  numbers or the cache identity of a default-valued spec.
+* whole-pipeline ``run(spec)`` comparisons against runs with the oracle
+  core and the reference cache filter substituted into ``repro.sim``,
+  plus pinned cache keys, so the kernels can never silently change
+  either the numbers or the cache identity of a default-valued spec.
 """
 
 import dataclasses
-import hashlib
 import heapq
-import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_core import ReferenceCore
 
+import repro.sim.multi
+import repro.sim.single
 from repro.cpu.core import CoreParams, InOrderWindowCore, run_interleaved
 from repro.cpu.hierarchy import (
+    CacheHierarchy,
     KIND_LOAD,
     KIND_PREFETCH,
     KIND_STORE,
@@ -47,6 +51,7 @@ from repro.memctrl.scheduler import fcfs_order, frfcfs_order
 from repro.memctrl.system import ChannelGroup, MemorySystem
 from repro.memdev.presets import DDR3, HBM, LPDDR2, RLDRAM3
 from repro.obs.registry import OBS
+from repro.sim import stream_store
 from repro.sim.spec import RunSpec, run
 from repro.util.units import MIB
 
@@ -175,9 +180,8 @@ def _memsys_doc(memsys):
 
 def _replay(stream, groups, gaddrs, params, recipe, fast):
     memsys = recipe()
-    core = InOrderWindowCore(stream, groups, gaddrs, params,
-                             fast_path=fast)
-    res = core.run_to_completion(memsys)
+    core_cls = InOrderWindowCore if fast else ReferenceCore
+    res = core_cls(stream, groups, gaddrs, params).run_to_completion(memsys)
     return res, memsys
 
 
@@ -189,13 +193,17 @@ def _assert_parity(stream, groups, gaddrs, params, recipe, label=""):
 
 
 def _cores(traces, params, fast):
-    return [InOrderWindowCore(s, g, a, params, core_id=i, fast_path=fast)
+    """Kernel cores (``fast``) or oracle cores, one per trace."""
+    core_cls = InOrderWindowCore if fast else ReferenceCore
+    return [core_cls(s, g, a, params, core_id=i)
             for i, (s, g, a) in enumerate(traces)]
 
 
 def _step(cores, memsys):
     """Drive ``cores`` through the stepping API in global issue order,
-    one ``run_episode`` per heap pop.  Returns (results, pop order)."""
+    one ``run_episode`` per heap pop.  Returns (results, pop order).
+
+    Over oracle cores this is the reference multicore driver."""
     heap = [(c.peek_next_issue(), i) for i, c in enumerate(cores)
             if not c.finished]
     heapq.heapify(heap)
@@ -211,17 +219,19 @@ def _step(cores, memsys):
 
 def _fused_and_reference(traces, params, build):
     """``(CoreResult dicts, memsys doc)`` after the fused kernel and after
-    the reference engine.  One trace runs through ``run_to_completion``,
-    several through ``run_interleaved`` — the two fused entry points."""
-    out = []
-    for fast in (True, False):
-        memsys = build()
-        cores = _cores(traces, params, fast)
-        if len(cores) == 1:
-            results = [cores[0].run_to_completion(memsys)]
-        else:
-            results = run_interleaved(cores, memsys)
-        out.append(([r.to_dict() for r in results], _memsys_doc(memsys)))
+    the oracle.  One trace runs through ``run_to_completion``, several
+    through ``run_interleaved`` — the two fused entry points; the oracle
+    cores are stepped by :func:`_step`."""
+    memsys = build()
+    cores = _cores(traces, params, True)
+    if len(cores) == 1:
+        fused = [cores[0].run_to_completion(memsys)]
+    else:
+        fused = run_interleaved(cores, memsys)
+    out = [([r.to_dict() for r in fused], _memsys_doc(memsys))]
+    memsys = build()
+    ref, _ = _step(_cores(traces, params, False), memsys)
+    out.append(([r.to_dict() for r in ref], _memsys_doc(memsys)))
     return out
 
 
@@ -243,7 +253,7 @@ class TestBulkParity:
         Interleaving makes the cores' episodes contend for the same
         banks, so parity here pins that ``peek_next_issue`` and all
         shared live state (bank timing, bus direction, refresh schedule)
-        agree between the stepping API on both engines and the heap
+        agree between the stepping API, the oracle and the heap
         inside the fused kernel (``run_interleaved``, what
         ``repro.sim.multi`` runs)."""
         rng = np.random.default_rng(0xBEEF)
@@ -398,7 +408,7 @@ class TestObsParity:
     """With OBS on, the fused kernel computes the ``memsys.*`` and
     ``mem.<channel>.*`` counters and the ``queue_occupancy`` gauges from
     its per-record columns.  They must equal what the stepping API and
-    the reference engine publish batch by batch."""
+    the oracle publish batch by batch."""
 
     def test_single_core(self):
         rng = np.random.default_rng(0x0B5)
@@ -426,53 +436,77 @@ class TestObsParity:
                 lambda: run_interleaved(_cores(traces, params, True),
                                         recipe()),
                 lambda: _step(_cores(traces, params, True), recipe()),
-                lambda: run_interleaved(_cores(traces, params, False),
-                                        recipe()),
+                lambda: _step(_cores(traces, params, False), recipe()),
             )]
             assert seen[0] == seen[1] == seen[2], f"rep {rep}"
             assert any(k.endswith(".queue_occupancy") for k in seen[0][1])
 
 
-# ---- whole pipeline: run(spec), cache keys, pinned digests ------------------
+# ---- whole pipeline: run(spec) and cache keys --------------------------------
 
 
 def _metrics_doc(metrics) -> dict:
-    """Deterministic form of RunMetrics: meta carries a timestamp, so it
-    is checked separately (fast_path flag) and dropped here."""
+    """Deterministic form of RunMetrics: meta carries a timestamp (and
+    the filter provenance, checked separately), so it is dropped here."""
     doc = metrics.to_dict()
     doc.pop("meta", None)
     return doc
 
 
-def _digest(metrics) -> str:
-    blob = json.dumps(_metrics_doc(metrics), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+class _ReferenceHierarchy(CacheHierarchy):
+    """A hierarchy whose ``filter_trace`` always runs the reference loop."""
+
+    def filter_trace(self, trace, warmup_frac=0.2):
+        self.last_engine = "reference"
+        return self._filter_trace_reference(trace,
+                                            int(len(trace) * warmup_frac))
+
+
+def _run_on_oracles(spec, monkeypatch):
+    """``run(spec)`` with the oracle core, the oracle multicore driver
+    and the reference cache filter substituted into ``repro.sim``.
+
+    The miss-stream memo and store are bypassed so the reference filter
+    really runs; both memo and patches are dropped again afterwards.
+    """
+    single, multi = repro.sim.single, repro.sim.multi
+    monkeypatch.setattr(single, "CacheHierarchy", _ReferenceHierarchy)
+    monkeypatch.setattr(single, "InOrderWindowCore", ReferenceCore)
+    monkeypatch.setattr(multi, "InOrderWindowCore", ReferenceCore)
+    monkeypatch.setattr(multi, "run_interleaved",
+                        lambda cores, memsys: _step(cores, memsys)[0])
+    monkeypatch.setattr(stream_store, "active", lambda: None)
+    single.filtered_stream.cache_clear()
+    try:
+        return run(spec)
+    finally:
+        monkeypatch.undo()
+        single.filtered_stream.cache_clear()
 
 
 class TestRunSpecParity:
-    def test_single_core_run_matches_reference(self):
+    def test_single_core_run_matches_reference(self, monkeypatch):
         spec = RunSpec(workload="mcf", config="Heter-config1",
                        policy="moca", n_accesses=6000)
         fast = run(spec)
-        ref = run(dataclasses.replace(spec, fast_path=False))
-        assert fast.to_dict()["meta"]["fast_path"] is True
-        assert ref.to_dict()["meta"]["fast_path"] is False
+        ref = _run_on_oracles(spec, monkeypatch)
+        assert ref.meta["filter"] == {"engine": "reference",
+                                      "from_store": False}
         assert _metrics_doc(fast) == _metrics_doc(ref)
 
-    def test_multicore_run_matches_reference(self):
+    def test_multicore_run_matches_reference(self, monkeypatch):
         spec = RunSpec(workload="2L1B1N", config="Homogen-DDR3",
                        policy="homogen", n_accesses=3000)
         fast = run(spec)
-        ref = run(dataclasses.replace(spec, fast_path=False))
-        assert fast.to_dict()["meta"]["fast_path"] is True
-        assert ref.to_dict()["meta"]["fast_path"] is False
+        ref = _run_on_oracles(spec, monkeypatch)
+        assert all(prov == {"engine": "reference", "from_store": False}
+                   for prov in ref.meta["filter"].values())
         assert _metrics_doc(fast) == _metrics_doc(ref)
 
 
 class TestCacheKeyStability:
     """Default-valued specs must keep their pre-fast-path cache keys, so
-    warm sweep caches survive the upgrade.  Forced-reference runs are a
-    distinct request and get their own key."""
+    warm sweep caches survive the upgrade."""
 
     def test_single_spec_key_pinned(self):
         spec = RunSpec(workload="mcf", config="Heter-config1",
@@ -485,11 +519,3 @@ class TestCacheKeyStability:
                        policy="homogen", n_accesses=10_000)
         assert spec.key() == ("290a5b050d60590042ef88249cef7058"
                               "7b5ee9bfd17655ff5f589bdfee686c33")
-
-    def test_forced_reference_gets_distinct_key(self):
-        spec = RunSpec(workload="mcf", config="Heter-config1",
-                       policy="moca", n_accesses=20_000)
-        off = dataclasses.replace(spec, fast_path=False)
-        assert off.key() != spec.key()
-        assert off.canonical()["fast_path"] is False
-        assert "fast_path" not in spec.canonical()

@@ -14,6 +14,7 @@ from repro.moca.policy import (
     CapacityBudget,
     ClassificationPolicy,
     KnapsackClassifier,
+    PolicyContext,
     PolicySpec,
     ThresholdClassifier,
     UNLIMITED,
@@ -29,7 +30,7 @@ from repro.moca.policy import (
     unregister_policy,
 )
 from repro.moca.profiler import profile_app
-from repro.sim.single import make_policy, policy_context
+from repro.sim.single import policy_context
 from repro.sim.spec import RunSpec
 from repro.trace.events import PAGE_BYTES
 from repro.vm.heap import ObjectType
@@ -163,9 +164,10 @@ class TestRegistry:
             assert "test-all-pow" in policy_names()
             assert not policy_info("test-all-pow").stock
             # Registration makes the name valid in a RunSpec and
-            # buildable through the shim.
+            # buildable through the registry.
             RunSpec("mcf", "Heter-config1", "test-all-pow", N)
-            p = make_policy("test-all-pow", ["mcf"], "ref", N)
+            p = build_policy("test-all-pow", PolicyContext(
+                app_names=("mcf",), input_name="ref", n_accesses=N))
             assert p.object_type(0, 7) is ObjectType.POW
         finally:
             unregister_policy("test-all-pow")
@@ -297,18 +299,6 @@ class TestBudgetResolution:
             "knapsack:fast_mb=128", ["mcf"], "ref", N,
             config=ALL_SYSTEMS["Homogen-DDR3"])
         assert ctx.budget.fast_bytes == 128 * MIB // CAPACITY_SCALE
-
-    def test_make_policy_shim_is_unlimited(self):
-        # The legacy shim keeps the historical capacity-oblivious
-        # behaviour: moca via make_policy matches moca via the registry
-        # with an unlimited budget.
-        shim = make_policy("moca", ["mcf"], "ref", N, profile_accesses=N)
-        from repro.moca.policy import PolicyContext
-        ctx = PolicyContext(app_names=("mcf",), input_name="ref",
-                            n_accesses=N, profile_accesses=N)
-        registry = build_policy("moca", ctx)
-        assert shim.object_types == registry.object_types
-        assert shim.object_heat == registry.object_heat
 
 
 class TestRanker:

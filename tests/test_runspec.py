@@ -33,20 +33,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunSpec("not-an-app-or-mix", "Homogen-DDR3", "homogen", N)
 
-    def test_policies_constant_deprecated(self):
-        # Kept for one release as a warning re-export of the stock trio;
-        # the registry (repro.moca.policy) is the source of truth.
-        from repro.sim import spec
-        with pytest.deprecated_call():
-            names = spec.POLICIES
-        assert names == ("homogen", "heter-app", "moca")
-
-    def test_policies_forwarded_from_package(self):
-        import repro.sim
-        with pytest.deprecated_call():
-            names = repro.sim.POLICIES
-        assert names == ("homogen", "heter-app", "moca")
-
 
 class TestIdentity:
     def test_frozen_and_hashable(self):
@@ -117,21 +103,7 @@ class TestRunFacade:
 
 
 class TestRemovedAliases:
-    """run_single/run_multi finished their deprecation cycle in 1.1.0."""
-
-    def test_run_single_removed_with_hint(self):
-        import repro.sim.single as single
-        with pytest.raises(AttributeError, match="repro.sim.run"):
-            single.run_single
-
-    def test_run_multi_removed_with_hint(self):
-        import repro.sim.multi as multi
-        with pytest.raises(AttributeError, match="repro.sim.run"):
-            multi.run_multi
-        # The multi hint also names the ad-hoc-config escape hatch that
-        # run_multi used to provide.
-        with pytest.raises(AttributeError, match="ALL_SYSTEMS"):
-            multi.run_multi
+    """run_single/run_multi are gone; ``repro.sim.run`` replaces them."""
 
     def test_from_import_raises_import_error(self):
         with pytest.raises(ImportError):
@@ -141,17 +113,12 @@ class TestRemovedAliases:
 
     def test_removed_from_top_level_package(self):
         import repro
-        with pytest.raises(AttributeError, match="removed"):
+        with pytest.raises(AttributeError, match="run_single"):
             repro.run_single
-        with pytest.raises(AttributeError, match="removed"):
+        with pytest.raises(AttributeError, match="run_multi"):
             repro.run_multi
         assert "run_single" not in repro.__all__
         assert "run_multi" not in repro.__all__
-
-    def test_make_policy_optionals_are_keyword_only(self):
-        from repro.sim.single import make_policy
-        with pytest.raises(TypeError):
-            make_policy("moca", ["mcf"], "ref", N, None)
 
 
 class TestPublicSurface:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.moca.policy import PolicyContext, build_policy
 from repro.sim.config import (
     ALL_SYSTEMS,
     CAPACITY_SCALE,
@@ -16,7 +17,6 @@ from repro.sim.config import (
     SystemConfig,
 )
 from repro.sim.metrics import CORE_POWER_W, RunMetrics
-from repro.sim.single import make_policy
 from repro.sim.spec import RunSpec, run
 from repro.util.units import MIB
 
@@ -143,8 +143,10 @@ class TestRunSingle:
         assert a.exec_cycles == b.exec_cycles
         assert a.mem_access_cycles == b.mem_access_cycles
 
-    def test_make_policy_moca_has_heat(self):
-        p = make_policy("moca", ["mcf"], "ref", N, profile_accesses=N)
+    def test_moca_policy_has_heat(self):
+        p = build_policy("moca", PolicyContext(
+            app_names=("mcf",), input_name="ref", n_accesses=N,
+            profile_accesses=N))
         assert p.object_types[0]
         assert any(h > 0 for h in p.object_heat[0].values())
 

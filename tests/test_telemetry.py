@@ -32,10 +32,10 @@ from hypothesis import strategies as st
 from repro.experiments import engine
 from repro.experiments import runner as _runner
 from repro.experiments.__main__ import main as exp_main
+from repro.faults.plan import FaultPlan
 from repro.obs import bench
 from repro.obs import telemetry as obstel
-from repro.obs.dashboard import HEARTBEAT_NAME, Dashboard
-from repro.obs.progress import supports_repaint
+from repro.obs.dashboard import HEARTBEAT_NAME, Dashboard, supports_repaint
 from repro.obs.registry import ENV_QUIET, OBS, Registry
 from repro.obs.telemetry import (
     CampaignTelemetry,
@@ -49,7 +49,7 @@ from repro.workloads.spec import APPS
 # Env vars that would change campaign behaviour under test.
 _CAMPAIGN_ENV = ("REPRO_WORKERS", "REPRO_OVERSUBSCRIBE", "REPRO_CACHE_DIR",
                  "REPRO_UNIT_TIMEOUT", "REPRO_MAX_ATTEMPTS", "REPRO_CHAOS_DIR",
-                 "REPRO_FAST_PATH", "REPRO_TELEMETRY", "REPRO_PROFILE",
+                 "REPRO_TELEMETRY", "REPRO_PROFILE",
                  "REPRO_BENCH_HISTORY", ENV_QUIET)
 
 
@@ -86,7 +86,6 @@ unit_telemetries = st.builds(
     gc_collections=st.integers(0, 50),
     accesses=st.integers(0, 10**6),
     filter_accesses=st.integers(0, 10**6),
-    engine=st.sampled_from([None, "kernel", "reference"]),
     filter_sources=st.dictionaries(
         st.sampled_from(["kernel", "reference", "store", "memo"]),
         st.integers(1, 5), max_size=3),
@@ -237,13 +236,12 @@ class TestCapture:
         with reg.span("core_replay"):
             reg.add("filter.accesses", 42)
         ut = obstel.end_unit(cap, label="unit-x",
-                             meta={"fast_path": True, "accesses": 7,
+                             meta={"accesses": 7,
                                    "filter": {"engine": "kernel"}})
         assert not reg.enabled  # ... and re-disabled it
         assert reg.events == []  # ... trimming the events it recorded
         assert ut.label == "unit-x"
         assert ut.pid == os.getpid()
-        assert ut.engine == "kernel"
         assert ut.accesses == 7
         assert ut.filter_accesses == 42
         assert ut.filter_sources == {"kernel": 1}
@@ -307,15 +305,18 @@ class TestWarnDedup:
 
     def test_multi_worker_warning_printed_once(self, capfd, clean_env,
                                                monkeypatch):
-        """Slow-path warning raised in 2 quieted workers lands on stderr
-        exactly once, via the parent's fold-time reprint."""
+        """A placement warning raised in 2 quieted workers lands on
+        stderr exactly once, via the parent's fold-time reprint."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
+        # The only module offline from the first page: every unit's
+        # placement overcommits and warns (once per worker process).
+        offline = FaultPlan(offline_role="main")
         specs = [RunSpec(workload=a, config="Homogen-DDR3",
-                         policy="homogen", n_accesses=2000)
+                         policy="homogen", n_accesses=2000, faults=offline)
                  for a in ("mcf", "milc", "lbm", "gcc")]
         engine.reset()
+        OBS.reset()
         try:
             engine.configure(None)
             engine.configure_telemetry(True)
@@ -323,9 +324,10 @@ class TestWarnDedup:
             ct = engine.campaign_telemetry()
             assert ct.units == 4
             assert len(ct.workers) == 2
-            assert "slow-path" in ct.warnings
+            assert any("frame pools exhausted" in key
+                       for key in ct.warnings)
             err = capfd.readouterr().err
-            assert err.count("fast paths disabled") == 1
+            assert err.count("frame pools exhausted") == 1
         finally:
             engine.reset()
             OBS.reset().disable()
@@ -595,7 +597,6 @@ class TestCampaignAcceptance:
             assert span["count"] == n_units
             assert 0 < span["p50_ns"] <= span["p95_ns"] <= span["p99_ns"]
             assert span["total_ns"] <= telem["wall_ns"]
-        assert telem["engines"]  # kernel or reference, but recorded
 
     def test_manifest_block_round_trips(self, campaign):
         save, _ = campaign

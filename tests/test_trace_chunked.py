@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cpu.hierarchy import CacheHierarchy
+from repro.cpu.prefetch import StridePrefetcher
 from repro.sim import run, stream_store
 from repro.sim.spec import RunSpec
 import repro.sim.single as single
-from repro.trace import chunked
+from repro.trace import chunked, kernel
 from repro.trace.builder import TraceBuilder
 from repro.trace.io import import_trace, save_trace
 from repro.util.rng import stream
@@ -78,13 +79,16 @@ class TestChunkedGeneration:
         # Generation must drain the engine: identical final RNG state.
         assert ct_rng.bit_generator.state == mono_rng.bit_generator.state
 
-    def test_engines_agree(self, tiny_behaviors, tmp_path):
+    def test_engines_agree(self, tiny_behaviors, tmp_path, monkeypatch):
+        """Kernel and reference chunk loop shard the same trace; the
+        reference runs when ``kernel.supported`` declines the build."""
         out = []
         for fast in (True, False):
+            if not fast:
+                monkeypatch.setattr(kernel, "supported", lambda *a: False)
             ct = chunked.build_chunked(
                 TraceBuilder(tiny_behaviors), N, stream("chunktest", 1),
-                tmp_path / f"e-{fast}", chunk_accesses=5000,
-                fast_path=fast)
+                tmp_path / f"e-{fast}", chunk_accesses=5000)
             out.append(ct.materialize())
         _assert_traces_equal(out[0], out[1])
 
@@ -132,12 +136,17 @@ class TestFilterChunkedParity:
     @pytest.mark.parametrize("fast", [True, False])
     def test_matches_monolithic(self, tiny_behaviors, tmp_path, chunk,
                                 fast):
+        """On both engines; a prefetcher selects the reference loop."""
         mono = TraceBuilder(tiny_behaviors).build(N, stream("chunktest", 4))
         ct = chunked.chunk_trace(mono, tmp_path / f"e-{chunk}-{fast}",
                                  chunk_accesses=chunk)
-        h_mono, h_chunk = CacheHierarchy(), CacheHierarchy()
-        res_mono = h_mono.filter_trace(mono, fast_path=fast)
-        res_chunk = h_chunk.filter_chunked(ct, fast_path=fast)
+
+        def hierarchy():
+            return CacheHierarchy(
+                prefetcher=None if fast else StridePrefetcher())
+        h_mono, h_chunk = hierarchy(), hierarchy()
+        res_mono = h_mono.filter_trace(mono)
+        res_chunk = h_chunk.filter_chunked(ct)
         _assert_filter_equal(res_chunk, res_mono)
         assert h_chunk.last_engine == ("kernel" if fast else "reference")
 

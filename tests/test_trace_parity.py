@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.trace import kernel
 from repro.trace.builder import ObjectBehavior, TraceBuilder
+from repro.trace.events import VirtualLayout
 from repro.util.rng import stream
 
 #: gap_mean values straddle the numpy geometric sampler's two regimes:
@@ -54,6 +55,14 @@ def behavior_lists(draw):
     return [draw(behaviors(index=i)) for i in range(n)]
 
 
+def _reference_build(builder, n_accesses, rng):
+    """``builder.build`` on the reference chunk loop."""
+    layout = VirtualLayout()
+    blocks = builder._iter_reference(n_accesses, rng,
+                                     *builder._place(layout))
+    return builder._concat(blocks, n_accesses, layout)
+
+
 def _build_both(behaviors_list, n_accesses, *, mem_per_ki=100.0):
     """Build the same trace twice (kernel, reference); return both plus
     the final RNG states."""
@@ -64,7 +73,9 @@ def _build_both(behaviors_list, n_accesses, *, mem_per_ki=100.0):
         if fast:
             assert kernel.supported(builder, rng), \
                 "strategy generated an unsupported config"
-        trace = builder.build(n_accesses, rng, fast_path=fast)
+            trace = builder.build(n_accesses, rng)
+        else:
+            trace = _reference_build(builder, n_accesses, rng)
         out.append((trace, rng.bit_generator.state))
     return out
 
@@ -131,21 +142,18 @@ class TestKernelDispatch:
         assert not kernel.supported(
             self._builder(), np.random.Generator(np.random.MT19937(1)))
 
-    def test_fast_path_false_uses_reference(self, monkeypatch):
+    def test_unsupported_generator_runs_reference(self, monkeypatch):
         def boom(*a, **k):
-            raise AssertionError("kernel invoked despite fast_path=False")
+            raise AssertionError("kernel invoked on a non-PCG64 generator")
         monkeypatch.setattr(kernel, "iter_kernel_blocks", boom)
-        self._builder().build(500, stream("disp", 2), fast_path=False)
-
-    def test_kill_switch_env_disables_kernel(self, monkeypatch):
-        def boom(*a, **k):
-            raise AssertionError("kernel invoked despite REPRO_FAST_PATH=0")
-        monkeypatch.setattr(kernel, "iter_kernel_blocks", boom)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        self._builder().build(500, stream("disp", 3), fast_path=None)
+        rng = np.random.Generator(np.random.MT19937(3))
+        ref_rng = np.random.Generator(np.random.MT19937(3))
+        trace = self._builder().build(500, rng)
+        ref = _reference_build(self._builder(), 500, ref_rng)
+        np.testing.assert_array_equal(trace.vaddr, ref.vaddr)
+        np.testing.assert_array_equal(trace.inst, ref.inst)
 
     def test_default_dispatch_reaches_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
         called = {}
         real = kernel.iter_kernel_blocks
 
@@ -153,5 +161,5 @@ class TestKernelDispatch:
             called["yes"] = True
             return real(*a, **k)
         monkeypatch.setattr(kernel, "iter_kernel_blocks", spy)
-        self._builder().build(500, stream("disp", 4), fast_path=None)
+        self._builder().build(500, stream("disp", 4))
         assert called.get("yes")
