@@ -13,7 +13,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.experiments import engine
@@ -24,6 +23,7 @@ from repro.obs import OBS, ProgressReporter, write_chrome_trace, write_jsonl
 from repro.sim.config import ALL_SYSTEMS
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec
+from repro.util import settings
 from repro.workloads.mixes import MIX_NAMES
 from repro.workloads.spec import APPS
 
@@ -82,8 +82,7 @@ def _run_spec(args, workload: str) -> int:
     if args.profile:
         # cProfile needs the telemetry shuttle to bring the per-unit
         # pstats table back through the engine's fold.
-        engine.configure_telemetry(True)
-        engine.configure_profile(True)
+        settings.update(telemetry=True, profile=True)
     m = engine.run_cached(spec)
     _emit(m, args.json)
     stats = engine.cache_stats()
@@ -141,9 +140,9 @@ def _cache_begin(args) -> None:
         engine.configure(args.cache_dir,
                          refresh=getattr(args, "refresh", False))
     elif getattr(args, "refresh", False):
-        env = os.environ.get("REPRO_CACHE_DIR")
-        if env:
-            engine.configure(env, refresh=True)
+        cache_dir = settings.current().cache_dir
+        if cache_dir:
+            engine.configure(cache_dir, refresh=True)
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:

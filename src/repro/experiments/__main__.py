@@ -47,22 +47,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments import engine
 from repro.experiments import runner as _runner
-from repro.experiments.resilience import (
-    CampaignJournal,
-    JOURNAL_NAME,
-    RetryPolicy,
-)
+from repro.experiments.resilience import CampaignJournal, JOURNAL_NAME
 from repro.obs import OBS, Dashboard, ProgressReporter, run_meta, \
     write_chrome_trace, write_jsonl
 from repro.obs import telemetry as obstel
 from repro.obs.dashboard import HEARTBEAT_NAME
+from repro.util import settings
 from repro.experiments import (
     capacity_sweep, devices, drift_sweep, fig01, fig02, fig08, fig09,
     fig10, fig11,
@@ -192,20 +189,16 @@ def main(argv: list[str] | None = None) -> int:
         engine.configure(None)
     else:
         engine.configure(args.cache_dir
-                         or os.environ.get("REPRO_CACHE_DIR")
+                         or settings.current().cache_dir
                          or engine.DEFAULT_CACHE_DIR,
                          refresh=args.refresh)
-    if args.unit_timeout is not None or args.max_attempts is not None:
-        base = RetryPolicy.from_env()
-        engine.configure_resilience(RetryPolicy(
-            unit_timeout=(args.unit_timeout if args.unit_timeout is not None
-                          else base.unit_timeout),
-            max_attempts=(args.max_attempts if args.max_attempts is not None
-                          else base.max_attempts)))
-
-    engine.configure_telemetry(not args.no_telemetry)
-    if args.profile:
-        engine.configure_profile(True)
+    retry = settings.current().retry
+    if args.unit_timeout is not None:
+        retry = replace(retry, unit_timeout=args.unit_timeout)
+    if args.max_attempts is not None:
+        retry = replace(retry, max_attempts=args.max_attempts)
+    settings.update(retry=retry, telemetry=not args.no_telemetry,
+                    profile=args.profile)
     obstel.mark_campaign_start()
 
     fidelity = _runner.FIDELITIES[args.fidelity]
@@ -370,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"obs event log written to {path}", file=sys.stderr)
         return 1 if failed else 0
     finally:
-        # Embedded invocations (tests) must not leak this command's cache
-        # configuration into later library use in the same process.
+        # Embedded invocations (tests) must not leak this command's
+        # settings into later library use in the same process.
         engine.reset()
 
 

@@ -27,17 +27,19 @@ tables) hot.  Retried units always travel alone, so timeout/retry
 granularity is unchanged where it matters; a failed unit inside a
 batch is re-enqueued individually while its siblings' results stand.
 
-Cache selection, in priority order: an explicit :func:`configure` call
-(the CLIs' ``--cache-dir``/``--no-cache``/``--refresh`` flags), else the
-``REPRO_CACHE_DIR`` environment variable, else no persistent cache.
-:func:`configure` also wires the :mod:`repro.sim.stream_store` — the
-persistent miss-stream store that lets *worker processes* skip
-re-filtering traces the machine has already filtered — defaulting its
-directory to ``<cache-dir>/streams`` and exporting the selection via
-environment variables so spawned workers inherit it.  ``--no-cache``
-disables both; ``--refresh`` invalidates both.  Per-phase wall times are
-accumulated in :func:`sweep_seconds` and land in the campaign manifest
-next to the cache and stream-store hit ratios.
+Every knob comes from :mod:`repro.util.settings`.  :func:`configure`
+(the CLIs' ``--cache-dir``/``--no-cache``/``--refresh`` flags) is an
+``update`` of those settings, and so is any other override
+(``settings.update(workers=..., telemetry=...)``).  The cache directory
+also roots the :mod:`repro.sim.stream_store` — the persistent
+miss-stream store that lets *worker processes* skip re-filtering traces
+the machine has already filtered — at ``<cache-dir>/streams``, and the
+chunked-trace store at ``<cache-dir>/traces``.  Worker processes receive
+the settings as a pool-initializer argument, so they make the same
+choices.  ``--no-cache`` disables both caches; ``--refresh`` invalidates
+both.  Per-phase wall times are accumulated in :func:`sweep_seconds` and
+land in the campaign manifest next to the cache and stream-store hit
+ratios.
 """
 
 from __future__ import annotations
@@ -49,31 +51,26 @@ from typing import Callable, Sequence
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
-    RetryPolicy,
     SweepFailure,
     chaos_probe,
     current_batch_size,
     run_resilient,
 )
 from repro.obs import telemetry as obstel
-from repro.obs.registry import ENV_QUIET, OBS
+from repro.obs.registry import OBS
 from repro.sim import stream_store
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
+from repro.util import settings
 from repro.util.castore import Selection
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "ENV_BATCH",
     "active_cache",
     "add_observer",
     "cache_stats",
     "campaign_telemetry",
     "configure",
-    "configure_dispatch",
-    "configure_profile",
-    "configure_resilience",
-    "configure_telemetry",
     "dashboard_stats",
     "dispatch_stats",
     "execute",
@@ -91,10 +88,6 @@ __all__ = [
 #: Where the experiment CLIs cache results unless told otherwise.
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
-#: Batched-dispatch knob (inherited by worker processes for telemetry):
-#: unset / "0" / "auto" = adaptive, "1" = unit-per-future, N = literal.
-ENV_BATCH = "REPRO_BATCH_UNITS"
-
 #: Adaptive batching aims for futures of about this much work — long
 #: enough to amortize pickle/IPC and warm worker caches, short enough
 #: that retry/timeout granularity stays useful.
@@ -104,19 +97,13 @@ DEFAULT_BATCH_UNITS = 4
 #: Never batch wider than this, whatever the cost estimate says.
 MAX_BATCH_UNITS = 16
 
-#: Explicit configuration (a ResultCache, or None = caching disabled),
-#: else the REPRO_CACHE_DIR environment variable.
-_cache = Selection("REPRO_CACHE_DIR", None, ResultCache)
+#: The result cache the settings' ``cache_dir`` names (None = none).
+_cache = Selection("cache_dir", None, ResultCache)
 _sweep_seconds: dict[str, float] = {}
-#: Explicit retry/timeout policy (None = RetryPolicy.from_env()).
-_retry_policy: RetryPolicy | None = None
 #: Accumulated resilience tallies across execute() calls (manifest).
 _resilience: dict = {}
-#: Environment values displaced by configure()'s stream-store export,
-#: keyed by variable name; reset() restores them.
-_stream_env_saved: dict[str, str | None] = {}
 #: Campaign telemetry fold (see repro.obs.telemetry); populated only
-#: while REPRO_TELEMETRY=1 (configure_telemetry / the experiments CLI).
+#: while the ``telemetry`` setting is on (the experiments CLI default).
 _campaign = obstel.CampaignTelemetry()
 _unit_records: list[obstel.UnitTelemetry] = []
 #: Merged cProfile rows: (file, line, func) -> [cc, nc, tt, ct].
@@ -128,32 +115,11 @@ _dispatch: dict = {}
 
 
 def sweep_workers() -> int:
-    """Worker processes for sweeps (``REPRO_WORKERS`` env, default 1)."""
-    raw = os.environ.get("REPRO_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        OBS.warn(f"REPRO_WORKERS={raw!r} is not an integer; "
-                 f"defaulting to 1 worker")
-        return 1
+    """Worker processes for sweeps (the ``workers`` setting, default 1)."""
+    return settings.current().workers
 
 
 # ---- cache wiring ----------------------------------------------------------
-
-
-def _export_env(name: str, value: str | None) -> None:
-    """Set (or clear) an environment variable, remembering the original.
-
-    Worker processes inherit the environment, so this is how the parent's
-    cache flags reach ``filtered_stream`` in every worker; the first
-    displaced value per name is what :func:`reset` restores.
-    """
-    if name not in _stream_env_saved:
-        _stream_env_saved[name] = os.environ.get(name)
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
 
 
 def configure(directory: str | Path | None, *,
@@ -164,56 +130,19 @@ def configure(directory: str | Path | None, *,
     ``--no-cache`` semantics); otherwise a fresh :class:`ResultCache`
     (with fresh stats) is installed.  Returns the active cache.
 
-    The :mod:`repro.sim.stream_store` follows along: disabled with the
-    cache, otherwise rooted at ``REPRO_STREAM_STORE_DIR`` when that is
-    set (the empty string keeps it disabled) or ``<directory>/streams``,
-    with ``refresh`` carrying over.  The selection is exported through
-    the environment so sweep worker processes make the same choice.
+    This is a :func:`repro.util.settings.update`: the stream store
+    follows along — disabled with the cache, otherwise rooted at the
+    ``stream_store_dir`` setting when that is set (the empty string
+    keeps it disabled) or ``<directory>/streams`` — and ``refresh``
+    carries over to it.
     """
     if directory is None:
-        _cache.configure(None)
-        stream_store.configure(None)
-        _export_env(stream_store.ENV_DIR, "")
-        _export_env(stream_store.ENV_REFRESH, None)
+        settings.update(cache_dir=None, stream_store_dir="", refresh=False)
     else:
-        _cache.configure(ResultCache(directory, refresh=refresh))
-        env = os.environ.get(stream_store.ENV_DIR)
-        if env == "":
-            stream_store.configure(None)
-        else:
-            stream_dir = Path(env) if env else Path(directory) / "streams"
-            stream_store.configure(stream_dir, refresh=refresh)
-            _export_env(stream_store.ENV_DIR, str(stream_dir))
-            _export_env(stream_store.ENV_REFRESH, "1" if refresh else None)
+        settings.update(cache_dir=str(directory), refresh=refresh)
+    _cache.reset()  # rebuilt from the new settings, with fresh stats
+    stream_store.reset()
     return _cache.active()
-
-
-def configure_resilience(policy: RetryPolicy | None) -> None:
-    """Select the retry/timeout policy for subsequent sweeps.
-
-    ``None`` reverts to :meth:`RetryPolicy.from_env` (the
-    ``REPRO_UNIT_TIMEOUT`` / ``REPRO_MAX_ATTEMPTS`` variables).
-    """
-    global _retry_policy
-    _retry_policy = policy
-
-
-def active_retry_policy() -> RetryPolicy:
-    """The policy :func:`execute` will apply to its cache misses."""
-    return _retry_policy if _retry_policy is not None \
-        else RetryPolicy.from_env()
-
-
-def configure_dispatch(batch_units: int | None) -> None:
-    """Select the batched-dispatch width for subsequent sweeps.
-
-    ``None`` reverts to the environment/adaptive default; ``1`` forces
-    unit-per-future; ``N > 1`` fixes the width.  Exported through
-    ``REPRO_BATCH_UNITS`` so worker telemetry sees the same setting;
-    :func:`reset` restores the caller's environment.
-    """
-    _export_env(ENV_BATCH,
-                None if batch_units is None else str(int(batch_units)))
 
 
 def _auto_batch_units(n_units: int, workers: int) -> int:
@@ -237,16 +166,11 @@ def _auto_batch_units(n_units: int, workers: int) -> int:
 
 
 def batch_units_for(n_units: int, workers: int) -> int:
-    """The dispatch width execute() will use (``REPRO_BATCH_UNITS``)."""
-    raw = os.environ.get(ENV_BATCH)
-    if raw in (None, "", "0", "auto"):
+    """The dispatch width execute() will use (the ``batch_units`` setting)."""
+    width = settings.current().batch_units
+    if width is None:
         return _auto_batch_units(n_units, workers)
-    try:
-        return max(1, min(int(raw), MAX_BATCH_UNITS))
-    except ValueError:
-        OBS.warn(f"{ENV_BATCH}={raw!r} is not an integer; "
-                 f"using adaptive batching")
-        return _auto_batch_units(n_units, workers)
+    return max(1, min(width, MAX_BATCH_UNITS))
 
 
 def dispatch_stats() -> dict | None:
@@ -275,27 +199,6 @@ def resilience_stats() -> dict | None:
 
 
 # ---- telemetry wiring ------------------------------------------------------
-
-
-def configure_telemetry(enabled: bool) -> None:
-    """Turn per-unit telemetry capture on or off for subsequent sweeps.
-
-    Exported via ``REPRO_TELEMETRY`` so worker processes inherit the
-    choice; :func:`reset` restores the caller's environment.  The
-    experiments CLI enables this by default (``--no-telemetry`` opts
-    out); direct library use stays zero-cost unless asked.
-    """
-    _export_env(obstel.ENV_TELEMETRY, "1" if enabled else None)
-
-
-def configure_profile(enabled: bool) -> None:
-    """Wrap each simulated unit in cProfile (the ``--profile`` flag).
-
-    Per-unit ``pstats`` tables ship back with the telemetry and are
-    merged into :func:`profile_stats`.  Exported via ``REPRO_PROFILE``
-    for worker processes; restored by :func:`reset`.
-    """
-    _export_env(obstel.ENV_PROFILE, "1" if enabled else None)
 
 
 def telemetry_stats() -> dict | None:
@@ -378,7 +281,7 @@ def _fold_unit(metrics: RunMetrics | None) -> None:
         _unit_records.append(ut)
         _campaign.add_unit(ut)
         for key, message in ut.warnings.items():
-            OBS.warn(message, key=key, force=True)
+            OBS.warn(message, key=key)
     rows = metrics.meta.pop("unit_profile", None)
     if rows:
         for f, line, func, cc, nc, tt, ct in rows:
@@ -392,13 +295,14 @@ def _fold_unit(metrics: RunMetrics | None) -> None:
 def reset() -> None:
     """Drop explicit configuration, phase timings, and resilience state.
 
-    The next :func:`active_cache` call falls back to ``REPRO_CACHE_DIR``
-    (or no cache).  The CLIs call this on exit so embedded invocations
-    (tests, notebooks) don't leak one command's cache into the next.
+    Uninstalls the settings, so the next :func:`active_cache` call
+    falls back to ``REPRO_CACHE_DIR`` (or no cache).  The CLIs call this
+    on exit so embedded invocations (tests, notebooks) don't leak one
+    command's configuration into the next.
     """
-    global _retry_policy, _campaign
+    global _campaign
+    settings.reset()
     _cache.reset()
-    _retry_policy = None
     _sweep_seconds.clear()
     _resilience.clear()
     _dispatch.clear()
@@ -406,12 +310,6 @@ def reset() -> None:
     _unit_records.clear()
     _profile.clear()
     _observers.clear()
-    for name, value in _stream_env_saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    _stream_env_saved.clear()
     stream_store.reset()
 
 
@@ -450,7 +348,7 @@ def _execute_spec(spec: RunSpec) -> RunMetrics:
 
     The chaos probe makes this the fault site harness tests exercise
     (worker crash / hung unit / transient error); it is a no-op unless
-    ``REPRO_CHAOS_DIR`` is set.
+    the ``chaos_dir`` setting is set.
     """
     chaos_probe()
     if not obstel.capture_enabled():
@@ -475,13 +373,13 @@ def _execute_spec(spec: RunSpec) -> RunMetrics:
 
 
 def _run_unit(spec: RunSpec) -> RunMetrics:
-    """Simulate one unit, optionally under cProfile (``REPRO_PROFILE``).
+    """Simulate one unit, optionally under cProfile (``profile`` setting).
 
     The per-unit ``pstats`` table rides back in ``meta["unit_profile"]``
     as picklable rows trimmed to the top entries by cumulative time;
     the engine merges them across units into :func:`profile_stats`.
     """
-    if os.environ.get(obstel.ENV_PROFILE) != "1":
+    if not settings.current().profile:
         return run(spec)
     import cProfile
     import pstats
@@ -511,8 +409,9 @@ def _effective_workers(n_units: int) -> int:
     ``REPRO_OVERSUBSCRIBE=1`` lifts the CPU cap (resilience tests need
     real worker processes even on one-CPU machines).
     """
-    workers = sweep_workers()
-    if os.environ.get("REPRO_OVERSUBSCRIBE") == "1":
+    campaign = settings.current()
+    workers = campaign.workers
+    if campaign.oversubscribe:
         return max(1, min(workers, n_units))
     cpus = os.cpu_count() or 1
     if workers > cpus:
@@ -598,26 +497,9 @@ def execute(specs: Sequence[RunSpec], *,
             _dispatch["max_batch_units"] = max(
                 _dispatch.get("max_batch_units", 0), size)
 
-        # With real worker processes, silence their stderr warnings —
-        # each worker ships its warning keys back in UnitTelemetry and
-        # _fold_unit reprints every distinct one exactly once.
-        quiet = workers > 1 and telemetry_on
-        prev_quiet = os.environ.get(ENV_QUIET)
-        if quiet:
-            os.environ[ENV_QUIET] = "1"
-        try:
-            report = run_resilient(todo, workers=workers,
-                                   policy=active_retry_policy(),
-                                   runner=_execute_spec,
-                                   on_unit=_on_unit,
-                                   batch_units=batch_units,
-                                   on_batch=_on_batch)
-        finally:
-            if quiet:
-                if prev_quiet is None:
-                    os.environ.pop(ENV_QUIET, None)
-                else:
-                    os.environ[ENV_QUIET] = prev_quiet
+        report = run_resilient(todo, workers=workers,
+                               runner=_execute_spec, on_unit=_on_unit,
+                               batch_units=batch_units, on_batch=_on_batch)
         _tally(report)
         for i, metrics in zip(missing, report.results):
             results[i] = metrics

@@ -51,6 +51,8 @@ from typing import Callable, Sequence
 from repro.obs.registry import OBS
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec
+from repro.util import settings
+from repro.util.settings import RetryPolicy
 
 __all__ = [
     "CampaignJournal",
@@ -67,67 +69,6 @@ __all__ = [
 
 
 # ---- policy -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Knobs governing how hard the engine fights for each unit.
-
-    Attributes:
-        unit_timeout: Wall-clock seconds one unit may run in a worker
-            before being declared hung (``None`` disables — the default,
-            since legitimate runtimes vary by orders of magnitude across
-            fidelities).  Only enforceable with worker processes; the
-            serial path cannot preempt a hung simulation.
-        max_attempts: Total tries per unit (first run + retries).
-        backoff_base: First retry delay, seconds; doubles per attempt.
-        backoff_cap: Upper bound on any single delay, seconds.
-        max_pool_breaks: Consecutive pool rebuilds (crashes or hang
-            kills) tolerated before degrading to serial execution.
-    """
-
-    unit_timeout: float | None = None
-    max_attempts: int = 3
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    max_pool_breaks: int = 3
-
-    def __post_init__(self) -> None:
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
-            raise ValueError(f"unit_timeout={self.unit_timeout} must be "
-                             f"positive (or None to disable)")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts={self.max_attempts} must be >= 1")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff delays cannot be negative")
-        if self.max_pool_breaks < 1:
-            raise ValueError(
-                f"max_pool_breaks={self.max_pool_breaks} must be >= 1")
-
-    @classmethod
-    def from_env(cls, env: dict | None = None) -> "RetryPolicy":
-        """Policy from ``REPRO_UNIT_TIMEOUT`` / ``REPRO_MAX_ATTEMPTS``.
-
-        Malformed values warn and fall back to the defaults, matching
-        the engine's treatment of ``REPRO_WORKERS``.
-        """
-        env = os.environ if env is None else env
-        kwargs: dict = {}
-        raw = env.get("REPRO_UNIT_TIMEOUT")
-        if raw:
-            try:
-                kwargs["unit_timeout"] = float(raw)
-            except ValueError:
-                OBS.warn(f"REPRO_UNIT_TIMEOUT={raw!r} is not a number; "
-                         f"timeouts stay disabled")
-        raw = env.get("REPRO_MAX_ATTEMPTS")
-        if raw:
-            try:
-                kwargs["max_attempts"] = max(1, int(raw))
-            except ValueError:
-                OBS.warn(f"REPRO_MAX_ATTEMPTS={raw!r} is not an integer; "
-                         f"keeping the default")
-        return cls(**kwargs)
 
 
 def backoff_delay(key: str, attempt: int, policy: RetryPolicy) -> float:
@@ -235,8 +176,8 @@ def chaos_probe() -> None:
     ``O_EXCL`` sentinel (``<kind>.claim.<i>``) first, so budgets hold
     across worker processes, retries, and pool rebuilds.
     """
-    chaos_dir = os.environ.get("REPRO_CHAOS_DIR")
-    if not chaos_dir:
+    chaos_dir = settings.current().chaos_dir
+    if chaos_dir is None:
         return
     root = Path(chaos_dir)
     for kind in ("crash", "hang", "error"):
@@ -340,38 +281,20 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def _run_serial(pending: "deque[tuple[int, int]]",
-                specs: Sequence[RunSpec],
-                runner: Callable[[RunSpec], RunMetrics],
-                policy: RetryPolicy,
-                report: ExecutionReport,
-                on_unit: Callable[[int, RunMetrics | None], None] | None,
-                ) -> None:
-    """Drain ``pending`` in-process; retries apply, timeouts cannot."""
-    while pending:
-        index, attempt = pending.popleft()
-        spec = specs[index]
-        try:
-            with OBS.span(f"sweep.unit.{spec.workload}.{spec.policy}",
-                          system=spec.config, attempt=attempt):
-                report.results[index] = runner(spec)
-        except Exception as exc:  # noqa: BLE001 - anything may come back
-            if attempt < policy.max_attempts:
-                report.retries += 1
-                OBS.add("resilience.retry")
-                time.sleep(backoff_delay(spec.key(), attempt, policy))
-                pending.append((index, attempt + 1))
-            else:
-                report.failures.append(UnitFailure(
-                    index=index, key=spec.key(), label=spec.describe(),
-                    attempts=attempt,
-                    error=f"{type(exc).__name__}: {exc}"))
-                OBS.add("resilience.unit_failed")
-                if on_unit is not None:
-                    on_unit(index, None)
-        else:
-            if on_unit is not None:
-                on_unit(index, report.results[index])
+def _init_worker(campaign: settings.Settings) -> None:
+    """Pool initializer: adopt the parent's settings in a worker.
+
+    With telemetry on, the worker's warnings print nowhere: each ships
+    back in its unit's telemetry and the parent's fold prints every
+    distinct one exactly once.
+    """
+    settings.install(campaign)
+    OBS.quiet = campaign.telemetry
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(settings.current(),))
 
 
 def run_resilient(specs: Sequence[RunSpec], *, workers: int,
@@ -385,10 +308,14 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                   ) -> ExecutionReport:
     """Execute every spec, surviving crashes, hangs, and flaky failures.
 
+    Worker processes start with the caller's :func:`repro.util.settings
+    .current` installed (a pool-initializer argument, so it holds under
+    any multiprocessing start method).
+
     Args:
         specs: Units to run (typically the engine's cache misses).
         workers: Worker processes; ``<= 1`` runs serially in-process.
-        policy: Retry/timeout knobs (default: :meth:`RetryPolicy.from_env`).
+        policy: Retry/timeout knobs (default: the settings' ``retry``).
         runner: Unit entry point; must be picklable for ``workers > 1``.
             Defaults to the engine's worker entry.
         on_unit: Parent-process callback fired once per unit on its
@@ -412,7 +339,7 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
         (``None`` = terminal failure, detailed in ``failures``).
     """
     if policy is None:
-        policy = RetryPolicy.from_env()
+        policy = settings.current().retry
     if runner is None:
         from repro.experiments.engine import _execute_spec
         runner = _execute_spec
@@ -423,12 +350,26 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
     pending: deque[tuple[int, int]] = deque(
         (i, 1) for i in range(len(specs)))
 
-    if workers <= 1:
-        _run_serial(pending, specs, runner, policy, report, on_unit)
-        return report
+    def _done(index: int, metrics: RunMetrics) -> None:
+        report.results[index] = metrics
+        if on_unit is not None:
+            on_unit(index, metrics)
 
-    def _fail(index: int, attempt: int, error: str,
-              timed_out: bool = False) -> None:
+    def _charge(index: int, attempt: int, error: str, *,
+                backoff: bool = True, timed_out: bool = False) -> None:
+        """One failed attempt: re-enqueue the unit, or fail it for good.
+
+        ``backoff`` sleeps before the retry; hang kills and pool breaks
+        skip it, since rebuilding the pool already costs that long.
+        """
+        if attempt < policy.max_attempts:
+            report.retries += 1
+            OBS.add("resilience.retry")
+            if backoff:
+                time.sleep(backoff_delay(specs[index].key(), attempt,
+                                         policy))
+            pending.append((index, attempt + 1))
+            return
         report.failures.append(UnitFailure(
             index=index, key=specs[index].key(),
             label=specs[index].describe(), attempts=attempt,
@@ -437,8 +378,26 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
         if on_unit is not None:
             on_unit(index, None)
 
+    def _drain_serial() -> ExecutionReport:
+        """Run ``pending`` in-process; retries apply, timeouts cannot."""
+        while pending:
+            index, attempt = pending.popleft()
+            spec = specs[index]
+            try:
+                with OBS.span(f"sweep.unit.{spec.workload}.{spec.policy}",
+                              system=spec.config, attempt=attempt):
+                    metrics = runner(spec)
+            except Exception as exc:  # noqa: BLE001 - anything may come back
+                _charge(index, attempt, f"{type(exc).__name__}: {exc}")
+            else:
+                _done(index, metrics)
+        return report
+
+    if workers <= 1:
+        return _drain_serial()
+
     consecutive_breaks = 0
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _new_pool(workers)
     # future -> (group, deadline); group is [(index, attempt), ...] —
     # a singleton for classic dispatch, longer when batched.  A batch's
     # deadline scales with its size: the units run sequentially in one
@@ -483,28 +442,17 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                 exc = fut.exception()
                 if exc is None:
                     consecutive_breaks = 0
-                    if len(group) == 1:
-                        [(index, attempt)] = group
-                        outcomes = [("ok", fut.result())]
-                    else:
-                        outcomes = fut.result()
+                    outcomes = (fut.result() if len(group) > 1
+                                else [("ok", fut.result())])
                     for (index, attempt), (status, payload) in zip(
                             group, outcomes):
                         if status == "ok":
-                            report.results[index] = payload
                             OBS.add("sweep.runs_done")
-                            if on_unit is not None:
-                                on_unit(index, report.results[index])
-                        elif attempt < policy.max_attempts:
+                            _done(index, payload)
+                        else:
                             # Failed mid-batch: re-enqueued individually
                             # (attempt > 1 units never re-batch).
-                            report.retries += 1
-                            OBS.add("resilience.retry")
-                            time.sleep(backoff_delay(
-                                specs[index].key(), attempt, policy))
-                            pending.append((index, attempt + 1))
-                        else:
-                            _fail(index, attempt, str(payload))
+                            _charge(index, attempt, str(payload))
                 elif isinstance(exc, BrokenProcessPool):
                     # Every in-flight future gets this when any worker
                     # dies; the culprit is unknowable, so all of them
@@ -516,16 +464,8 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                     # or a batch that died outside per-unit isolation,
                     # e.g. an unpicklable result): charge every rider.
                     for index, attempt in group:
-                        if attempt < policy.max_attempts:
-                            report.retries += 1
-                            OBS.add("resilience.retry")
-                            time.sleep(
-                                backoff_delay(specs[index].key(), attempt,
-                                              policy))
-                            pending.append((index, attempt + 1))
-                        else:
-                            _fail(index, attempt,
-                                  f"{type(exc).__name__}: {exc}")
+                        _charge(index, attempt,
+                                f"{type(exc).__name__}: {exc}")
 
             # Hung units: anything still running past its deadline.  A
             # future still *queued* past its deadline (a sibling hogged
@@ -547,13 +487,10 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                     report.timeouts += len(group)
                     OBS.add("resilience.timeout", len(group))
                     for index, attempt in group:
-                        if attempt < policy.max_attempts:
-                            report.retries += 1
-                            pending.append((index, attempt + 1))
-                        else:
-                            _fail(index, attempt,
-                                  f"unit exceeded {policy.unit_timeout:g}s "
-                                  f"wall-clock timeout", timed_out=True)
+                        _charge(index, attempt,
+                                f"unit exceeded {policy.unit_timeout:g}s "
+                                f"wall-clock timeout",
+                                backoff=False, timed_out=True)
                 broke = True
 
             if broke:
@@ -566,13 +503,9 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                     interrupted.extend(group)
                 in_flight.clear()
                 for index, attempt in interrupted:
-                    if attempt < policy.max_attempts:
-                        pending.append((index, attempt + 1))
-                        report.retries += 1
-                    else:
-                        _fail(index, attempt,
-                              "worker pool broke repeatedly under "
-                              "this unit")
+                    _charge(index, attempt,
+                            "worker pool broke repeatedly under this unit",
+                            backoff=False)
                 _terminate_pool(pool)
                 if consecutive_breaks >= policy.max_pool_breaks:
                     OBS.warn(
@@ -582,10 +515,8 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                     OBS.add("resilience.degraded_serial")
                     report.degraded_serial = True
                     pool = None
-                    _run_serial(pending, specs, runner, policy, report,
-                                on_unit)
-                    return report
-                pool = ProcessPoolExecutor(max_workers=workers)
+                    return _drain_serial()
+                pool = _new_pool(workers)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

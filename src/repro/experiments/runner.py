@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.experiments import engine
-from repro.experiments.engine import sweep_workers  # noqa: F401  (re-export)
 from repro.obs.registry import OBS
 from repro.sim.config import (
     HETER_CONFIG1,

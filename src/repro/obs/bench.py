@@ -34,11 +34,11 @@ from pathlib import Path
 from statistics import median
 
 from repro.obs.telemetry import CampaignTelemetry
+from repro.util import settings
 
 __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_HISTORY",
-    "ENV_HISTORY",
     "append_record",
     "campaign_record",
     "check_regressions",
@@ -52,9 +52,6 @@ __all__ = [
 
 #: Schema version stamped into every history record.
 BENCH_SCHEMA = 1
-
-#: Overrides the default history path (used by the campaign CLI too).
-ENV_HISTORY = "REPRO_BENCH_HISTORY"
 
 DEFAULT_HISTORY = Path("results") / "bench_history.jsonl"
 
@@ -165,10 +162,10 @@ def hotpath_record(bench_dir: str | Path) -> dict:
 
 
 def history_path(path: str | Path | None = None) -> Path:
-    """Resolve the history file: explicit > env > default."""
+    """Resolve the history file: explicit > ``bench_history`` > default."""
     if path is not None:
         return Path(path)
-    env = os.environ.get(ENV_HISTORY)
+    env = settings.current().bench_history
     return Path(env) if env else DEFAULT_HISTORY
 
 

@@ -22,19 +22,12 @@ the MOCA profiler, experiment sweeps).  Design constraints, in order:
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["ENV_QUIET", "SpanEvent", "Registry", "OBS"]
-
-#: ``"1"`` suppresses the stderr print of :meth:`Registry.warn` while
-#: still recording the warning.  The sweep engine sets this in worker
-#: processes so campaign warnings are shipped back via telemetry and
-#: reprinted once by the parent instead of once per worker.
-ENV_QUIET = "REPRO_OBS_QUIET"
+__all__ = ["SpanEvent", "Registry", "OBS"]
 
 
 @dataclass
@@ -131,6 +124,11 @@ class Registry:
         self._listeners: list[Callable[[SpanEvent], None]] = []
         self._warned: dict[str, str] = {}  #: dedup key -> message
         self._next_id = 1
+        #: Suppress the stderr print of :meth:`warn` (the warning is
+        #: still recorded).  Sweep workers with telemetry on set this:
+        #: their warnings ship back in unit telemetry and the parent
+        #: prints each once instead of once per worker.
+        self.quiet = False
 
     # ---- lifecycle ---------------------------------------------------------------
 
@@ -231,8 +229,7 @@ class Registry:
 
     # ---- warnings ----------------------------------------------------------------
 
-    def warn(self, message: str, *, key: str | None = None,
-             force: bool = False) -> None:
+    def warn(self, message: str, *, key: str | None = None) -> None:
         """One-shot warning: stderr always, plus an instant event if enabled.
 
         Unlike the other hooks this is *not* silenced when the registry
@@ -243,16 +240,13 @@ class Registry:
         A stable key lets callers vary the message text — e.g. embed a
         count — without re-printing, and lets campaign telemetry
         deduplicate the same warning across worker processes.  With
-        :data:`ENV_QUIET` set to ``"1"`` the stderr print is suppressed
-        (the warning is still recorded and still shipped in telemetry)
-        unless ``force`` is true — the sweep engine uses ``force`` when
-        reprinting a warning shipped back from a quieted worker, since
-        the quiet env is still set in the parent at fold time.
+        :attr:`quiet` set the stderr print is suppressed (the warning is
+        still recorded and still shipped in telemetry).
         """
         key = message if key is None else key
         if key not in self._warned:
             self._warned[key] = message
-            if force or os.environ.get(ENV_QUIET) != "1":
+            if not self.quiet:
                 print(f"[repro.obs] warning: {message}", file=sys.stderr)
         if self.enabled:
             parent = self._stack[-1] if self._stack else None

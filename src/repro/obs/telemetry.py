@@ -26,12 +26,13 @@ three mergeable value types:
   ``to_dict``/``from_dict`` round-trip losslessly through the campaign
   manifest's ``telemetry`` block.
 
-Capture is off unless the ``REPRO_TELEMETRY`` environment variable is
-``"1"`` (the experiments CLI exports it; worker processes inherit it),
-so library users and the disabled-overhead guarantee of PR 1 are
-untouched.  :func:`merged_trace_doc` re-bases every unit's span events
-onto the campaign wall clock and emits one Chrome-trace pid lane per
-worker process next to the parent's own lane.
+Capture is off unless the ``telemetry`` setting is on (see
+:mod:`repro.util.settings`; the experiments CLI turns it on and the
+sweep engine hands it to its workers), so library users keep the
+registry's near-zero disabled overhead.
+:func:`merged_trace_doc` re-bases every unit's span events onto the
+campaign wall clock and emits one Chrome-trace pid lane per worker
+process next to the parent's own lane.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from pathlib import Path
 
 from repro.obs.registry import OBS, Registry
 from repro.obs.sinks import chrome_trace_doc
+from repro.util import settings
 
 __all__ = [
-    "ENV_PROFILE",
-    "ENV_TELEMETRY",
     "TELEMETRY_VERSION",
     "CampaignTelemetry",
     "LogHistogram",
@@ -67,13 +67,6 @@ __all__ = [
 #: Schema version of ``telemetry.jsonl`` and the manifest block.
 TELEMETRY_VERSION = 1
 
-#: ``"1"`` turns per-unit capture on (exported by the campaign CLI,
-#: inherited by sweep worker processes).
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-
-#: ``"1"`` wraps each unit in cProfile (the ``--profile`` flag).
-ENV_PROFILE = "REPRO_PROFILE"
-
 #: log2 bins: index = bit_length of the integer nanosecond value,
 #: clamped — bin 63 holds everything >= 2**62 ns (~146 years).
 N_BINS = 64
@@ -81,7 +74,7 @@ N_BINS = 64
 
 def capture_enabled() -> bool:
     """Whether :func:`begin_unit` captures are requested in this process."""
-    return os.environ.get(ENV_TELEMETRY) == "1"
+    return settings.current().telemetry
 
 
 # ---- mergeable histogram ----------------------------------------------------

@@ -24,9 +24,10 @@ size), the warmup fraction, and the trace RNG root.  The filter
 produce byte-identical streams (``tests/test_filter_parity.py``), so
 entries written by either are interchangeable.
 
-Module-level wiring: an explicit :func:`configure` call, else
-``REPRO_STREAM_STORE_DIR`` (empty string = explicitly disabled), else
-``<REPRO_CACHE_DIR>/streams``.
+Module-level wiring: an explicit :func:`configure` call, else the
+``stream_store_dir`` setting (``REPRO_STREAM_STORE_DIR``; the empty
+string = explicitly disabled), else ``<cache_dir>/streams`` (see
+:mod:`repro.util.settings`).
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from repro.util.castore import CAStore, Selection, digest
 from repro.util.rng import ROOT_SEED
 
 __all__ = [
-    "ENV_DIR",
-    "ENV_REFRESH",
     "STREAM_STORE_VERSION",
     "StreamStore",
     "active",
@@ -54,10 +53,6 @@ __all__ = [
 
 #: On-disk entry format; entries from other versions are ignored.
 STREAM_STORE_VERSION = 2
-
-#: Environment selection (inherited by sweep worker processes).
-ENV_DIR = "REPRO_STREAM_STORE_DIR"
-ENV_REFRESH = "REPRO_STREAM_REFRESH"
 
 _ARRAYS = {"inst": np.int64, "vline": np.int64, "obj_id": np.int32,
            "dep": np.bool_, "kind": np.int8}
@@ -181,7 +176,7 @@ class StreamStore:
 
 # ---- module-level wiring ---------------------------------------------------
 
-_selection = Selection(ENV_DIR, "streams", StreamStore, ENV_REFRESH)
+_selection = Selection("stream_store_dir", "streams", StreamStore)
 
 
 def configure(directory: str | Path | None, *,
@@ -198,17 +193,17 @@ def configure(directory: str | Path | None, *,
 
 
 def reset() -> None:
-    """Drop explicit configuration; the environment decides again."""
+    """Drop explicit configuration; the settings decide again."""
     _selection.reset()
 
 
 def active() -> StreamStore | None:
     """The store ``filtered_stream`` will consult, or ``None``.
 
-    Precedence: explicit :func:`configure` call, else
-    ``REPRO_STREAM_STORE_DIR`` (the empty string means *explicitly
-    disabled*), else ``<REPRO_CACHE_DIR>/streams`` so one
-    ``--cache-dir`` flag keeps both caches side by side.
+    Precedence: explicit :func:`configure` call, else the
+    ``stream_store_dir`` setting (the empty string means *explicitly
+    disabled*), else ``<cache_dir>/streams`` so one ``--cache-dir``
+    flag keeps both caches side by side.
     """
     return _selection.active()
 

@@ -28,11 +28,13 @@ whole entry through the same corrupt path and raises
 :class:`CorruptTraceError` — callers rebuild and retry
 (:func:`repro.sim.single.filtered_stream_chunked` does exactly that).
 
-Module-level wiring: an explicit :func:`configure` call, else
-``REPRO_TRACE_STORE_DIR``, else ``<REPRO_CACHE_DIR>/traces``, else a
-process-lifetime temporary directory (chunked traces must live
-*somewhere* on disk — that is the point).  An empty
-``REPRO_TRACE_STORE_DIR`` also selects the temporary directory.
+Module-level wiring: an explicit :func:`configure` call, else the
+``trace_store_dir`` setting (``REPRO_TRACE_STORE_DIR``), else
+``<cache_dir>/traces`` — so every worker of a ``--cache-dir`` campaign
+shares one store — else a process-lifetime temporary directory (chunked
+traces must live *somewhere* on disk — that is the point).  An empty
+``trace_store_dir`` and ``--no-cache`` also select the temporary
+directory (see :mod:`repro.util.settings`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.util.castore import (CORRUPT_ERRORS, MANIFEST_NAME, CAStore,
 from repro.util.rng import ROOT_SEED
 
 __all__ = [
-    "ENV_DIR",
     "MANIFEST_NAME",
     "TRACE_STORE_VERSION",
     "ChunkedTrace",
@@ -68,9 +69,6 @@ __all__ = [
 
 #: On-disk entry format; entries from other versions are dropped.
 TRACE_STORE_VERSION = 2
-
-#: Environment selection (inherited by sweep worker processes).
-ENV_DIR = "REPRO_TRACE_STORE_DIR"
 
 
 class CorruptTraceError(RuntimeError):
@@ -341,7 +339,8 @@ class TraceStore:
 
 # ---- module-level wiring ---------------------------------------------------
 
-_selection = Selection(ENV_DIR, "traces", lambda d, refresh: TraceStore(d))
+_selection = Selection("trace_store_dir", "traces",
+                       lambda d, refresh: TraceStore(d))
 _tmp_store: TraceStore | None = None
 
 
@@ -351,16 +350,16 @@ def configure(directory: str | Path) -> TraceStore:
 
 
 def reset() -> None:
-    """Drop explicit configuration; the environment decides again."""
+    """Drop explicit configuration; the settings decide again."""
     _selection.reset()
 
 
 def active() -> TraceStore:
     """The store chunked builds land in (never ``None``).
 
-    Precedence: explicit :func:`configure` call, else
-    ``REPRO_TRACE_STORE_DIR``, else ``<REPRO_CACHE_DIR>/traces``, else
-    a process-lifetime temporary directory (removed at exit).
+    Precedence: explicit :func:`configure` call, else the
+    ``trace_store_dir`` setting, else ``<cache_dir>/traces``, else a
+    process-lifetime temporary directory (removed at exit).
     """
     global _tmp_store
     store = _selection.active()

@@ -31,8 +31,9 @@ Rules every store gets from here:
 
 There is no eviction: clear the directory to reclaim space.  Store
 selection (:class:`Selection`) is written once too: an explicit
-``configure`` call, else the store's own environment variable (the
-empty string = disabled), else ``<REPRO_CACHE_DIR>/<subdir>``.
+``configure`` call, else the store's own directory setting (the empty
+string = disabled), else ``<cache_dir>/<subdir>`` (see
+:mod:`repro.util.settings`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.obs.registry import OBS
+from repro.util import settings
 from repro.util.resident import ResidentLRU
 
 __all__ = ["CORRUPT_ERRORS", "MANIFEST_NAME", "CAStore", "Selection",
@@ -315,18 +317,18 @@ class Selection:
     """Which store of one kind a process uses.
 
     Precedence: an explicit :meth:`configure` (``None`` = disabled),
-    else ``env_var`` (the empty string = disabled — how a ``--no-cache``
-    parent shields its workers), else ``<REPRO_CACHE_DIR>/<subdir>``
-    (no fallback when ``subdir`` is ``None``).  ``refresh_var`` set to
-    ``"1"`` builds the environment's store with ``refresh=True``.
+    else the :mod:`repro.util.settings` field named ``field`` (the empty
+    string = disabled — how ``--no-cache`` shields the workers), else
+    ``<cache_dir>/<subdir>`` (no fallback when ``subdir`` is ``None``).
+    Stores are built with the settings' ``refresh`` flag, and one store
+    is kept per ``(directory, refresh)`` choice.
     """
 
-    def __init__(self, env_var: str, subdir: str | None,
-                 make: Callable[..., Any], refresh_var: str | None = None):
-        self.env_var = env_var
+    def __init__(self, field: str, subdir: str | None,
+                 make: Callable[..., Any]):
+        self.field = field
         self.subdir = subdir
         self.make = make
-        self.refresh_var = refresh_var
         self.reset()
 
     def configure(self, store: Any) -> Any:
@@ -334,23 +336,24 @@ class Selection:
         return store
 
     def reset(self) -> None:
-        """Drop explicit configuration; the environment decides again."""
+        """Drop explicit configuration; the settings decide again."""
         self._override = _UNSET
-        self._env_store = None
-        self._env_key = None
+        self._store = None
+        self._key = None
 
     def active(self) -> Any:
         if self._override is not _UNSET:
             return self._override
-        env = os.environ.get(self.env_var)
-        if env is None:
-            base = os.environ.get("REPRO_CACHE_DIR")
-            env = str(Path(base) / self.subdir) if base and self.subdir else ""
-        if not env:
+        campaign = settings.current()
+        directory = getattr(campaign, self.field)
+        if directory is None:
+            base = campaign.cache_dir
+            directory = (str(Path(base) / self.subdir)
+                         if base and self.subdir else "")
+        if not directory:
             return None
-        refresh = (self.refresh_var is not None
-                   and os.environ.get(self.refresh_var) == "1")
-        if self._env_key != (env, refresh):
-            self._env_store = self.make(Path(env), refresh=refresh)
-            self._env_key = (env, refresh)
-        return self._env_store
+        key = (directory, campaign.refresh)
+        if self._key != key:
+            self._store = self.make(Path(directory), refresh=campaign.refresh)
+            self._key = key
+        return self._store

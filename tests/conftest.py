@@ -1,6 +1,9 @@
-"""Shared fixtures: small deterministic traces, systems, and streams."""
+"""Shared fixtures: traces, systems, streams, and settings isolation."""
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,8 +12,49 @@ from repro.cpu.hierarchy import CacheHierarchy
 from repro.memctrl.system import ChannelGroup, MemorySystem
 from repro.memdev.presets import DDR3, HBM, LPDDR2, RLDRAM3
 from repro.trace.builder import ObjectBehavior, TraceBuilder
+from repro.util import settings
 from repro.util.rng import stream
 from repro.util.units import KIB, MIB
+
+
+def repro_free_env(**overrides: str) -> dict[str, str]:
+    """``os.environ`` without any ``REPRO_*`` variable, plus ``overrides``.
+
+    The ledger's ``pinned_env`` rule: drop every knob rather than a
+    hand-kept list, so a developer's exported variable never leaks in.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(overrides)
+    return env
+
+
+def _drop_repro_env(mp: pytest.MonkeyPatch) -> None:
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        mp.delenv(name)
+    settings.reset()
+
+
+@contextmanager
+def isolated_settings_ctx():
+    """Drop every ``REPRO_*`` variable and uninstall the settings.
+
+    Both come back on exit, and ``REPRO_*`` variables set through the
+    yielded ``MonkeyPatch`` are undone with them.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        _drop_repro_env(mp)
+        try:
+            yield mp
+        finally:
+            settings.reset()
+
+
+@pytest.fixture
+def isolated_settings(monkeypatch):
+    """:func:`isolated_settings_ctx` for one test, on its ``monkeypatch``."""
+    _drop_repro_env(monkeypatch)
+    yield monkeypatch
+    settings.reset()
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from repro.experiments.resilience import (
     run_resilient,
 )
 from repro.sim.spec import RunSpec
+from repro.util import settings
 
 # Two units per workload: batching is workload-major, so consecutive
 # same-workload units are what actually groups into one future.
@@ -35,12 +36,7 @@ def _echo_runner(spec):
 
 
 @pytest.fixture(autouse=True)
-def _isolated(monkeypatch):
-    for var in ("REPRO_CHAOS_DIR", "REPRO_UNIT_TIMEOUT",
-                "REPRO_MAX_ATTEMPTS", "REPRO_CACHE_DIR", "REPRO_WORKERS",
-                "REPRO_OVERSUBSCRIBE", "REPRO_BATCH_UNITS",
-                "REPRO_TELEMETRY"):
-        monkeypatch.delenv(var, raising=False)
+def _isolated(isolated_settings):
     engine.reset()
     yield
     engine.reset()
@@ -70,25 +66,25 @@ class TestBatchSizing:
         assert engine._auto_batch_units(1000, 2) == 1
 
     def test_env_literal_and_clamp(self, monkeypatch):
-        monkeypatch.setenv(engine.ENV_BATCH, "3")
+        monkeypatch.setenv("REPRO_BATCH_UNITS", "3")
         assert engine.batch_units_for(100, 2) == 3
-        monkeypatch.setenv(engine.ENV_BATCH, "999")
+        monkeypatch.setenv("REPRO_BATCH_UNITS", "999")
         assert engine.batch_units_for(100, 2) == engine.MAX_BATCH_UNITS
 
     def test_env_auto_forms(self, monkeypatch):
         for raw in ("", "0", "auto"):
-            monkeypatch.setenv(engine.ENV_BATCH, raw)
+            monkeypatch.setenv("REPRO_BATCH_UNITS", raw)
             assert engine.batch_units_for(100, 2) == \
                 engine.DEFAULT_BATCH_UNITS
 
     def test_env_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv(engine.ENV_BATCH, "frogs")
+        monkeypatch.setenv("REPRO_BATCH_UNITS", "frogs")
         assert engine.batch_units_for(100, 2) == engine.DEFAULT_BATCH_UNITS
 
     def test_configure_dispatch_roundtrip(self, monkeypatch):
-        engine.configure_dispatch(2)
+        settings.update(batch_units=2)
         assert engine.batch_units_for(100, 2) == 2
-        engine.configure_dispatch(None)
+        settings.update(batch_units=None)
         assert engine.batch_units_for(100, 2) == engine.DEFAULT_BATCH_UNITS
 
 
@@ -129,7 +125,7 @@ class TestBatchedRows:
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         monkeypatch.setenv("REPRO_BATCH_UNITS", "2")
-        engine.configure_telemetry(True)
+        settings.update(telemetry=True)
         engine.execute(SPECS, phase="sweep.test")
         counters = engine.campaign_telemetry().counters
         assert counters.get("dispatch.batched_units", 0) == len(SPECS)
@@ -183,7 +179,7 @@ class TestMidBatchResume:
         monkeypatch.setenv("REPRO_BATCH_UNITS", "2")
         (chaos / "error").write_text("1")
         engine.configure(cache_dir)
-        engine.configure_resilience(RetryPolicy(
+        settings.update(retry=RetryPolicy(
             max_attempts=1, backoff_base=0.01, backoff_cap=0.05))
         with pytest.raises(SweepFailure) as excinfo:
             engine.execute(SPECS, phase="sweep.test")
@@ -193,7 +189,7 @@ class TestMidBatchResume:
 
         engine.reset()
         engine.configure(cache_dir)
-        engine.configure_resilience(FAST)
+        settings.update(retry=FAST)
         metrics = engine.execute(SPECS, phase="sweep.test")
         assert all(m is not None and m.exec_cycles > 0 for m in metrics)
         stats = engine.cache_stats()

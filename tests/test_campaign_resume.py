@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import repro_free_env
+
 REPO = Path(__file__).parent.parent
 
 
@@ -31,13 +33,7 @@ def campaign_cmd(save: Path, cache: Path, *extra: str) -> list[str]:
 
 
 def campaign_env(**overrides: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": "src"}
-    for var in ("REPRO_CHAOS_DIR", "REPRO_WORKERS", "REPRO_OVERSUBSCRIBE",
-                "REPRO_UNIT_TIMEOUT", "REPRO_MAX_ATTEMPTS",
-                "REPRO_CACHE_DIR"):
-        env.pop(var, None)
-    env.update(overrides)
-    return env
+    return repro_free_env(PYTHONPATH="src", **overrides)
 
 
 @pytest.fixture(scope="module")

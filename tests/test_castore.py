@@ -26,7 +26,7 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec
 from repro.trace import chunked
 from repro.trace.builder import ObjectBehavior, TraceBuilder
-from repro.util import castore
+from repro.util import castore, settings
 from repro.util.rng import stream
 from repro.util.units import MIB
 
@@ -396,20 +396,18 @@ class TestCrashAndRace:
 
 
 class TestSelection:
-    def test_precedence(self, tmp_path, monkeypatch):
-        sel = castore.Selection("REPRO_TEST_STORE_DIR", "sub",
-                                lambda d, refresh: (d, refresh),
-                                "REPRO_TEST_REFRESH")
-        monkeypatch.delenv("REPRO_TEST_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_precedence(self, tmp_path, isolated_settings):
+        monkeypatch = isolated_settings
+        sel = castore.Selection("stream_store_dir", "sub",
+                                lambda d, refresh: (d, refresh))
         assert sel.active() is None
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert sel.active() == (tmp_path / "sub", False)
-        monkeypatch.setenv("REPRO_TEST_REFRESH", "1")
-        monkeypatch.setenv("REPRO_TEST_STORE_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path / "env"))
+        settings.update(refresh=True)
         assert sel.active() == (tmp_path / "env", True)
         assert sel.active() is sel.active()  # one instance per choice
-        monkeypatch.setenv("REPRO_TEST_STORE_DIR", "")
+        settings.update(stream_store_dir="")
         assert sel.active() is None
         sel.configure("explicit")
         assert sel.active() == "explicit"
@@ -419,7 +417,7 @@ class TestSelection:
     def test_empty_trace_store_env_selects_tempdir(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv(chunked.ENV_DIR, "")
+        monkeypatch.setenv("REPRO_TRACE_STORE_DIR", "")
         chunked.reset()
         try:
             assert chunked.active().directory != tmp_path / "traces"

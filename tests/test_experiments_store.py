@@ -105,13 +105,13 @@ class TestBars:
 
 class TestParallelSweep:
     def test_worker_env_parsing(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.experiments import engine
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert runner.sweep_workers() == 4
+        assert engine.sweep_workers() == 4
         monkeypatch.setenv("REPRO_WORKERS", "bogus")
-        assert runner.sweep_workers() == 1
+        assert engine.sweep_workers() == 1
         monkeypatch.delenv("REPRO_WORKERS")
-        assert runner.sweep_workers() == 1
+        assert engine.sweep_workers() == 1
 
     def test_parallel_matches_serial(self, monkeypatch):
         """Workers must not change any number (determinism across

@@ -237,7 +237,7 @@ class TestProgressReporter:
 
 class TestSweepWorkersWarning:
     def test_garbage_env_warns_once(self, monkeypatch, capsys):
-        from repro.experiments.runner import sweep_workers
+        from repro.experiments.engine import sweep_workers
         OBS.reset()  # clear warn-once memory from other tests
         monkeypatch.setenv("REPRO_WORKERS", "garbage")
         assert sweep_workers() == 1
@@ -246,7 +246,7 @@ class TestSweepWorkersWarning:
         assert err.count("REPRO_WORKERS='garbage'") == 1
 
     def test_valid_env_is_silent(self, monkeypatch, capsys):
-        from repro.experiments.runner import sweep_workers
+        from repro.experiments.engine import sweep_workers
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert sweep_workers() == 3
         assert capsys.readouterr().err == ""

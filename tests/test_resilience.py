@@ -23,7 +23,9 @@ from repro.experiments.resilience import (
     chaos_probe,
     run_resilient,
 )
+from repro.obs.registry import OBS
 from repro.sim.spec import RunSpec
+from repro.util import settings
 
 #: Tiny but real specs — run_resilient only needs key()/describe() and,
 #: for the chaos runner below, something cheap to "simulate".
@@ -41,11 +43,7 @@ def _echo_runner(spec):
 
 
 @pytest.fixture(autouse=True)
-def _isolated(monkeypatch):
-    for var in ("REPRO_CHAOS_DIR", "REPRO_UNIT_TIMEOUT",
-                "REPRO_MAX_ATTEMPTS", "REPRO_CACHE_DIR", "REPRO_WORKERS",
-                "REPRO_OVERSUBSCRIBE"):
-        monkeypatch.delenv(var, raising=False)
+def _isolated(isolated_settings):
     engine.reset()
     yield
     engine.reset()
@@ -66,18 +64,6 @@ class TestRetryPolicy:
             RetryPolicy(max_pool_breaks=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-1)
-
-    def test_from_env(self):
-        p = RetryPolicy.from_env({"REPRO_UNIT_TIMEOUT": "2.5",
-                                  "REPRO_MAX_ATTEMPTS": "7"})
-        assert p.unit_timeout == 2.5
-        assert p.max_attempts == 7
-
-    def test_from_env_malformed_falls_back(self):
-        p = RetryPolicy.from_env({"REPRO_UNIT_TIMEOUT": "soon",
-                                  "REPRO_MAX_ATTEMPTS": "many"})
-        assert p.unit_timeout is None
-        assert p.max_attempts == 3
 
 
 class TestBackoff:
@@ -149,6 +135,20 @@ class TestPoolRecovery:
         assert sorted(report.results) == sorted(s.workload for s in SPECS)
         assert not report.degraded_serial
 
+    def test_retry_counter_matches_report(self, tmp_path, monkeypatch):
+        """A pool break's retries are counted like any other retry."""
+        monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+        (tmp_path / "crash").write_text("1")
+        OBS.reset().enable()
+        try:
+            report = run_resilient(SPECS, workers=2, policy=FAST,
+                                   runner=_echo_runner)
+            assert report.ok and report.pool_breaks == 1
+            assert report.retries >= 1
+            assert OBS.counters.get("resilience.retry", 0) == report.retries
+        finally:
+            OBS.reset().disable()
+
     def test_hung_unit_is_killed_and_charged(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         (tmp_path / "hang").write_text("1 60")
@@ -181,7 +181,7 @@ class TestEngineIntegration:
     def test_execute_survives_transient_errors(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         (tmp_path / "error").write_text("2")
-        engine.configure_resilience(FAST)
+        settings.update(retry=FAST)
         metrics = engine.execute(SPECS, phase="sweep.test")
         assert all(m is not None and m.exec_cycles > 0 for m in metrics)
         stats = engine.resilience_stats()
@@ -192,7 +192,7 @@ class TestEngineIntegration:
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         (tmp_path / "error").write_text("99")
-        engine.configure_resilience(FAST)
+        settings.update(retry=FAST)
         with pytest.raises(SweepFailure) as excinfo:
             engine.execute(SPECS[:2], phase="sweep.test")
         assert len(excinfo.value.failures) == 2
@@ -210,7 +210,7 @@ class TestEngineIntegration:
         # error); siblings succeed and must land in the cache anyway.
         (chaos / "error").write_text("1")
         engine.configure(cache_dir)
-        engine.configure_resilience(RetryPolicy(
+        settings.update(retry=RetryPolicy(
             max_attempts=1, backoff_base=0.01, backoff_cap=0.05))
         with pytest.raises(SweepFailure):
             engine.execute(SPECS, phase="sweep.test")
@@ -218,9 +218,9 @@ class TestEngineIntegration:
 
     def test_configure_resilience_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "9")
-        assert engine.active_retry_policy().max_attempts == 9
-        engine.configure_resilience(RetryPolicy(max_attempts=2))
-        assert engine.active_retry_policy().max_attempts == 2
+        assert settings.current().retry.max_attempts == 9
+        settings.update(retry=RetryPolicy(max_attempts=2))
+        assert settings.current().retry.max_attempts == 2
 
 
 class TestCampaignJournal:

@@ -18,16 +18,14 @@ from repro.cpu.hierarchy import CacheHierarchy
 from repro.experiments import engine
 from repro.sim import stream_store
 from repro.trace.builder import ObjectBehavior, TraceBuilder
+from repro.util import settings
 from repro.util.rng import stream
 from repro.util.units import KIB, MIB
 
 
 @pytest.fixture(autouse=True)
-def _clean_wiring(monkeypatch):
+def _clean_wiring(isolated_settings):
     """Isolate every test from ambient store configuration."""
-    monkeypatch.delenv(stream_store.ENV_DIR, raising=False)
-    monkeypatch.delenv(stream_store.ENV_REFRESH, raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     stream_store.reset()
     yield
     stream_store.reset()
@@ -195,7 +193,7 @@ class TestModuleWiring:
         assert stream_store.stats_dict() is None
 
     def test_env_dir_selects_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(stream_store.ENV_DIR, str(tmp_path))
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path))
         store = stream_store.active()
         assert store is not None and store.directory == tmp_path
         assert store is stream_store.active()  # cached instance
@@ -204,7 +202,7 @@ class TestModuleWiring:
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert stream_store.active() is not None
-        monkeypatch.setenv(stream_store.ENV_DIR, "")
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", "")
         assert stream_store.active() is None
 
     def test_cache_dir_fallback(self, tmp_path, monkeypatch):
@@ -213,7 +211,7 @@ class TestModuleWiring:
         assert store.directory == tmp_path / "streams"
 
     def test_configure_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(stream_store.ENV_DIR, str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path / "env"))
         stream_store.configure(tmp_path / "explicit")
         assert stream_store.active().directory == tmp_path / "explicit"
         stream_store.configure(None)
@@ -221,9 +219,10 @@ class TestModuleWiring:
         stream_store.reset()
         assert stream_store.active().directory == tmp_path / "env"
 
-    def test_env_refresh_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(stream_store.ENV_DIR, str(tmp_path))
-        monkeypatch.setenv(stream_store.ENV_REFRESH, "1")
+    def test_refresh_setting(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path))
+        assert not stream_store.active().refresh
+        settings.update(refresh=True)
         assert stream_store.active().refresh
 
 
@@ -233,31 +232,37 @@ class TestEngineWiring:
         store = stream_store.active()
         assert store is not None
         assert store.directory == tmp_path / "streams"
-        # Exported for worker processes.
-        assert os.environ[stream_store.ENV_DIR] == str(tmp_path / "streams")
+        # Handed to worker processes with the settings, not the env.
+        assert settings.current().cache_dir == str(tmp_path)
+        assert "REPRO_STREAM_STORE_DIR" not in os.environ
 
-    def test_no_cache_disables_streams_everywhere(self, tmp_path):
+    def test_no_cache_disables_streams_everywhere(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         engine.configure(None)
         assert stream_store.active() is None
         # Workers must inherit the disable, not fall back to env dirs.
-        assert os.environ[stream_store.ENV_DIR] == ""
+        assert settings.current().stream_store_dir == ""
 
     def test_refresh_carries_over(self, tmp_path):
         engine.configure(tmp_path, refresh=True)
         assert stream_store.active().refresh
-        assert os.environ[stream_store.ENV_REFRESH] == "1"
+        assert settings.current().refresh
 
     def test_env_stream_dir_overrides_cache_dir(self, tmp_path,
                                                 monkeypatch):
-        monkeypatch.setenv(stream_store.ENV_DIR, str(tmp_path / "s"))
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path / "s"))
         engine.configure(tmp_path / "cache")
         assert stream_store.active().directory == tmp_path / "s"
 
     def test_reset_restores_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(stream_store.ENV_DIR, str(tmp_path / "orig"))
-        engine.configure(tmp_path / "cache")
+        monkeypatch.setenv("REPRO_STREAM_STORE_DIR", str(tmp_path / "orig"))
+        before = dict(os.environ)
+        engine.configure(None)
+        assert stream_store.active() is None
+        assert dict(os.environ) == before  # configure never writes it
         engine.reset()
-        assert os.environ[stream_store.ENV_DIR] == str(tmp_path / "orig")
+        assert stream_store.active().directory == tmp_path / "orig"
 
     def test_cache_stats_reports_streams_block(self, tmp_path):
         engine.configure(tmp_path)
@@ -285,7 +290,7 @@ print(prov["engine"], prov["from_store"], len(s), c.l2_misses,
 class TestCrossProcess:
     def test_second_process_hits_the_store(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": "src",
-               stream_store.ENV_DIR: str(tmp_path)}
+               "REPRO_STREAM_STORE_DIR": str(tmp_path)}
         outs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-c", _CHILD],

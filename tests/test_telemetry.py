@@ -36,7 +36,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import bench
 from repro.obs import telemetry as obstel
 from repro.obs.dashboard import HEARTBEAT_NAME, Dashboard, supports_repaint
-from repro.obs.registry import ENV_QUIET, OBS, Registry
+from repro.obs.registry import OBS, Registry
 from repro.obs.telemetry import (
     CampaignTelemetry,
     LogHistogram,
@@ -44,19 +44,10 @@ from repro.obs.telemetry import (
     UnitTelemetry,
 )
 from repro.sim.spec import RunSpec
+from repro.util import settings as repro_settings
 from repro.workloads.spec import APPS
 
-# Env vars that would change campaign behaviour under test.
-_CAMPAIGN_ENV = ("REPRO_WORKERS", "REPRO_OVERSUBSCRIBE", "REPRO_CACHE_DIR",
-                 "REPRO_UNIT_TIMEOUT", "REPRO_MAX_ATTEMPTS", "REPRO_CHAOS_DIR",
-                 "REPRO_TELEMETRY", "REPRO_PROFILE",
-                 "REPRO_BENCH_HISTORY", ENV_QUIET)
-
-
-@pytest.fixture
-def clean_env(monkeypatch):
-    for var in _CAMPAIGN_ENV:
-        monkeypatch.delenv(var, raising=False)
+from conftest import isolated_settings_ctx
 
 
 # ---- hypothesis strategies --------------------------------------------------
@@ -290,20 +281,15 @@ class TestCapture:
 
 
 class TestWarnDedup:
-    def test_quiet_env_suppresses_print_but_records(self, capfd, monkeypatch):
+    def test_quiet_suppresses_print_but_records(self, capfd):
         reg = Registry()
-        monkeypatch.setenv(ENV_QUIET, "1")
+        reg.quiet = True
         reg.warn("muzzled", key="m")
         assert "muzzled" not in capfd.readouterr().err
         assert reg._warned == {"m": "muzzled"}
 
-    def test_force_overrides_quiet(self, capfd, monkeypatch):
-        reg = Registry()
-        monkeypatch.setenv(ENV_QUIET, "1")
-        reg.warn("audible", key="a", force=True)
-        assert "audible" in capfd.readouterr().err
-
-    def test_multi_worker_warning_printed_once(self, capfd, clean_env,
+    def test_multi_worker_warning_printed_once(self, capfd,
+                                               isolated_settings,
                                                monkeypatch):
         """A placement warning raised in 2 quieted workers lands on
         stderr exactly once, via the parent's fold-time reprint."""
@@ -319,7 +305,7 @@ class TestWarnDedup:
         OBS.reset()
         try:
             engine.configure(None)
-            engine.configure_telemetry(True)
+            repro_settings.update(telemetry=True)
             engine.execute(specs, phase="dedup-test")
             ct = engine.campaign_telemetry()
             assert ct.units == 4
@@ -514,7 +500,8 @@ class TestBench:
         ]
         assert bench.check_regressions(history, baseline_dir=tmp_path) == []
 
-    def test_report_main_round_trip(self, tmp_path, capsys, clean_env):
+    def test_report_main_round_trip(self, tmp_path, capsys,
+                                    isolated_settings):
         hist = tmp_path / "hist.jsonl"
         bench.append_record({"kind": "campaign", "fidelity": "tiny",
                              "replay_acc_per_s": 123.0}, hist)
@@ -528,13 +515,15 @@ class TestBench:
         assert summary["regressions"] == []
         assert summary["latest_campaign"]["replay_acc_per_s"] == 123.0
 
-    def test_report_main_missing_hotpath_dir(self, tmp_path, clean_env):
+    def test_report_main_missing_hotpath_dir(self, tmp_path,
+                                             isolated_settings):
         rc = exp_main(["bench-report", "--history",
                        str(tmp_path / "h.jsonl"),
                        "--record-hotpath", str(tmp_path / "empty")])
         assert rc == 2
 
-    def test_report_main_records_hotpath(self, tmp_path, clean_env):
+    def test_report_main_records_hotpath(self, tmp_path,
+                                         isolated_settings):
         bdir = tmp_path / "bench"
         bdir.mkdir()
         (bdir / "BENCH_hotpath.json").write_text(json.dumps(
@@ -559,14 +548,10 @@ def campaign(tmp_path_factory):
     """One cold ``fig08 --fidelity tiny`` campaign, telemetry on."""
     base = tmp_path_factory.mktemp("telemetry_campaign")
     save, cache = base / "save", base / "cache"
-    saved_env = {k: os.environ.pop(k) for k in _CAMPAIGN_ENV
-                 if k in os.environ}
     _runner.single_sweep.cache_clear()
-    try:
+    with isolated_settings_ctx():
         rc = exp_main(["fig08", "--fidelity", "tiny", "--save", str(save),
                        "--cache-dir", str(cache)])
-    finally:
-        os.environ.update(saved_env)
     assert rc == 0
     return save, cache
 
@@ -629,7 +614,8 @@ class TestCampaignAcceptance:
         labels = {e["args"]["unit"] for e in unit_spans}
         assert len(labels) == len(APPS) * FIG08_SYSTEMS
 
-    def test_warm_rerun_accounts_cached_units(self, campaign, clean_env):
+    def test_warm_rerun_accounts_cached_units(self, campaign,
+                                              isolated_settings):
         save, cache = campaign
         _runner.single_sweep.cache_clear()
         rc = exp_main(["fig08", "--fidelity", "tiny", "--save", str(save),
@@ -640,7 +626,7 @@ class TestCampaignAcceptance:
         assert telem["cached_units"] == len(APPS) * FIG08_SYSTEMS
 
     def test_rows_identical_without_telemetry(self, campaign, tmp_path,
-                                              clean_env):
+                                              isolated_settings):
         """--no-telemetry must not perturb a single figure number."""
         save, cache = campaign
         off = tmp_path / "off"
