@@ -61,8 +61,8 @@ def test_ablation_heat_priority(benchmark, fidelity):
         trace = build_app_trace(app, "ref", fidelity.n_single)
         fw = MocaFramework(profile_accesses=fidelity.n_single)
         inst = fw.instrument(app)
-        types = fw.runtime_types(inst, trace)
-        heat = fw.runtime_heat(inst, trace) if with_heat else None
+        types = fw.runtime_types(inst, trace.layout)
+        heat = fw.runtime_heat(inst, trace.layout) if with_heat else None
         memsys = HETER_CONFIG1.build()
         allocator = HETER_CONFIG1.make_allocator(memsys)
         policy = MocaPolicy([types], [heat] if heat else None)
@@ -145,8 +145,8 @@ def test_ablation_training_vs_oracle(benchmark, fidelity):
         fw = MocaFramework(profile_input=profile_input,
                            profile_accesses=fidelity.n_single)
         inst = fw.instrument(app)
-        policy = MocaPolicy([fw.runtime_types(inst, trace)],
-                            [fw.runtime_heat(inst, trace)])
+        policy = MocaPolicy([fw.runtime_types(inst, trace.layout)],
+                            [fw.runtime_heat(inst, trace.layout)])
         memsys = HETER_CONFIG1.build()
         allocator = HETER_CONFIG1.make_allocator(memsys)
         plan = plan_placement([stream], policy, allocator,

@@ -62,8 +62,8 @@ def main() -> None:
     mstream, _ = CacheHierarchy().filter_trace(test)
     memsys = HETER_CONFIG1.build()
     allocator = HETER_CONFIG1.make_allocator(memsys)
-    policy = MocaPolicy([moca.runtime_types(instrumented, test)],
-                        [moca.runtime_heat(instrumented, test)])
+    policy = MocaPolicy([moca.runtime_types(instrumented, test.layout)],
+                        [moca.runtime_heat(instrumented, test.layout)])
     plan = plan_placement([mstream], policy, allocator,
                           layouts=[test.layout])
     core = InOrderWindowCore(mstream, plan.groups[0], plan.gaddrs[0])

@@ -17,7 +17,7 @@ from repro.moca.classify import DEFAULT_THRESHOLDS, Thresholds, classify_object
 from repro.moca.naming import ObjectName, name_from_site
 from repro.moca.profiler import ProfiledApp, profile_app
 from repro.obs.registry import OBS
-from repro.trace.events import AccessTrace
+from repro.trace.events import VirtualLayout
 from repro.vm.heap import ObjectType
 from repro.workloads.inputs import TRAIN
 
@@ -144,25 +144,25 @@ class MocaFramework:
                 for a, prof, types in zip(app_names, profs, per_app_types)]
 
     def runtime_types(self, instrumented: InstrumentedApp,
-                      trace: AccessTrace) -> dict[int, ObjectType]:
-        """Resolve instrumented names against a runtime trace's objects.
+                      layout: VirtualLayout) -> dict[int, ObjectType]:
+        """Resolve instrumented names against a runtime layout's objects.
 
         Objects whose allocation site was never profiled stay out of the
         map — the allocator defaults them to the power module, exactly
         like the paper's unclassified pages.
         """
         out: dict[int, ObjectType] = {}
-        for obj in trace.layout.objects:
+        for obj in layout.objects:
             typ = instrumented.type_of_site(obj.site)
             if typ is not None:
                 out[obj.obj_id] = typ
         return out
 
     def runtime_heat(self, instrumented: InstrumentedApp,
-                     trace: AccessTrace) -> dict[int, float]:
-        """Resolve profiled miss densities against a runtime trace."""
+                     layout: VirtualLayout) -> dict[int, float]:
+        """Resolve profiled miss densities against a runtime layout."""
         return {
             obj.obj_id: instrumented.heat_of_site(obj.site)
-            for obj in trace.layout.objects
+            for obj in layout.objects
             if instrumented.heat_of_site(obj.site) > 0.0
         }

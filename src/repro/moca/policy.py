@@ -45,7 +45,7 @@ from repro.moca.lut import ProfileLUT
 from repro.moca.naming import ObjectName
 from repro.trace.events import PAGE_BYTES
 from repro.vm.heap import ObjectType
-from repro.workloads.inputs import build_app_trace
+from repro.workloads.inputs import app_layout
 from repro.workloads.spec import APP_CLASSES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -486,7 +486,7 @@ def build_classifier(policy: "str | PolicySpec",
 def classified_policy(context: PolicyContext,
                       classifier: ClassificationPolicy) -> MocaPolicy:
     """Run the offline pipeline with ``classifier`` and resolve the
-    resulting per-name types against each core's runtime trace.
+    resulting per-name types against each core's runtime layout.
 
     This is the shared back half of every classification-based policy:
     profile (training input, guidance faults applied), classify under
@@ -505,9 +505,9 @@ def classified_policy(context: PolicyContext,
     per_core_types = []
     per_core_heat = []
     for app, inst in zip(context.app_names, instrumented):
-        trace = build_app_trace(app, context.input_name, context.n_accesses)
-        per_core_types.append(fw.runtime_types(inst, trace))
-        per_core_heat.append(fw.runtime_heat(inst, trace))
+        layout = app_layout(app, context.input_name)
+        per_core_types.append(fw.runtime_types(inst, layout))
+        per_core_heat.append(fw.runtime_heat(inst, layout))
     return MocaPolicy(per_core_types, per_core_heat)
 
 

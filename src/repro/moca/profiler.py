@@ -8,19 +8,24 @@ object's size, LLC MPKI and ROB-head stall cycles per load miss.
 
 The profiler also keeps the per-segment (stack/code/global) L2 MPKI used
 by the paper's Fig. 16 argument for pinning those segments to LPDDR.
+
+A profile depends only on the application input and the profiling
+machine, so :func:`profile_app` keeps it in a manifest-only store beside
+the miss streams (``<active stream store>/profiles``): computed once per
+machine, then read back by every process, like the paper's
+classification shipped with the binary (Sec. III-C).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
-from repro.cpu.core import CoreParams, CoreResult, InOrderWindowCore
+from repro.cpu.core import CoreParams, InOrderWindowCore
 from repro.cpu.hierarchy import (
     CacheHierarchy,
-    CacheStats,
     SEG_CODE,
     SEG_GLOBAL,
     SEG_STACK,
@@ -32,14 +37,19 @@ from repro.moca.lut import ObjectProfile, ProfileLUT
 from repro.moca.naming import name_from_site
 from repro.obs.registry import OBS
 from repro.trace.events import AccessTrace
+from repro.util.castore import CAStore, digest
 from repro.util.units import MIB
 from repro.vm.allocator import OSPageAllocator
 from repro.vm.physmem import FramePool
 from repro.workloads.inputs import TRAIN, build_app_trace
 
 _SEGMENT_LABELS = {SEG_STACK: "stack", SEG_CODE: "code", SEG_GLOBAL: "global"}
-__all__ = ["ProfiledApp", "MemoryObjectProfiler", "profile_app",
-           "default_profiling_system"]
+__all__ = ["PROFILE_FORMAT", "ProfiledApp", "MemoryObjectProfiler",
+           "profile_app", "profile_key", "default_profiling_system"]
+
+#: Stored-profile encoding: part of every key and the entry version, so
+#: an entry written under another encoding is never read.
+PROFILE_FORMAT = 1
 
 
 @dataclass
@@ -53,8 +63,6 @@ class ProfiledApp:
     app_stall_per_miss: float
     #: segment label → L2 MPKI (Fig. 16).
     segment_mpki: dict[str, float] = field(default_factory=dict)
-    cache_stats: CacheStats | None = None
-    core_result: CoreResult | None = None
 
 
 def default_profiling_system(capacity_bytes: int = 256 * MIB) -> MemorySystem:
@@ -140,8 +148,6 @@ class MemoryObjectProfiler:
             app_mpki=app_mpki,
             app_stall_per_miss=app_spm,
             segment_mpki=segment_mpki,
-            cache_stats=cache_stats,
-            core_result=result,
         )
 
 
@@ -183,9 +189,88 @@ class MemoryObjectProfiler:
         )
 
 
+def profile_key(app_name: str, input_name: str, n_accesses: int) -> dict:
+    """Canonical key document of one stored profile.
+
+    The miss-stream key of the profiled input (the profile filters the
+    same trace through the same stock hierarchy) plus everything else
+    the profile reads: the core parameters and the profiling machine's
+    device timing, channel count and capacity.  Only plain values go
+    in — never the ``repr`` of a live object, which can embed an
+    address and would miss in every other process.
+    """
+    # Deferred: repro.sim imports repro.moca.
+    from repro.sim.stream_store import filter_key
+
+    (group,) = default_profiling_system().groups
+    return {
+        **filter_key(app_name, input_name, n_accesses),
+        "schema": "moca-profile",
+        "profile_format": PROFILE_FORMAT,
+        "core": asdict(CoreParams()),
+        "device": asdict(group.timing),
+        "channels": group.n_channels,
+        "capacity_bytes": group.capacity_bytes,
+    }
+
+
+def _profile_store() -> CAStore | None:
+    """The profile store beside the active miss-stream store, or ``None``.
+
+    It follows :func:`repro.sim.stream_store.active` exactly: no stream
+    store, no profile store; a refreshing stream store refreshes
+    profiles too.  No resident cache — :func:`profile_app`'s memo is
+    the in-process one.
+    """
+    from repro.sim import stream_store  # deferred: repro.sim imports repro.moca
+
+    streams = stream_store.active()
+    if streams is None:
+        return None
+    return CAStore(streams.directory / "profiles", version=PROFILE_FORMAT,
+                   label="profile store", counter="profile_store",
+                   refresh=streams.refresh, resident=0)
+
+
+def _decode(app_name: str, input_name: str, manifest: dict,
+            views: dict) -> ProfiledApp:
+    from repro.moca.serialize import lut_from_dict  # serialize imports us
+
+    lut = lut_from_dict(manifest["lut"])
+    # Recomputed exactly as profile_trace computes them.
+    app_mpki, app_spm = lut.totals()
+    return ProfiledApp(
+        app_name=app_name, input_name=input_name, lut=lut,
+        app_mpki=app_mpki, app_stall_per_miss=app_spm,
+        segment_mpki={str(seg): float(mpki) for seg, mpki
+                      in manifest["segment_mpki"].items()},
+    )
+
+
 @lru_cache(maxsize=64)
 def profile_app(app_name: str, input_name: str = TRAIN,
                 n_accesses: int = 200_000) -> ProfiledApp:
-    """Profile (and memoize) one named application input."""
+    """Profile (and memoize) one named application input.
+
+    Beneath this in-process memo sits the profile store (see
+    :func:`_profile_store`, keyed by :func:`profile_key`): a hit
+    rebuilds the profile with no synthesis, filtering or replay, and a
+    computed profile is written back for every later process.  With no
+    stream store active the memo is the only one.
+    """
+    store = _profile_store()
+    if store is not None:
+        key = profile_key(app_name, input_name, n_accesses)
+        name = digest(key)
+        stored = store.get(name, partial(_decode, app_name, input_name))
+        if stored is not None:
+            return stored
     trace = build_app_trace(app_name, input_name, n_accesses)
-    return MemoryObjectProfiler().profile_trace(trace, app_name, input_name)
+    profiled = MemoryObjectProfiler().profile_trace(trace, app_name,
+                                                    input_name)
+    if store is not None:
+        from repro.moca.serialize import lut_to_dict  # serialize imports us
+
+        store.put(name, {"key": key, "lut": lut_to_dict(profiled.lut),
+                         "segment_mpki": profiled.segment_mpki})
+    return profiled

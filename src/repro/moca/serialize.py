@@ -7,6 +7,9 @@ application binary").  The reproduction's equivalent is a JSON sidecar:
 name → type map plus thresholds) both round-trip through plain dicts so
 profiles can be collected once and reused across experiment campaigns —
 exactly how the paper amortizes profiling over repeated runs.
+:func:`repro.moca.profiler.profile_app` does so: it stores each
+profile's :func:`lut_to_dict` document beside the miss streams, and
+every later process reads it back instead of profiling.
 """
 
 from __future__ import annotations

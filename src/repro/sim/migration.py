@@ -28,7 +28,7 @@ from repro.sim.metrics import RunMetrics, collect_metrics
 from repro.sim.single import filtered_stream
 from repro.trace.events import PAGE_BYTES
 from repro.vm.migration import HotPageMigrator, MigrationConfig, MigrationStats
-from repro.workloads.inputs import REF, build_app_trace
+from repro.workloads.inputs import REF, app_layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.spec import RunSpec
@@ -41,8 +41,7 @@ def _run_migration(spec: "RunSpec",
     config = spec.system_config
     app_name = spec.workload
     stream, _ = filtered_stream(app_name, spec.input_name, spec.n_accesses)
-    layout = build_app_trace(app_name, spec.input_name,
-                             spec.n_accesses).layout
+    layout = app_layout(app_name, spec.input_name)
     memsys = config.build()
     allocator = config.make_allocator(memsys)
     # No profile: everything demand-pages through the POW chain first.

@@ -21,7 +21,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.metrics import RunMetrics, collect_metrics
 from repro.sim.single import filter_provenance, filtered_stream, \
     policy_context
-from repro.workloads.inputs import REF, build_app_trace
+from repro.workloads.inputs import REF, app_layout
 from repro.workloads.mixes import WorkloadMix, mix as make_mix
 
 
@@ -51,8 +51,7 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
                   n_cores=len(workload.apps)):
         streams = [filtered_stream(a, input_name, n_accesses)[0]
                    for a in workload.apps]
-        layouts = [build_app_trace(a, input_name, n_accesses).layout
-                   for a in workload.apps]
+        layouts = [app_layout(a, input_name) for a in workload.apps]
         with OBS.span("placement", policy=label):
             memsys = config.build()
             if faults is not None:

@@ -39,7 +39,7 @@ from repro.service import GuidanceService, build_epoch_sample, degrade_sample
 from repro.sim.metrics import RunMetrics, collect_metrics
 from repro.sim.migration import _merge_results
 from repro.sim.single import filtered_stream, policy_context
-from repro.workloads.inputs import build_app_trace
+from repro.workloads.inputs import app_layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.spec import RunSpec
@@ -70,8 +70,7 @@ def _run_online(spec: "RunSpec",
     with OBS.span(f"run.{app_name}.{label}", system=config.name):
         stream, _ = filtered_stream(app_name, spec.input_name,
                                     spec.n_accesses)
-        trace = build_app_trace(app_name, spec.input_name, spec.n_accesses)
-        layout = trace.layout
+        layout = app_layout(app_name, spec.input_name)
 
         # ---- offline stage: profile, classify, place at malloc time ----
         classifier = build_classifier(pspec, context)
@@ -81,8 +80,8 @@ def _run_online(spec: "RunSpec",
             faults=None)
         instrumented = fw.instrument_many([app_name], classifier,
                                           context.budget)[0]
-        types = fw.runtime_types(instrumented, trace)
-        heat = fw.runtime_heat(instrumented, trace)
+        types = fw.runtime_types(instrumented, layout)
+        heat = fw.runtime_heat(instrumented, layout)
 
         memsys = config.build()
         boot_fault = spec.faults is not None and ospec.fault_epoch == 0

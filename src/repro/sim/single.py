@@ -27,9 +27,9 @@ from repro.obs.registry import OBS
 from repro.sim import stream_store
 from repro.sim.config import CAPACITY_SCALE, SystemConfig
 from repro.trace.chunked import CorruptTraceError
-from repro.trace.events import VirtualLayout
 from repro.util.units import MIB
-from repro.workloads.inputs import REF, build_app_trace, build_app_trace_chunked
+from repro.workloads.inputs import (REF, app_layout, build_app_trace,
+                                    build_app_trace_chunked)
 from repro.sim.metrics import RunMetrics, collect_metrics
 
 #: (app, input, n_accesses) → how its stream was obtained; feeds
@@ -48,6 +48,34 @@ def filter_provenance(app_name: str, input_name: str,
     return _filter_provenance.get((app_name, input_name, n_accesses))
 
 
+def _through_store(app_name: str, input_name: str, n_accesses: int,
+                   compute) -> tuple[MissStream, CacheStats]:
+    """The stored stream for this key, else ``compute()``'s, stored.
+
+    ``compute()`` returns ``((MissStream, CacheStats), filter engine)``
+    and runs only on a miss (or with no store active).
+    """
+    provenance_key = (app_name, input_name, n_accesses)
+    store = stream_store.active()
+    key = None
+    if store is not None:
+        key = stream_store.filter_key(app_name, input_name, n_accesses)
+        cached = store.get(key)
+        if cached is not None:
+            _filter_provenance[provenance_key] = {
+                "engine": "store", "from_store": True}
+            OBS.add("filter.store_hits")
+            return cached
+    result, engine = compute()
+    OBS.add("filter.computed")
+    OBS.add("filter.accesses", n_accesses)
+    _filter_provenance[provenance_key] = {"engine": engine,
+                                          "from_store": False}
+    if store is not None:
+        store.put(key, *result)
+    return result
+
+
 @lru_cache(maxsize=128)
 def filtered_stream(app_name: str, input_name: str, n_accesses: int,
                     ) -> tuple[MissStream, CacheStats]:
@@ -63,38 +91,25 @@ def filtered_stream(app_name: str, input_name: str, n_accesses: int,
 
     Beneath this in-process memo sits the persistent
     :mod:`repro.sim.stream_store` (when active): a store hit skips
-    filtering entirely, and a computed result is written back so other
-    worker processes can skip it too.  Store content is engine-agnostic
-    — kernel and reference produce byte-identical streams.
+    synthesis and filtering entirely, and a computed result is written
+    back so other worker processes can skip it too.  Store content is
+    engine-agnostic — kernel and reference produce byte-identical
+    streams.
     """
-    with OBS.span("cache_filter", app=app_name, input=input_name,
-                  n_accesses=n_accesses):
-        store = stream_store.active()
-        key = None
-        if store is not None:
-            key = stream_store.filter_key(app_name, input_name, n_accesses)
-            cached = store.get(key)
-            if cached is not None:
-                _filter_provenance[(app_name, input_name, n_accesses)] = {
-                    "engine": "store", "from_store": True}
-                OBS.add("filter.store_hits")
-                return cached
+    def compute():
         trace = build_app_trace(app_name, input_name, n_accesses)
         hierarchy = CacheHierarchy()
-        result = hierarchy.filter_trace(trace)
-        OBS.add("filter.computed")
-        OBS.add("filter.accesses", n_accesses)
-        _filter_provenance[(app_name, input_name, n_accesses)] = {
-            "engine": hierarchy.last_engine, "from_store": False}
-        if store is not None:
-            store.put(key, *result)
-        return result
+        return hierarchy.filter_trace(trace), hierarchy.last_engine
+
+    with OBS.span("cache_filter", app=app_name, input=input_name,
+                  n_accesses=n_accesses):
+        return _through_store(app_name, input_name, n_accesses, compute)
 
 
 @lru_cache(maxsize=32)
 def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
                             chunk_accesses: int,
-                            ) -> tuple[MissStream, CacheStats, VirtualLayout]:
+                            ) -> tuple[MissStream, CacheStats]:
     """Cache-filter one application input via the chunked trace store.
 
     The bounded-RSS sibling of :func:`filtered_stream`: the trace is
@@ -103,52 +118,30 @@ def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
     shard size, not ``n_accesses``.  Results are byte-identical to the
     monolithic path, which is why the persistent stream store is shared
     — ``stream_store.filter_key`` deliberately excludes chunking, and a
-    stream computed either way satisfies both.  The trace's
-    :class:`~repro.trace.events.VirtualLayout` rides along in the return
-    value (rebuilt from the shard manifest) so callers never have to
-    materialize the monolithic trace just to see object extents.
+    stream computed either way satisfies both.  The stream store is
+    consulted first, so a hit opens and writes no shard.
 
     A corrupt shard surfaces as one retry: the store deletes the broken
     entry when it detects it, so the second attempt regenerates from
     scratch.  Memoized like :func:`filtered_stream` — treat the returned
     objects as immutable.
     """
-    with OBS.span("cache_filter", app=app_name, input=input_name,
-                  n_accesses=n_accesses, chunk_accesses=chunk_accesses):
+    def compute():
         last_error: CorruptTraceError | None = None
-        for attempt in range(2):
+        for _ in range(2):
+            hierarchy = CacheHierarchy()
             try:
                 chunked = build_app_trace_chunked(
                     app_name, input_name, n_accesses, chunk_accesses)
+                return hierarchy.filter_chunked(chunked), \
+                    hierarchy.last_engine
             except CorruptTraceError as exc:
                 last_error = exc
-                continue
-            layout = chunked.layout
-            store = stream_store.active()
-            key = None
-            if store is not None:
-                key = stream_store.filter_key(app_name, input_name,
-                                              n_accesses)
-                cached = store.get(key)
-                if cached is not None:
-                    _filter_provenance[(app_name, input_name, n_accesses)] = {
-                        "engine": "store", "from_store": True}
-                    OBS.add("filter.store_hits")
-                    return (*cached, layout)
-            hierarchy = CacheHierarchy()
-            try:
-                result = hierarchy.filter_chunked(chunked)
-            except CorruptTraceError as exc:
-                last_error = exc
-                continue
-            OBS.add("filter.computed")
-            OBS.add("filter.accesses", n_accesses)
-            _filter_provenance[(app_name, input_name, n_accesses)] = {
-                "engine": hierarchy.last_engine, "from_store": False}
-            if store is not None:
-                store.put(key, *result)
-            return (*result, layout)
         raise last_error  # both attempts hit corrupt shards
+
+    with OBS.span("cache_filter", app=app_name, input=input_name,
+                  n_accesses=n_accesses, chunk_accesses=chunk_accesses):
+        return _through_store(app_name, input_name, n_accesses, compute)
 
 
 def policy_context(policy: str | PolicySpec, app_names: list[str],
@@ -204,11 +197,11 @@ def _run_single(app_name: str, config: SystemConfig,
     label = pspec.label()
     with OBS.span(f"run.{app_name}.{label}", system=config.name):
         if trace_chunk_accesses is not None:
-            stream, _, layout = filtered_stream_chunked(
+            stream, _ = filtered_stream_chunked(
                 app_name, input_name, n_accesses, trace_chunk_accesses)
         else:
             stream, _ = filtered_stream(app_name, input_name, n_accesses)
-            layout = build_app_trace(app_name, input_name, n_accesses).layout
+        layout = app_layout(app_name, input_name)
         with OBS.span("placement", policy=label):
             memsys = config.build()
             if faults is not None:

@@ -1,7 +1,8 @@
 """One content-addressed store primitive under every persistent cache.
 
 The result cache (:mod:`repro.experiments.cache`), the miss-stream store
-(:mod:`repro.sim.stream_store`) and the chunked-trace store
+(:mod:`repro.sim.stream_store`), the MOCA profile store beside it
+(:func:`repro.moca.profiler.profile_app`) and the chunked-trace store
 (:mod:`repro.trace.chunked`) all persist "compute once, reuse on every
 machine-local process" artefacts.  They share this module's layout and
 crash-consistency discipline and keep only their own key and

@@ -19,7 +19,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from repro.trace.builder import ObjectBehavior, TraceBuilder
-from repro.trace.events import AccessTrace
+from repro.trace.events import AccessTrace, VirtualLayout
 from repro.util.rng import stream
 from repro.workloads.spec import AppSpec, app
 
@@ -114,6 +114,29 @@ def _drifted(behaviors: list[ObjectBehavior],
     return [drifted.get(id(b), b) for b in behaviors]
 
 
+def _check_input(input_name: str) -> None:
+    if not is_valid_input(input_name):
+        raise ValueError(
+            f"input must be 'train', 'ref'/'refN', or 'driftN', "
+            f"got {input_name!r}")
+
+
+@lru_cache(maxsize=64)
+def app_layout(app_name: str, input_name: str = TRAIN) -> VirtualLayout:
+    """The virtual layout of one application input (memoized).
+
+    Equal, region for region, to ``build_app_trace(app_name,
+    input_name, n).layout`` at every trace length: placement reads only
+    the perturbed behaviours, never the trace RNG.  So a run whose miss
+    stream comes from a store needs no synthesis to place its objects.
+    The returned layout is shared across callers — treat it as immutable.
+    """
+    _check_input(input_name)
+    layout = VirtualLayout()
+    TraceBuilder(list(_perturbed(app(app_name), input_name)))._place(layout)
+    return layout
+
+
 @lru_cache(maxsize=64)
 def build_app_trace(app_name: str, input_name: str = TRAIN,
                     n_accesses: int = 200_000) -> AccessTrace:
@@ -121,10 +144,7 @@ def build_app_trace(app_name: str, input_name: str = TRAIN,
 
     The returned trace is shared across callers — treat it as immutable.
     """
-    if not is_valid_input(input_name):
-        raise ValueError(
-            f"input must be 'train', 'ref'/'refN', or 'driftN', "
-            f"got {input_name!r}")
+    _check_input(input_name)
     spec = app(app_name)
     behaviors = _perturbed(spec, input_name)
     builder = TraceBuilder(list(behaviors))
@@ -145,10 +165,7 @@ def build_app_trace_chunked(app_name: str, input_name: str,
     """
     from repro.trace import chunked
 
-    if not is_valid_input(input_name):
-        raise ValueError(
-            f"input must be 'train', 'ref'/'refN', or 'driftN', "
-            f"got {input_name!r}")
+    _check_input(input_name)
     store = chunked.active()
     key = chunked.trace_key(app_name, input_name, n_accesses,
                             chunk_accesses)

@@ -99,14 +99,14 @@ class TestFramework:
     def test_runtime_types_resolve_by_site(self, profiled, tiny_trace):
         fw = MocaFramework()
         inst = fw.instrument("tinyapp", profiled)
-        types = fw.runtime_types(inst, tiny_trace)
+        types = fw.runtime_types(inst, tiny_trace.layout)
         assert types[0] == ObjectType.LAT
         assert types[1] == ObjectType.BW
 
     def test_runtime_heat_positive_for_hot(self, profiled, tiny_trace):
         fw = MocaFramework()
         inst = fw.instrument("tinyapp", profiled)
-        heat = fw.runtime_heat(inst, tiny_trace)
+        heat = fw.runtime_heat(inst, tiny_trace.layout)
         assert heat[0] > 0
 
     def test_partition_histogram(self, profiled):

@@ -93,7 +93,7 @@ class TestInstrumentedRoundtrip:
         save_instrumented(instrumented, path)
         restored = load_instrumented(path)
         fw = MocaFramework()
-        types = fw.runtime_types(restored, tiny_trace)
+        types = fw.runtime_types(restored, tiny_trace.layout)
         assert types[0] == ObjectType.LAT
 
     def test_manual_document(self):

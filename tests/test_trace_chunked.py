@@ -249,6 +249,29 @@ class TestRunSpecKnob:
         assert "trace_chunk_accesses" not in m_plain.meta
 
 
+    def test_warm_stream_store_writes_no_shard(self, trace_store,
+                                               tmp_path, monkeypatch):
+        """A chunked unit whose stream is stored opens no trace at all:
+        the trace store stays empty and the metrics are unchanged."""
+        spec = RunSpec("mcf", "Heter-config1", "moca", N,
+                       trace_chunk_accesses=5000)
+        stream_store.configure(tmp_path / "streams")
+        cold = run(spec)
+        warm_traces = chunked.configure(tmp_path / "traces-warm")
+        single.filtered_stream_chunked.cache_clear()
+
+        def boom(self, *args, **kwargs):
+            raise AssertionError("trace synthesized on a warm store")
+
+        monkeypatch.setattr(TraceBuilder, "iter_blocks", boom)
+        warm = run(spec)
+        assert not warm_traces.directory.exists()
+        assert warm.meta["filter"] == {"engine": "store", "from_store": True}
+        d_cold = {k: v for k, v in cold.to_dict().items() if k != "meta"}
+        d_warm = {k: v for k, v in warm.to_dict().items() if k != "meta"}
+        assert d_warm == d_cold
+
+
 class TestImportPath:
     def test_save_import_round_trip(self, tiny_behaviors, tmp_path):
         mono = TraceBuilder(tiny_behaviors).build(8000, stream("ct", 7))

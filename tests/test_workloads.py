@@ -3,7 +3,8 @@
 import pytest
 
 from repro.trace.events import PAGE_BYTES
-from repro.workloads.inputs import REF, TRAIN, build_app_trace, input_names
+from repro.workloads.inputs import (REF, TRAIN, app_layout, build_app_trace,
+                                    input_names)
 from repro.workloads.mixes import MIX_NAMES, MIXES, mix, parse_mix_name
 from repro.workloads.spec import APP_CLASSES, APPS, app, apps_in_class
 
@@ -101,6 +102,33 @@ class TestInputs:
         r = build_app_trace("mcf", REF, 5_000)
         for o in r.layout.objects:
             assert o.size_bytes % PAGE_BYTES == 0
+
+
+def _regions(layout):
+    return [(o.name, o.vbase, o.size_bytes, o.obj_id, o.site)
+            for o in layout.all_regions()]
+
+
+class TestAppLayout:
+    """Runs place objects from ``app_layout``; it must be the layout a
+    synthesized trace carries, whatever the trace length."""
+
+    @pytest.mark.parametrize("input_name",
+                             ["train", "ref", "ref2", "drift1", "drift2"])
+    @pytest.mark.parametrize("n_accesses", [1_000, 7_000])
+    def test_equals_the_synthesized_layout(self, input_name, n_accesses):
+        # The unmemoized builder: a fresh trace per case, and the shared
+        # memo of other tests stays as it was.
+        build = build_app_trace.__wrapped__
+        for name in APPS:
+            trace = build(name, input_name, n_accesses)
+            assert _regions(app_layout(name, input_name)) == \
+                _regions(trace.layout), name
+
+    def test_memoized_and_validated(self):
+        assert app_layout("mcf", REF) is app_layout("mcf", REF)
+        with pytest.raises(ValueError):
+            app_layout("mcf", "validation")
 
 
 class TestMixes:
