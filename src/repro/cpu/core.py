@@ -218,57 +218,16 @@ def _sums_by_first_occurrence(objs: np.ndarray,
     return out
 
 
-class InOrderWindowCore:
-    """Steppable per-core replay state (multicore drivers interleave cores).
+class _Episodes:
+    """Episode tables of one (stream, core parameters, ``inst_prev``).
 
-    Episode boundaries, per-record issue offsets, and channel
-    routing/decode are precomputed as numpy arrays at construction; the
-    fused replay kernel (:func:`repro.memctrl.batch.replay`) drains every
-    episode in one call from :meth:`run_to_completion` (or, for several
-    cores, :func:`run_interleaved`) and one episode per call from the
-    stepping API; all per-object/per-episode accounting is deferred to
-    one vectorized pass at completion.
-
-    The result is **bit-identical** to the per-record reference
-    interpreter kept under ``tests/`` as the oracle — same
-    :class:`CoreResult`, same memory-system counters, same multicore
-    interleave decisions — which ``tests/test_parity.py`` enforces over
-    randomized traces.
-
-    Args:
-        stream: LLC miss stream for this core's application.
-        groups: Per-record channel-group index (from the page mapping).
-        gaddrs: Per-record group-local physical line address.
-        params: Core parameters.
-        core_id: Identifier stamped into requests.
-        start_cycle: Initial cycle (0 unless modelling staggered starts).
-        inst_prev: Instruction count already retired before this stream
-            slice (used by epoch-sliced replays, e.g. page migration).
+    Read-only once built: the kernel reads them, never writes them.
     """
 
-    def __init__(self, stream: MissStream, groups: np.ndarray, gaddrs: np.ndarray,
-                 params: CoreParams | None = None, core_id: int = 0,
-                 start_cycle: int = 0, inst_prev: int = 0):
-        if len(groups) != len(stream) or len(gaddrs) != len(stream):
-            raise ValueError("translation arrays must match the miss stream length")
-        self.params = params or CoreParams()
-        self.core_id = core_id
-        self.total_instructions = stream.total_instructions
-        self._n = len(stream)
-        self._idx = 0
-        self._cycle = start_cycle
-        self.result = CoreResult(
-            core_id=core_id, cycles=start_cycle,
-            total_instructions=self.total_instructions,
-            n_demand=0, n_load_misses=0, n_writebacks=0, n_prefetches=0,
-            n_episodes=0, mem_access_cycles=0, load_stall_cycles=0,
-        )
-        self._segment(stream, groups, gaddrs, inst_prev)
+    __slots__ = ("nep", "ep_of", "off_np", "ep_start", "ep_end",
+                 "headgap", "off", "off_last", "tail")
 
-    # ---- episode segmentation -----------------------------------------------------
-
-    def _segment(self, stream: MissStream, groups: np.ndarray,
-                 gaddrs: np.ndarray, inst_prev: int) -> None:
+    def __init__(self, stream: MissStream, p: CoreParams, inst_prev: int):
         """Vectorized episode segmentation + issue-offset precompute.
 
         Episode membership depends only on the stream and the core
@@ -279,18 +238,8 @@ class InOrderWindowCore:
         (c) the first demand outside the ROB window, and (d) the demand
         that would exceed the MSHR overlap, all via ``searchsorted``.
         """
-        p = self.params
         num, den = p.ipc_ratio
-        self._stream = stream
-        self._groups = np.asarray(groups)
-        self._gaddrs = np.asarray(gaddrs)
-        self._tb = None
-        self._ep = 0
-        n = self._n
-        if n == 0:
-            self._nep = 0
-            self._tail = (self.total_instructions * den) // num
-            return
+        n = len(stream)
         inst = stream.inst
         kind = stream.kind
         demand = kind <= KIND_STORE
@@ -339,16 +288,116 @@ class InOrderWindowCore:
         if nep > 1:
             prev_inst[1:] = inst[ep_start[1:] - 1]
         headgap = ((head_inst - prev_inst) * den) // num
-        self._nep = nep
-        self._ep_of = ep_of
-        self._off_np = off
-        self._ep_start = ep_start.tolist()
-        self._ep_end = ep_end.tolist()
-        self._headgap = headgap.tolist()
-        self._off = off.tolist()
-        self._off_last = off[ep_end - 1].tolist()
-        self._ep_issue0 = [0] * nep
-        self._tail = ((self.total_instructions - int(inst[n - 1])) * den) // num
+        self.nep = nep
+        self.ep_of = ep_of
+        self.off_np = off
+        self.ep_start = ep_start.tolist()
+        self.ep_end = ep_end.tolist()
+        self.headgap = headgap.tolist()
+        self.off = off.tolist()
+        self.off_last = off[ep_end - 1].tolist()
+        self.tail = ((stream.total_instructions - int(inst[n - 1]))
+                     * den) // num
+
+
+def _episodes(stream: MissStream, params: CoreParams,
+              inst_prev: int) -> _Episodes:
+    """The episode tables of a non-empty ``stream``, built once per
+    ``(params, inst_prev)``.
+
+    Memoized on the stream object itself (a private attribute, never
+    persisted), so the tables live exactly as long as the stream: the
+    six Fig. 8 systems replaying one application segment it once, and an
+    epoch slice (a fresh object) takes its tables with it when it dies.
+    """
+    memo = vars(stream).setdefault("_episode_memo", {})
+    key = (params, inst_prev)
+    ep = memo.get(key)
+    if ep is None:
+        ep = memo[key] = _Episodes(stream, params, inst_prev)
+    return ep
+
+
+class InOrderWindowCore:
+    """Steppable per-core replay state (multicore drivers interleave cores).
+
+    Episode boundaries and per-record issue offsets are precomputed once
+    per stream (:func:`_episodes`) and bound at construction, channel
+    routing/decode on the first kernel call against a system; the
+    fused replay kernel (:func:`repro.memctrl.batch.replay`) drains every
+    episode in one call from :meth:`run_to_completion` (or, for several
+    cores, :func:`run_interleaved`) and one episode per call from the
+    stepping API; all per-object/per-episode accounting is deferred to
+    one vectorized pass at completion.
+
+    The result is **bit-identical** to the per-record reference
+    interpreter kept under ``tests/`` as the oracle — same
+    :class:`CoreResult`, same memory-system counters, same multicore
+    interleave decisions — which ``tests/test_parity.py`` enforces over
+    randomized traces.
+
+    Args:
+        stream: LLC miss stream for this core's application.
+        groups: Per-record channel-group index (from the page mapping).
+        gaddrs: Per-record group-local physical line address.
+        params: Core parameters.
+        core_id: Identifier stamped into requests.
+        start_cycle: Initial cycle (0 unless modelling staggered starts).
+        inst_prev: Instruction count already retired before this stream
+            slice (used by epoch-sliced replays, e.g. page migration).
+    """
+
+    def __init__(self, stream: MissStream, groups: np.ndarray, gaddrs: np.ndarray,
+                 params: CoreParams | None = None, core_id: int = 0,
+                 start_cycle: int = 0, inst_prev: int = 0):
+        if len(groups) != len(stream) or len(gaddrs) != len(stream):
+            raise ValueError("translation arrays must match the miss stream length")
+        self.params = params or CoreParams()
+        self.core_id = core_id
+        self.total_instructions = stream.total_instructions
+        self._n = len(stream)
+        self._idx = 0
+        self._cycle = start_cycle
+        self.result = CoreResult(
+            core_id=core_id, cycles=start_cycle,
+            total_instructions=self.total_instructions,
+            n_demand=0, n_load_misses=0, n_writebacks=0, n_prefetches=0,
+            n_episodes=0, mem_access_cycles=0, load_stall_cycles=0,
+        )
+        self._segment(stream, groups, gaddrs, inst_prev)
+
+    # ---- episode segmentation -----------------------------------------------------
+
+    def _segment(self, stream: MissStream, groups: np.ndarray,
+                 gaddrs: np.ndarray, inst_prev: int) -> None:
+        """Bind the stream's episode tables and this core's own state.
+
+        The tables are read-only and shared by every core that replays
+        ``stream`` with the same parameters and ``inst_prev``
+        (:func:`_episodes`); only ``_ep_issue0``, which the replay
+        kernel writes, is per core.
+        """
+        self._stream = stream
+        self._groups = np.asarray(groups)
+        self._gaddrs = np.asarray(gaddrs)
+        self._tb = None
+        self._ep = 0
+        if self._n == 0:
+            num, den = self.params.ipc_ratio
+            self._nep = 0
+            self._tail = (self.total_instructions * den) // num
+            return
+        ep = _episodes(stream, self.params, inst_prev)
+        self._nep = ep.nep
+        self._ep_of = ep.ep_of
+        self._off_np = ep.off_np
+        self._ep_start = ep.ep_start
+        self._ep_end = ep.ep_end
+        self._headgap = ep.headgap
+        self._off = ep.off
+        self._off_last = ep.off_last
+        self._tail = ep.tail
+        self._ep_issue0 = [0] * ep.nep
 
     def _tables(self, memsys: MemorySystem):
         tb = self._tb
@@ -432,12 +481,12 @@ class InOrderWindowCore:
         tb = self._tb
         if tb is None:
             return
-        tb.flush_stats()
+        ep_issue0 = np.asarray(self._ep_issue0, dtype=np.int64)
+        issue = ep_issue0[self._ep_of] + self._off_np
+        tb.flush_stats(issue)
         kind = stream.kind
         obj = stream.obj_id.astype(np.int64)
         done = np.asarray(tb.done_l, dtype=np.int64)
-        ep_issue0 = np.asarray(self._ep_issue0, dtype=np.int64)
-        issue = ep_issue0[self._ep_of] + self._off_np
         dsel = np.flatnonzero(kind <= KIND_STORE)
         if len(dsel):
             res.mem_access_cycles = int((done[dsel] - issue[dsel]).sum())

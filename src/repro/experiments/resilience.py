@@ -262,8 +262,8 @@ def _run_batch(runner: Callable[[RunSpec], RunMetrics],
 
 def _default_group_key(spec) -> object:
     """Workload-major batching: units of one workload share filtered
-    streams and decode tables, so co-locating them on one worker turns
-    those loads into resident-cache hits."""
+    streams and their episode tables, so co-locating them on one worker
+    turns those loads into resident-cache hits."""
     return getattr(spec, "workload", None)
 
 

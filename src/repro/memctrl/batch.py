@@ -7,7 +7,9 @@ object per record, routes it through ``MemorySystem.service_batch`` →
 a trace replayed start to finish all of that is static: the channel a
 record lands on, its (subchannel, bank, row) decode, and its FR-FCFS
 criticality class depend only on the page mapping — never on timing.
-:class:`ReplayTables` computes them once, vectorized.
+:class:`ReplayTables` computes them once per replay, vectorized, and
+nothing keeps them after it: every unit replays a distinct (placement,
+memory-system geometry) pair, so there is nothing to share.
 
 :func:`replay` is the one kernel that drains them.  Per call it binds
 every channel's timing constants once, copies bank, bus, tFAW and
@@ -15,7 +17,9 @@ refresh state out of the :class:`~repro.memctrl.system.MemorySystem`
 into flat per-system lists, and then runs the episode loop, the
 scheduler key sort, the bank arithmetic and the core-cycle update in one
 frame — for N cores under the same global-time heap the reference
-multicore driver uses.  The state goes back into the ``BankState`` and
+multicore driver uses.  Channels with equal timing share one constants
+tuple, and the loop re-binds the constants only when that tuple
+changes.  The state goes back into the ``BankState`` and
 ``MemoryModule`` objects when the call returns.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
@@ -33,13 +37,16 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   reference driver's heap order; a core keeps running while it stays
   the minimum, so a single core never touches the heap.
 * Mutable device state is updated live in the flat lists — multicore
-  replays interleave cores through the same devices.  Pure counters
-  (module/controller totals, latency histograms) are deferred to
-  :meth:`ReplayTables.flush_stats` at end of replay, and the OBS
+  replays interleave cores through the same devices.  Per record the
+  kernel writes only two columns, the completion cycle and an
+  outcome code (row hit / miss / conflict plus bank-busy cycles).  Pure
+  counters (module/controller totals, latency histograms) are deferred
+  to :meth:`ReplayTables.flush_stats` at end of replay, and the OBS
   ``memsys.*`` / ``mem.<channel>.*`` counters and queue-occupancy gauges
-  are computed from the per-record columns when a kernel call returns;
-  nothing reads either mid-replay, so the deferral is
-  observation-equivalent.
+  are computed when a kernel call returns; both derive row hits,
+  service and queue cycles from the two columns, the records' issue
+  cycles and each controller's timing constants.  Nothing reads either
+  mid-replay, so the deferral is observation-equivalent.
 
 The routing/decode arithmetic below mirrors ``GroupAddressMap.route``
 and ``MemoryModule.decode``; the device arithmetic in :func:`replay` is
@@ -60,36 +67,8 @@ from repro.memctrl.scheduler import SCHEDULERS, fcfs_order
 from repro.memctrl.system import MemorySystem
 from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
-from repro.util.resident import ResidentLRU, content_digest
-
-#: Process-level memo of decoded routing columns, keyed by content hash
-#: of (groups, gaddrs, kind) + addressing geometry.  The decode is a
-#: pure function of those inputs and the columns are read-only during
-#: replay (the kernel only writes the per-replay output lists), so a
-#: worker replaying the same placement against interchangeable systems —
-#: or re-running a unit — skips the vectorized decode and the
-#: ``tolist()`` materializations entirely.
-_DECODE_CACHE = ResidentLRU(16)
 
 _NEG = -(1 << 62)
-
-
-def decode_cache_stats() -> dict:
-    return _DECODE_CACHE.stats_dict()
-
-
-def _geometry_doc(memsys: MemorySystem, bases) -> list:
-    """Everything besides (groups, gaddrs, kind) the decode depends on."""
-    doc = [list(int(b) for b in bases)]
-    for g in memsys.groups:
-        amap = g.addrmap
-        mod = g.modules[0]
-        doc.append([amap.n_channels, bool(amap._pow2), int(amap._k),
-                    int(mod._col_bits), int(mod._sub_mask),
-                    int(mod._sub_bits), int(mod._bank_mask),
-                    int(mod._bank_bits), int(g.timing.n_banks),
-                    int(g.timing.n_rows)])
-    return doc
 
 
 class ReplayTables:
@@ -101,6 +80,14 @@ class ReplayTables:
     Bank and subchannel columns index the flat per-system lists of
     :func:`replay` (controller layout order, ``sub * n_banks + bank``
     within a module).
+
+    The kernel writes two per-record output columns: ``done_l`` (the
+    completion cycle) and ``code_l``, the row outcome and bank-busy
+    cycles in one integer — ``0`` for a row hit (busy ``tCCD``),
+    ``busy + 1`` for a row miss and ``-(busy + 1)`` for a row conflict.
+    The ``+ 1`` keeps a zero-latency miss (``tRCD = tCL = 0``) apart
+    from a hit.  Row-hit, service and queue columns are derived from
+    them on demand (:meth:`outcomes`).
     """
 
     def __init__(self, memsys: MemorySystem, groups: np.ndarray,
@@ -116,33 +103,26 @@ class ReplayTables:
                     f"({', '.join(sorted(SCHEDULERS))})")
 
         n = len(gaddrs)
-        groups = np.asarray(groups, dtype=np.int64)
-        gaddrs = np.asarray(gaddrs, dtype=np.int64)
-        kind = np.asarray(kind, dtype=np.int64)
-        digest = content_digest(groups, gaddrs, kind,
-                                extra=_geometry_doc(memsys, bases))
-        shared = _DECODE_CACHE.get(digest)
-        if shared is None:
-            shared = self._decode(memsys, bases, groups, gaddrs, kind)
-            _DECODE_CACHE.put(digest, shared)
-        else:
-            OBS.add("replay.decode_reuse")
-            OBS.add("data_plane.copies_avoided")
         (self._ctrl_np, self._demand_np, self._write_np,
          self.ctrl_l, self.gbank_l, self.gsub_l, self.row_l,
-         self.gaddr_l, self.write_l, self.klass_l) = shared
-        # Per-record outputs, filled by replay(), read at finalize.
+         self.gaddr_l, self.write_l, self.klass_l) = self._decode(
+            memsys, bases, np.asarray(groups, dtype=np.int64),
+            np.asarray(gaddrs, dtype=np.int64),
+            np.asarray(kind, dtype=np.int64))
+        #: Per controller: (tCCD, hit, miss, conflict service cycles).
+        self._outcome_np = np.array(
+            [_timing_consts(c.module.timing, c.line_bytes)[2]
+             for c in self.controllers], dtype=np.int64)
+        # Per-record outputs, filled by replay(), read at finalize.  A
+        # row hit leaves its code at 0 (every record drains once).
         self.done_l = [0] * n
-        self.queue_l = [0] * n
-        self.service_l = [0] * n
-        self.hit_l = [False] * n
-        self.bb_l = [0] * n
+        self.code_l = [0] * n
         self._flushed = False
 
     @staticmethod
     def _decode(memsys: MemorySystem, bases, groups: np.ndarray,
                 gaddrs: np.ndarray, kind: np.ndarray) -> tuple:
-        """Vectorized routing/decode; pure in its arguments (memoized)."""
+        """Vectorized routing/decode of every record."""
         n = len(gaddrs)
         ctrl = np.zeros(n, dtype=np.int64)
         sub = np.zeros(n, dtype=np.int64)
@@ -209,22 +189,39 @@ class ReplayTables:
 
     # ---- deferred statistics ----------------------------------------------------
 
-    def flush_stats(self) -> None:
+    def outcomes(self, lo: int, hi: int, issue: np.ndarray,
+                 done: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(row hit, service, queue, bank busy)`` of records [lo, hi).
+
+        Decoded from the outcome codes with each controller's timing
+        constants; ``issue`` and ``done`` are the records' issue and
+        completion cycles.  Exactly the values the device arithmetic
+        produced record by record.
+        """
+        code = np.asarray(self.code_l[lo:hi], dtype=np.int64)
+        consts = self._outcome_np[self._ctrl_np[lo:hi]]
+        hit = code == 0
+        service = np.where(hit, consts[:, 1],
+                           np.where(code > 0, consts[:, 2], consts[:, 3]))
+        busy = np.where(hit, consts[:, 0], np.abs(code) - 1)
+        queue = done - issue - service
+        np.maximum(queue, 0, out=queue)
+        return hit, service, queue, busy
+
+    def flush_stats(self, issue: np.ndarray) -> None:
         """Fold the per-record outputs into module/controller counters.
 
-        Called once, at end of replay, per (core, memsys) table.  Exact
-        integer aggregation throughout (int64 sums, no float weights).
-        Assumes device timing did not change mid-replay (fault derating
-        happens before replay starts).
+        Called once, at end of replay, per (core, memsys) table, with
+        every record's issue cycle.  Exact integer aggregation
+        throughout (int64 sums, no float weights).  Assumes device
+        timing did not change mid-replay (fault derating happens before
+        replay starts).
         """
         if self._flushed:
             return
         self._flushed = True
         done = np.asarray(self.done_l, dtype=np.int64)
-        queue = np.asarray(self.queue_l, dtype=np.int64)
-        service = np.asarray(self.service_l, dtype=np.int64)
-        hit = np.asarray(self.hit_l, dtype=bool)
-        bb = np.asarray(self.bb_l, dtype=np.int64)
+        hit, service, queue, bb = self.outcomes(0, len(done), issue, done)
         ctrl = self._ctrl_np
         write = self._write_np
         demand = self._demand_np
@@ -263,8 +260,8 @@ class Lane:
     each head's issue cycle to ``issue0[k]``.
     """
 
-    __slots__ = ("tables", "ep_start", "ep_end", "headgap", "issue0",
-                 "cols", "k", "cycle", "stop")
+    __slots__ = ("tables", "ep_start", "ep_end", "headgap", "off",
+                 "issue0", "cols", "k", "cycle", "stop")
 
     def __init__(self, tables: ReplayTables, ep_start, ep_end, headgap,
                  off, off_last, issue0: list[int], *, backlog: int,
@@ -273,6 +270,7 @@ class Lane:
         self.ep_start = ep_start
         self.ep_end = ep_end
         self.headgap = headgap
+        self.off = off
         self.issue0 = issue0
         self.k = k
         self.cycle = cycle
@@ -281,20 +279,26 @@ class Lane:
         #: Everything the kernel rebinds when it switches to this lane.
         self.cols = (tb.ctrl_l, tb.gbank_l, tb.gsub_l, tb.row_l,
                      tb.write_l, tb.klass_l, tb.gaddr_l, tb.done_l,
-                     tb.queue_l, tb.service_l, tb.hit_l, tb.bb_l,
-                     ep_start, ep_end, headgap, off, off_last, issue0,
-                     backlog)
+                     tb.code_l, ep_start, ep_end, headgap, off, off_last,
+                     issue0, backlog)
 
 
 @functools.lru_cache(maxsize=64)
 def _timing_consts(t: DeviceTiming, line_bytes: int) -> tuple:
-    """(hot-loop constants, (tREFI, tRFC)) of one device timing."""
+    """(hot-loop constants, (tREFI, tRFC), outcome constants) of one
+    device timing.
+
+    Memoized, so channels with equal timing share one hot tuple object —
+    the kernel re-binds the constants only when that object changes.
+    The outcome constants ``(tCCD, hit, miss, conflict service)`` decode
+    :attr:`ReplayTables.code_l` at flush time.
+    """
     transfer = t.transfer_cycles(line_bytes)
-    hot = (t.tCL, t.tCCD, t.tRP, t.tRAS, t.tRC, t.tRCD, t.tFAW,
-           t.turnaround, transfer, t.tCL + transfer,
-           t.row_miss_latency + transfer,
-           t.row_conflict_latency + transfer)
-    return hot, (t.tREFI, t.tRFC)
+    hot = (t.tCL, t.tCCD, t.tRP, t.tRAS, t.tRC, t.tRCD + t.tCL, t.tFAW,
+           t.turnaround, transfer)
+    outcome = (t.tCCD, t.tCL + transfer, t.row_miss_latency + transfer,
+               t.row_conflict_latency + transfer)
+    return hot, (t.tREFI, t.tRFC), outcome
 
 
 class _FlatDevices:
@@ -333,7 +337,7 @@ class _FlatDevices:
             self.lastw_l += m._last_was_write
             self.acts_l += m._recent_acts
             self.nref_l.append(m._next_refresh)
-            hot, refresh = _timing_consts(m.timing, c.line_bytes)
+            hot, refresh, _ = _timing_consts(m.timing, c.line_bytes)
             self.consts.append(hot)
             self.refresh.append(refresh)
             self.fcfs.append(c.scheduler is fcfs_order)
@@ -374,6 +378,7 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     cur_i = cur_c = -1
+    cur_hot = None
     nref = 0
     lm = dm = _NEG
     while heap:
@@ -382,8 +387,8 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
         if i != cur_i:
             cur_i = i
             (ctrl_l, gbank_l, gsub_l, row_l, write_l, klass_l, gaddr_l,
-             done_l, queue_l, service_l, hit_l, bb_l, ep_start, ep_end,
-             headgap, off, off_last, ep_issue0, backlog) = ln.cols
+             done_l, code_l, ep_start, ep_end, headgap, off, off_last,
+             ep_issue0, backlog) = ln.cols
         k = ln.k
         stop = ln.stop
         cycle = ln.cycle
@@ -417,9 +422,10 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                 if c != cur_c:
                     cur_c = c
                     nref = nref_l[c]
-                    (tCL, tCCD, tRP, tRAS, tRC, tRCD, tFAW, turnaround,
-                     transfer, hit_service, miss_service,
-                     conflict_service) = consts[c]
+                    if consts[c] is not cur_hot:
+                        cur_hot = consts[c]
+                        (tCL, tCCD, tRP, tRAS, tRC, tRCD_CL, tFAW,
+                         turnaround, transfer) = cur_hot
                 if issue >= nref:
                     # MemoryModule._do_refresh + BankState.refresh.
                     refi, rfc = dev.refresh[c]
@@ -440,11 +446,8 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                 start = issue if issue > ready else ready
                 open_row = open_l[b]
                 if open_row == row:
-                    hit_l[j] = True
                     data_ready = start + tCL
                     ready_l[b] = start + tCCD
-                    bb_l[j] = tCCD
-                    service = hit_service
                 else:
                     acts = acts_l[sub]
                     if tFAW > 0 and len(acts) >= 4:
@@ -459,17 +462,17 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                         act = pre + tRP
                         if la + tRC > act:
                             act = la + tRC
-                        service = conflict_service
+                        data_ready = act + tRCD_CL
+                        code_l[j] = start - data_ready - 1
                     else:
                         act = la + tRC
                         if start > act:
                             act = start
-                        service = miss_service
+                        data_ready = act + tRCD_CL
+                        code_l[j] = data_ready - start + 1
                     lact_l[b] = act
                     open_l[b] = row
-                    data_ready = act + tRCD + tCL
                     ready_l[b] = data_ready
-                    bb_l[j] = data_ready - start
                     acts.append(act)
                     if len(acts) > 4:
                         del acts[:-4]
@@ -483,12 +486,7 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                 lastw_l[sub] = is_write
                 done = bus_start + transfer
                 bus_l[sub] = done
-                queue = done - issue - service
-                if queue < 0:
-                    queue = 0
                 done_l[j] = done
-                queue_l[j] = queue
-                service_l[j] = service
                 if done > dm:
                     dm = done
                 if klass_l[j] == 0 and done > lm:
@@ -544,14 +542,16 @@ def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
         lo, hi = ln.ep_start[k0], ln.ep_end[k1 - 1]
         batches += k1 - k0
         ctrl = tb._ctrl_np[lo:hi]
-        requests += np.bincount(ctrl, minlength=nc)
-        hit = np.asarray(tb.hit_l[lo:hi], dtype=bool)
-        row_hits += np.bincount(ctrl[hit], minlength=nc)
-        np.add.at(queue_cycles, ctrl,
-                  np.asarray(tb.queue_l[lo:hi], dtype=np.int64))
         sizes = (np.asarray(ln.ep_end[k0:k1], dtype=np.int64)
                  - np.asarray(ln.ep_start[k0:k1], dtype=np.int64))
         ep = np.repeat(np.arange(k0, k1), sizes)
+        issue = (np.asarray(ln.issue0[k0:k1], dtype=np.int64)[ep - k0]
+                 + np.asarray(ln.off[lo:hi], dtype=np.int64))
+        hit, _, queue, _ = tb.outcomes(
+            lo, hi, issue, np.asarray(tb.done_l[lo:hi], dtype=np.int64))
+        requests += np.bincount(ctrl, minlength=nc)
+        row_hits += np.bincount(ctrl[hit], minlength=nc)
+        np.add.at(queue_cycles, ctrl, queue)
         for c in np.unique(ctrl).tolist():
             at = np.flatnonzero(ctrl == c)
             kk = int(ep[at[-1]])

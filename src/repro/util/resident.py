@@ -1,36 +1,24 @@
-"""Process-level resident caches for the zero-copy data plane.
+"""Process-level resident cache for the zero-copy data plane.
 
 The mmap-native stores (:mod:`repro.util.castore` and the stores
-built on it) map artefacts straight off disk, so the
-expensive part of a warm load is no longer I/O but the *decode* around
-it: rebuilding ``MissStream``/``CacheStats`` wrappers, or re-deriving
-the per-access controller decode tables in
-:mod:`repro.memctrl.batch`.  A sweep worker that replays 30 configs of
-the same workload repeats that decode 30 times unless something holds
-onto the result.
+built on it) map artefacts straight off disk, so the expensive part of
+a warm load is no longer I/O but the *decode* around it: rebuilding
+``MissStream``/``CacheStats`` wrappers from the mapped columns.  A
+sweep worker that replays 30 configs of the same workload repeats that
+decode 30 times unless something holds onto the result.
 
 :class:`ResidentLRU` is that something: a small bounded
-most-recently-used map each subsystem keys however it likes (store
-entry path + mtime, content digest of decode inputs).  It is
-process-local by design — the cross-process sharing happens one layer
-down, in the page cache backing the mmaps.
-
-:func:`content_digest` is the shared keying helper: a SHA-256 over raw
-array bytes plus a canonical-JSON tail for scalar context, so two
-identical inputs hash identically regardless of which store entry or
-process they came from.
+most-recently-used map each store keys however it likes (store entry
+path + mtime).  It is process-local by design — the cross-process
+sharing happens one layer down, in the page cache backing the mmaps.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from typing import Any, Hashable
 
-import numpy as np
-
-__all__ = ["ResidentLRU", "content_digest"]
+__all__ = ["ResidentLRU"]
 
 
 class ResidentLRU:
@@ -47,9 +35,6 @@ class ResidentLRU:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evicted = 0
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
     def get(self, key: Hashable) -> Any | None:
@@ -57,10 +42,8 @@ class ResidentLRU:
         try:
             value = self._entries[key]
         except KeyError:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -70,7 +53,6 @@ class ResidentLRU:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evicted += 1
 
     def pop(self, key: Hashable) -> None:
         """Drop ``key`` if resident (used when the backing entry dies)."""
@@ -84,31 +66,3 @@ class ResidentLRU:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
-
-    def stats_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "resident": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evicted": self.evicted,
-        }
-
-
-def content_digest(*arrays: np.ndarray, extra: Any = None) -> str:
-    """SHA-256 over array bytes plus a canonical-JSON context tail.
-
-    Array shape/dtype are folded in ahead of the raw bytes so e.g. an
-    int64 column and its int32 twin never collide; ``extra`` carries
-    the scalar context (geometry, bases, modes) that also determines
-    the derived value.
-    """
-    h = hashlib.sha256()
-    for arr in arrays:
-        a = np.ascontiguousarray(arr)
-        h.update(f"{a.dtype.str}:{a.shape}".encode())
-        h.update(a.tobytes())
-    if extra is not None:
-        h.update(json.dumps(extra, sort_keys=True,
-                            separators=(",", ":")).encode())
-    return h.hexdigest()
