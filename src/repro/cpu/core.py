@@ -205,17 +205,18 @@ def _sums_by_first_occurrence(objs: np.ndarray,
     """Per-object integer sums, dict keys in first-occurrence order.
 
     Matches the insertion order the reference loop's ``dict.get``
-    accumulation produces.  Sums use ``np.add.at`` on int64 (exact);
-    ``bincount`` with float weights would not be.
+    accumulation produces.  One stable argsort groups each object's
+    elements (the first of a group is its first occurrence) and
+    ``np.add.reduceat`` sums the groups in int64 (exact); ``bincount``
+    with float weights would not be.
     """
-    uniq, first, inv = np.unique(objs, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable").tolist()
-    out = []
-    for v in values:
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, v)
-        out.append({int(uniq[oi]): int(sums[oi]) for oi in order})
-    return out
+    order = np.argsort(objs, kind="stable")
+    ordered = objs[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    first = np.argsort(order[starts], kind="stable")
+    keys = ordered[starts][first].tolist()
+    return [dict(zip(keys, np.add.reduceat(v[order], starts)[first].tolist()))
+            for v in values]
 
 
 class _Episodes:
@@ -237,10 +238,17 @@ class _Episodes:
         among (a) the batch cap, (b) the next dependent demand miss,
         (c) the first demand outside the ROB window, and (d) the demand
         that would exceed the MSHR overlap, all via ``searchsorted``.
+        Those searches (and the replay kernel's scheduler keys) need
+        ``inst`` nondecreasing, so a decreasing stream raises
+        ``ValueError`` instead of replaying to a wrong result.
         """
         num, den = p.ipc_ratio
         n = len(stream)
         inst = stream.inst
+        if np.any(inst[1:] < inst[:-1]):
+            raise ValueError(
+                "miss stream column 'inst' must be monotonically "
+                "non-decreasing")
         kind = stream.kind
         demand = kind <= KIND_STORE
         dep = np.asarray(stream.dep, dtype=bool)
@@ -405,7 +413,7 @@ class InOrderWindowCore:
             from repro.memctrl.batch import ReplayTables
 
             tb = ReplayTables(memsys, self._groups, self._gaddrs,
-                              self._stream.kind)
+                              self._stream.kind, self._ep_of, self._off_np)
             self._tb = tb
         return tb
 
@@ -483,10 +491,10 @@ class InOrderWindowCore:
             return
         ep_issue0 = np.asarray(self._ep_issue0, dtype=np.int64)
         issue = ep_issue0[self._ep_of] + self._off_np
-        tb.flush_stats(issue)
+        done = np.asarray(tb.done_l, dtype=np.int64)
+        tb.flush_stats(issue, done)
         kind = stream.kind
         obj = stream.obj_id.astype(np.int64)
-        done = np.asarray(tb.done_l, dtype=np.int64)
         dsel = np.flatnonzero(kind <= KIND_STORE)
         if len(dsel):
             res.mem_access_cycles = int((done[dsel] - issue[dsel]).sum())

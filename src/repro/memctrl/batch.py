@@ -17,10 +17,11 @@ refresh state out of the :class:`~repro.memctrl.system.MemorySystem`
 into flat per-system lists, and then runs the episode loop, the
 scheduler key sort, the bank arithmetic and the core-cycle update in one
 frame — for N cores under the same global-time heap the reference
-multicore driver uses.  Channels with equal timing share one constants
-tuple, and the loop re-binds the constants only when that tuple
-changes.  The state goes back into the ``BankState`` and
-``MemoryModule`` objects when the call returns.
+multicore driver uses, with integer entries ``t * n_lanes + lane``.
+Channels with equal timing share one constants tuple, and the loop
+re-binds the constants only when that tuple changes.  The state goes
+back into the ``BankState`` and ``MemoryModule`` objects when the call
+returns.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
 
@@ -28,7 +29,10 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   fully independent — only the *within-channel* order is semantically
   meaningful.  A single sort keyed ``(channel, scheduler key, record
   index)`` therefore reproduces the reference order exactly; the final
-  record index mirrors ``sorted()``'s stability.
+  record index mirrors ``sorted()``'s stability.  Each key is one int
+  (:func:`_scheduler_keys`): every record of an episode issues at
+  ``issue0 + off``, so the ``(issue, gaddr, index)`` tail of the key is
+  a rank fixed per replay, and only the row-hit bit is chosen live.
 * Row-hit bits for the FR-FCFS key are snapshotted against bank state at
   episode entry, exactly when the reference scheduler sorts (before any
   access of the episode drains, and before any refresh those accesses
@@ -77,9 +81,13 @@ class ReplayTables:
     Built lazily by :class:`~repro.cpu.core.InOrderWindowCore` on the
     first kernel call (the memory system is not known at construction)
     and keyed on the system's identity, one instance per (core, memsys).
-    Bank and subchannel columns index the flat per-system lists of
-    :func:`replay` (controller layout order, ``sub * n_banks + bank``
-    within a module).
+    The kernel reads five per-record lists: the flat bank index
+    ``gbank_l`` (into the per-system lists of :func:`replay`: controller
+    layout order, ``sub * n_banks + bank`` within a module; the bank's
+    channel and subchannel are per-bank lists there), the row, the
+    miss-stream kind (0 demand load, 1 demand store, 2 writeback,
+    3 prefetch — the FR-FCFS class is ``min(kind, 2)``) and the two
+    integer scheduler keys of :func:`_scheduler_keys`.
 
     The kernel writes two per-record output columns: ``done_l`` (the
     completion cycle) and ``code_l``, the row outcome and bank-busy
@@ -91,7 +99,8 @@ class ReplayTables:
     """
 
     def __init__(self, memsys: MemorySystem, groups: np.ndarray,
-                 gaddrs: np.ndarray, kind: np.ndarray):
+                 gaddrs: np.ndarray, kind: np.ndarray, ep_of: np.ndarray,
+                 off: np.ndarray):
         self.memsys = memsys
         self.controllers, bases = memsys.controller_layout()
         for ctrl in self.controllers:
@@ -103,16 +112,32 @@ class ReplayTables:
                     f"({', '.join(sorted(SCHEDULERS))})")
 
         n = len(gaddrs)
-        (self._ctrl_np, self._demand_np, self._write_np,
-         self.ctrl_l, self.gbank_l, self.gsub_l, self.row_l,
-         self.gaddr_l, self.write_l, self.klass_l) = self._decode(
-            memsys, bases, np.asarray(groups, dtype=np.int64),
-            np.asarray(gaddrs, dtype=np.int64),
-            np.asarray(kind, dtype=np.int64))
-        #: Per controller: (tCCD, hit, miss, conflict service cycles).
-        self._outcome_np = np.array(
-            [_timing_consts(c.module.timing, c.line_bytes)[2]
-             for c in self.controllers], dtype=np.int64)
+        gaddrs = np.asarray(gaddrs, dtype=np.int64)
+        kind = np.asarray(kind)
+        ctrl, gbank, row = self._decode(
+            memsys, bases, np.asarray(groups, dtype=np.int64), gaddrs)
+        fcfs = np.array([c.scheduler is fcfs_order
+                         for c in self.controllers])
+        self._ctrl_np = ctrl
+        self._kind_np = kind
+        # Hot-loop columns as plain-int lists (one tolist() each; list
+        # indexing beats numpy scalar extraction ~10x in the kernel).
+        self.gbank_l = gbank.tolist()
+        self.row_l = row.tolist()
+        self.kind_l = kind.tolist()
+        hit, miss, self.mask = _scheduler_keys(
+            ctrl, np.minimum(kind, 2), fcfs, ep_of, off, gaddrs)
+        self.hit_key_l = hit.tolist()
+        self.miss_key_l = miss.tolist()
+        # Flat (controller, outcome) tables, outcome = sign(code) mod 3
+        # (0 hit, 1 miss, 2 conflict): service cycles, and bank-busy
+        # cycles minus ``|code|``.
+        out = np.array([_timing_consts(c.module.timing, c.line_bytes)[2]
+                        for c in self.controllers], dtype=np.int64)
+        self._service_np = out[:, 1:].ravel()
+        busy = np.full((len(out), 3), -1, dtype=np.int64)
+        busy[:, 0] = out[:, 0]
+        self._busy_np = busy.ravel()
         # Per-record outputs, filled by replay(), read at finalize.  A
         # row hit leaves its code at 0 (every record drains once).
         self.done_l = [0] * n
@@ -121,11 +146,10 @@ class ReplayTables:
 
     @staticmethod
     def _decode(memsys: MemorySystem, bases, groups: np.ndarray,
-                gaddrs: np.ndarray, kind: np.ndarray) -> tuple:
-        """Vectorized routing/decode of every record."""
+                gaddrs: np.ndarray) -> tuple:
+        """Vectorized routing/decode: ``(controller, flat bank, row)``."""
         n = len(gaddrs)
         ctrl = np.zeros(n, dtype=np.int64)
-        sub = np.zeros(n, dtype=np.int64)
         fbank = np.zeros(n, dtype=np.int64)
         row = np.zeros(n, dtype=np.int64)
         for gi, g in enumerate(memsys.groups):
@@ -151,28 +175,14 @@ class ReplayTables:
             dline2 = dline >> mod._sub_bits
             bk = dline2 & mod._bank_mask
             ctrl[sel] = bases[gi] + ch
-            sub[sel] = sb
             fbank[sel] = sb * g.timing.n_banks + bk
             row[sel] = (dline2 >> mod._bank_bits) % g.timing.n_rows
-        # Offsets of each controller's banks and subchannels in the flat
-        # per-system lists (controller layout order).
-        subs = [g.timing.n_subchannels
-                for g in memsys.groups for _ in range(g.n_channels)]
+        # Offset of each controller's banks in the flat per-system lists
+        # (controller layout order).
         banks = [g.timing.n_subchannels * g.timing.n_banks
                  for g in memsys.groups for _ in range(g.n_channels)]
-        sub_lo = np.cumsum([0] + subs[:-1], dtype=np.int64)
         bank_lo = np.cumsum([0] + banks[:-1], dtype=np.int64)
-        gsub = sub_lo[ctrl] + sub
-        gbank = bank_lo[ctrl] + fbank
-        demand = kind <= KIND_STORE
-        write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
-        # FR-FCFS criticality: demand read 0, demand write 1, background 2.
-        klass = np.where(demand, np.where(write, 1, 0), 2)
-        # Hot-loop columns as plain-int lists (one tolist() each; list
-        # indexing beats numpy scalar extraction ~10x in the kernel).
-        return (ctrl, demand, write,
-                ctrl.tolist(), gbank.tolist(), gsub.tolist(), row.tolist(),
-                gaddrs.tolist(), write.tolist(), klass.tolist())
+        return ctrl, bank_lo[ctrl] + fbank, row
 
     # ---- episode drain ----------------------------------------------------------
 
@@ -180,9 +190,10 @@ class ReplayTables:
                       off: list[int]) -> tuple[int, int]:
         """Serve records [s, e) issued at ``issue0 + off[j]``.
 
-        The stepping API's one-episode call into :func:`replay`.
-        Returns ``(max done over demand loads, max done over all
-        records)`` — the two quantities the core's cycle update needs.
+        The stepping API's one-episode call into :func:`replay`; [s, e)
+        is one of the episodes the tables were built with.  Returns
+        ``(max done over demand loads, max done over all records)`` —
+        the two quantities the core's cycle update needs.
         """
         return replay([Lane(self, (s,), (e,), (issue0,), off, (0,), [0],
                             backlog=0, k=0, cycle=0, stop=1)])
@@ -199,32 +210,31 @@ class ReplayTables:
         produced record by record.
         """
         code = np.asarray(self.code_l[lo:hi], dtype=np.int64)
-        consts = self._outcome_np[self._ctrl_np[lo:hi]]
+        at = self._ctrl_np[lo:hi] * 3 + np.sign(code) % 3
         hit = code == 0
-        service = np.where(hit, consts[:, 1],
-                           np.where(code > 0, consts[:, 2], consts[:, 3]))
-        busy = np.where(hit, consts[:, 0], np.abs(code) - 1)
+        service = self._service_np[at]
+        busy = np.abs(code) + self._busy_np[at]
         queue = done - issue - service
         np.maximum(queue, 0, out=queue)
         return hit, service, queue, busy
 
-    def flush_stats(self, issue: np.ndarray) -> None:
+    def flush_stats(self, issue: np.ndarray, done: np.ndarray) -> None:
         """Fold the per-record outputs into module/controller counters.
 
         Called once, at end of replay, per (core, memsys) table, with
-        every record's issue cycle.  Exact integer aggregation
-        throughout (int64 sums, no float weights).  Assumes device
-        timing did not change mid-replay (fault derating happens before
-        replay starts).
+        every record's issue and completion cycle.  Exact integer
+        aggregation throughout (int64 sums, no float weights).  Assumes
+        device timing did not change mid-replay (fault derating happens
+        before replay starts).
         """
         if self._flushed:
             return
         self._flushed = True
-        done = np.asarray(self.done_l, dtype=np.int64)
         hit, service, queue, bb = self.outcomes(0, len(done), issue, done)
         ctrl = self._ctrl_np
-        write = self._write_np
-        demand = self._demand_np
+        kind = self._kind_np
+        write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
+        demand = kind <= KIND_STORE
         for ci, c in enumerate(self.controllers):
             sel = np.flatnonzero(ctrl == ci)
             cnt = len(sel)
@@ -248,6 +258,58 @@ class ReplayTables:
             dsel = sel[demand[sel]]
             if len(dsel):
                 c.latency_hist.record_many(queue[dsel] + service[dsel])
+
+
+def _scheduler_keys(ctrl: np.ndarray, klass: np.ndarray, fcfs: np.ndarray,
+                    ep_of: np.ndarray, off: np.ndarray,
+                    gaddrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer scheduler keys ``(row-hit key, row-miss key, record mask)``.
+
+    Both schedulers order an episode by ``(channel, class, row miss,
+    issue, gaddr, record index)`` — FCFS with class and row miss held at
+    0.  Within an episode the issue cycle is ``issue0 + off``, so every
+    part of that order except the row-miss bit is static: ``rank``, the
+    record's position within its episode under ``(off, gaddr, index)``,
+    stands in for the last three.  A key packs ``((channel * 3 + class)
+    * 2 + miss) << S | rank << B | index`` (``channel * 6 << S | rank <<
+    B | index`` on an FCFS channel), so sorting a list of keys gives the
+    scheduler's order and ``key & mask`` the record index.  The kernel
+    picks the hit or miss key per record against live bank state.
+
+    ``rank`` needs ``off`` nondecreasing within an episode (``inst``
+    nondecreasing; :class:`~repro.cpu.core.InOrderWindowCore` checks
+    it): then records with equal ``(episode, off)`` form contiguous tie
+    runs, and one stable argsort of ``(tie run, gaddr)`` orders them.
+    """
+    n = len(ctrl)
+    idx = np.arange(n, dtype=np.int64)
+    new_ep = np.ones(n, dtype=bool)
+    np.not_equal(ep_of[1:], ep_of[:-1], out=new_ep[1:])
+    new_run = new_ep.copy()
+    new_run[1:] |= off[1:] != off[:-1]
+    pos = idx
+    if not new_run.all():
+        run = np.cumsum(new_run) - 1
+        g_bits = int(gaddrs.max()).bit_length()
+        if int(run[-1]).bit_length() + g_bits <= 62:
+            order = np.argsort((run << g_bits) | gaddrs, kind="stable")
+        else:
+            order = np.lexsort((gaddrs, run))
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = idx
+    # Sorting by tie run keeps every record inside its episode's span.
+    rank = pos - np.maximum.accumulate(np.where(new_ep, idx, 0))
+    b = n.bit_length()
+    s = b + int(rank.max()).bit_length()
+    if (int(ctrl.max()) * 6 + 5).bit_length() + s > 63:
+        raise ValueError(
+            f"replay of {n} records cannot pack its scheduler keys "
+            f"into int64")
+    fcfs = fcfs[ctrl]
+    cls = np.where(fcfs, ctrl * 6, (ctrl * 3 + klass) * 2)
+    hit = (cls << s) | (rank << b) | idx
+    miss = hit + np.where(fcfs, 0, 1 << s)
+    return hit, miss, (1 << b) - 1
 
 
 class Lane:
@@ -277,10 +339,10 @@ class Lane:
         self.stop = stop
         tb = tables
         #: Everything the kernel rebinds when it switches to this lane.
-        self.cols = (tb.ctrl_l, tb.gbank_l, tb.gsub_l, tb.row_l,
-                     tb.write_l, tb.klass_l, tb.gaddr_l, tb.done_l,
-                     tb.code_l, ep_start, ep_end, headgap, off, off_last,
-                     issue0, backlog)
+        self.cols = (tb.gbank_l, tb.row_l, tb.kind_l, tb.hit_key_l,
+                     tb.miss_key_l, tb.mask, tb.done_l, tb.code_l,
+                     ep_start, ep_end, headgap, off, off_last, issue0,
+                     backlog)
 
 
 @functools.lru_cache(maxsize=64)
@@ -306,9 +368,13 @@ class _FlatDevices:
 
     Loaded from the modules on construction and written back by
     :meth:`store`.  Banks are indexed ``bank_lo[c] + sub * n_banks +
-    bank`` and subchannels ``sub_lo[c] + sub`` — the ``gbank``/``gsub``
-    columns of :class:`ReplayTables`.  The per-subchannel tFAW activate
-    histories are the modules' own lists, mutated in place.
+    bank`` — the ``gbank`` column of :class:`ReplayTables` — and
+    ``bank_ctrl``/``bank_sub`` give each bank's controller and flat
+    subchannel ``sub_lo[c] + sub``.  The tFAW activate histories are one
+    flat ring of four slots per subchannel (slots ``4 * sub`` to ``4 *
+    sub + 3``); ``faw_q[sub]`` is the slot of the oldest of the last
+    four activates, ``ring_next`` each slot's successor, and unused
+    slots hold a sentinel far below any cycle.
     """
 
     def __init__(self, controllers) -> None:
@@ -316,36 +382,44 @@ class _FlatDevices:
         self.open_l: list = []
         self.ready_l: list[int] = []
         self.lact_l: list[int] = []
+        self.bank_ctrl: list[int] = []
+        self.bank_sub: list[int] = []
         self.bus_l: list[int] = []
         self.lastw_l: list = []
-        self.acts_l: list[list[int]] = []
+        self.ring: list[int] = []
         self.bank_lo: list[int] = []
         self.sub_lo: list[int] = []
         self.nref_l: list[int] = []
         self.consts: list[tuple] = []
         self.refresh: list[tuple] = []
-        self.fcfs: list[bool] = []
-        for c, m in zip(controllers, self.modules):
+        for ci, (c, m) in enumerate(zip(controllers, self.modules)):
             self.bank_lo.append(len(self.open_l))
             self.sub_lo.append(len(self.bus_l))
-            for sub in m.banks:
-                for b in sub:
+            for sub, banks in enumerate(m.banks):
+                for b in banks:
                     self.open_l.append(b.open_row)
                     self.ready_l.append(b.ready_at)
                     self.lact_l.append(b.last_activate)
+                    self.bank_ctrl.append(ci)
+                    self.bank_sub.append(len(self.bus_l) + sub)
             self.bus_l += m.bus_free_at
             self.lastw_l += m._last_was_write
-            self.acts_l += m._recent_acts
+            for acts in m._recent_acts:
+                last = acts[-4:]
+                self.ring += [_NEG] * (4 - len(last)) + last
             self.nref_l.append(m._next_refresh)
             hot, refresh, _ = _timing_consts(m.timing, c.line_bytes)
             self.consts.append(hot)
             self.refresh.append(refresh)
-            self.fcfs.append(c.scheduler is fcfs_order)
         self.bank_lo.append(len(self.open_l))
         self.sub_lo.append(len(self.bus_l))
+        self.faw_q = list(range(0, len(self.ring), 4))
+        self.ring_next = [q + 1 if q % 4 < 3 else q - 3
+                          for q in range(len(self.ring))]
 
     def store(self) -> None:
         open_l, ready_l, lact_l = self.open_l, self.ready_l, self.lact_l
+        ring = self.ring
         i = 0
         for ci, m in enumerate(self.modules):
             for sub in m.banks:
@@ -357,6 +431,10 @@ class _FlatDevices:
             s0, s1 = self.sub_lo[ci], self.sub_lo[ci + 1]
             m.bus_free_at[:] = self.bus_l[s0:s1]
             m._last_was_write[:] = self.lastw_l[s0:s1]
+            for sub, acts in enumerate(m._recent_acts, s0):
+                lo, q = 4 * sub, self.faw_q[sub]
+                acts[:] = [a for a in ring[q:lo + 4] + ring[lo:q]
+                           if a != _NEG]
             m._next_refresh = self.nref_l[ci]
 
 
@@ -369,26 +447,30 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
     """
     dev = _FlatDevices(lanes[0].tables.controllers)
     open_l, ready_l, lact_l = dev.open_l, dev.ready_l, dev.lact_l
-    bus_l, lastw_l, acts_l = dev.bus_l, dev.lastw_l, dev.acts_l
+    bank_ctrl, bank_sub = dev.bank_ctrl, dev.bank_sub
+    bus_l, lastw_l = dev.bus_l, dev.lastw_l
+    ring, faw_q, ring_next = dev.ring, dev.faw_q, dev.ring_next
     nref_l, bank_lo, consts = dev.nref_l, dev.bank_lo, dev.consts
-    fcfs = dev.fcfs
     begins = [ln.k for ln in lanes]
-    heap = [(ln.cycle + ln.headgap[ln.k], i)
+    # Heap entries ``t * n_lanes + lane`` order exactly as ``(t, lane)``.
+    nl = len(lanes)
+    heap = [(ln.cycle + ln.headgap[ln.k]) * nl + i
             for i, ln in enumerate(lanes) if ln.k < ln.stop]
     heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappushpop = heapq.heappop, heapq.heappushpop
     cur_i = cur_c = -1
     cur_hot = None
     nref = 0
     lm = dm = _NEG
-    while heap:
-        _, i = heappop(heap)
+    x = heappop(heap) if heap else None
+    while x is not None:
+        i = x % nl
         ln = lanes[i]
         if i != cur_i:
             cur_i = i
-            (ctrl_l, gbank_l, gsub_l, row_l, write_l, klass_l, gaddr_l,
-             done_l, code_l, ep_start, ep_end, headgap, off, off_last,
-             ep_issue0, backlog) = ln.cols
+            (gbank_l, row_l, kind_l, hit_l, miss_l, mask, done_l, code_l,
+             ep_start, ep_end, headgap, off, off_last, ep_issue0,
+             backlog) = ln.cols
         k = ln.k
         stop = ln.stop
         cycle = ln.cycle
@@ -397,27 +479,20 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
             e = ep_end[k]
             issue0 = cycle + headgap[k]
             ep_issue0[k] = issue0
-            # Scheduler order: keyed tuples end in the record index.
             if e - s == 1:
                 # Singletons skip the sort, like the reference skips the
                 # scheduler for len-1 batches.
-                keyed = ((s,),)
+                keyed = (s,)
             else:
-                keyed = []
-                ap = keyed.append
-                for j in range(s, e):
-                    c = ctrl_l[j]
-                    if fcfs[c]:
-                        ap((c, issue0 + off[j], gaddr_l[j], j))
-                    else:
-                        ap((c, klass_l[j],
-                            0 if open_l[gbank_l[j]] == row_l[j] else 1,
-                            issue0 + off[j], gaddr_l[j], j))
+                # Row-hit bits against bank state at episode entry.
+                keyed = [hit_l[j] if open_l[gbank_l[j]] == row_l[j]
+                         else miss_l[j] for j in range(s, e)]
                 keyed.sort()
             lm = dm = _NEG
-            for rec in keyed:
-                j = rec[-1]
-                c = ctrl_l[j]
+            for j in keyed:
+                j &= mask
+                b = gbank_l[j]
+                c = bank_ctrl[b]
                 issue = issue0 + off[j]
                 if c != cur_c:
                     cur_c = c
@@ -431,16 +506,15 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                     refi, rfc = dev.refresh[c]
                     lo, hi = bank_lo[c], bank_lo[c + 1]
                     while issue >= nref:
-                        for x in range(lo, hi):
-                            r = ready_l[x]
+                        for y in range(lo, hi):
+                            r = ready_l[y]
                             r = (nref if nref > r else r) + rfc
-                            open_l[x] = None
-                            ready_l[x] = r
-                            lact_l[x] = r
+                            open_l[y] = None
+                            ready_l[y] = r
+                            lact_l[y] = r
                         nref += refi
                     nref_l[c] = nref
-                b = gbank_l[j]
-                sub = gsub_l[j]
+                sub = bank_sub[b]
                 row = row_l[j]
                 ready = ready_l[b]
                 start = issue if issue > ready else ready
@@ -449,9 +523,9 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                     data_ready = start + tCL
                     ready_l[b] = start + tCCD
                 else:
-                    acts = acts_l[sub]
-                    if tFAW > 0 and len(acts) >= 4:
-                        faw = acts[-4] + tFAW
+                    q = faw_q[sub]
+                    if tFAW > 0:
+                        faw = ring[q] + tFAW
                         if faw > start:
                             start = faw
                     la = lact_l[b]
@@ -473,13 +547,13 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                     lact_l[b] = act
                     open_l[b] = row
                     ready_l[b] = data_ready
-                    acts.append(act)
-                    if len(acts) > 4:
-                        del acts[:-4]
+                    ring[q] = act
+                    faw_q[sub] = ring_next[q]
                 bus_start = bus_l[sub]
                 if data_ready > bus_start:
                     bus_start = data_ready
-                is_write = write_l[j]
+                kd = kind_l[j]
+                is_write = 0 < kd < 3
                 prev_write = lastw_l[sub]
                 if prev_write is not None and prev_write != is_write:
                     bus_start += turnaround
@@ -489,7 +563,7 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                 done_l[j] = done
                 if done > dm:
                     dm = done
-                if klass_l[j] == 0 and done > lm:
+                if kd == 0 and done > lm:
                     lm = done
             # Core-cycle update: the ROB head waits for the episode's
             # loads, retirement reaches its last record, and background
@@ -502,14 +576,18 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
             cycle = c3 if c3 > t else t
             k += 1
             if k == stop:
+                nxt = None
                 break
             if heap:
-                nxt = (cycle + headgap[k], i)
+                nxt = (cycle + headgap[k]) * nl + i
                 if nxt > heap[0]:
-                    heappush(heap, nxt)
                     break
         ln.k = k
         ln.cycle = cycle
+        if nxt is not None:
+            x = heappushpop(heap, nxt)
+        else:
+            x = heappop(heap) if heap else None
     dev.store()
     if OBS.enabled:
         _publish_obs(dev, lanes, begins)

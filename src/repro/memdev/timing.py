@@ -8,6 +8,7 @@ properties round each analog timing up to integer cycles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -145,7 +146,8 @@ class DeviceTiming:
         return _cyc(self.turnaround_ns)
 
     def transfer_cycles(self, nbytes: int) -> int:
-        return _cyc(self.transfer_ns(nbytes))
+        """Whole cycles of bus time to move ``nbytes`` (memoized)."""
+        return _transfer_cycles(self, nbytes)
 
     @property
     def tCCD(self) -> int:
@@ -208,3 +210,9 @@ class DeviceTiming:
 def _cyc(ns: float) -> int:
     """Round an analog timing up to whole 1 GHz cycles (>=0)."""
     return max(0, int(math.ceil(ns - 1e-9)))
+
+
+@functools.lru_cache(maxsize=256)
+def _transfer_cycles(t: DeviceTiming, nbytes: int) -> int:
+    # Page migrations ask for the same page-copy time per moved page.
+    return _cyc(t.transfer_ns(nbytes))

@@ -436,6 +436,8 @@ class GuidanceService:
         pools = allocator.pools
         chain = allocator.chain_for(req.target)
         shoot = self.spec.shootdown_cycles
+        copy = [g.timing.transfer_cycles(PAGE_BYTES)
+                for g in tenant.memsys.groups]
         overhead = 0
         pages_moved = 0
         for key in tenant._pages_of.get(req.obj_id, ()):
@@ -467,10 +469,7 @@ class GuidanceService:
                 allocator.stats.exhausted[req.target] += 1
                 if OBS.enabled:
                     OBS.add(f"alloc.overcommit.{req.target.name}")
-            groups = tenant.memsys.groups
-            cost = (groups[cur_group].timing.transfer_cycles(PAGE_BYTES)
-                    + groups[dst].timing.transfer_cycles(PAGE_BYTES)
-                    + shoot)
+            cost = copy[cur_group] + copy[dst] + shoot
             if not budget.can_move_page(cost):
                 pools[dst].free(frame)  # return the speculative frame
                 return (overhead, pages_moved), True

@@ -111,17 +111,16 @@ def charge_page_copy(memsys: MemorySystem, stats: MigrationStats,
     (:mod:`repro.service`) so both charge migrations identically.
     Returns the cycles to bill the core (copy + shootdown).
     """
-    src = memsys.groups[src_group].timing
-    dst = memsys.groups[dst_group].timing
-    cycles = src.transfer_cycles(PAGE_BYTES) + dst.transfer_cycles(PAGE_BYTES)
+    copy = [memsys.groups[g].timing.transfer_cycles(PAGE_BYTES)
+            for g in (src_group, dst_group)]
+    cycles = copy[0] + copy[1]
     stats.copy_cycles += cycles
     stats.shootdown_cycles += shootdown_cycles
     stats.bytes_copied += 2 * PAGE_BYTES
     # The copy occupies both groups' buses (power + later queueing).
-    for g in (src_group, dst_group):
+    for g, c in zip((src_group, dst_group), copy):
         mod = memsys.groups[g].modules[0]
-        mod.bus_busy_cycles += memsys.groups[g].timing.transfer_cycles(
-            PAGE_BYTES)
+        mod.bus_busy_cycles += c
         mod.bytes_transferred += PAGE_BYTES
     return cycles + shootdown_cycles
 

@@ -140,6 +140,28 @@ class TestStepping:
             InOrderWindowCore(s, np.zeros(2, dtype=np.int32),
                               np.zeros(2, dtype=np.int64))
 
+    def test_decreasing_inst_rejected(self):
+        # Episode segmentation and the kernel's scheduler keys assume a
+        # nondecreasing ``inst``; a decreasing stream used to replay to
+        # a wrong cycle count without complaint.
+        rng = np.random.default_rng(19)
+        inst = rng.integers(200, 400, size=19)
+        inst[:4] = [250, 273, 358, 231]
+        kind = rng.integers(0, 4, size=19)
+        params = CoreParams(mshr=4, rob_size=32)
+        memsys = lambda: MemorySystem(  # noqa: E731
+            {"main": ChannelGroup(DDR3, 2, 4 * MIB)})
+        bad = _stream(inst, kind=kind, total=1000)
+        groups, gaddrs = _translate(bad)
+        with pytest.raises(ValueError, match="'inst'"):
+            InOrderWindowCore(bad, groups, gaddrs, params)
+        ok = _stream(np.sort(inst), kind=kind, total=1000)
+        groups, gaddrs = _translate(ok)
+        fused = InOrderWindowCore(ok, groups, gaddrs, params)
+        ref = ReferenceCore(ok, groups, gaddrs, params)
+        assert (fused.run_to_completion(memsys()).to_dict()
+                == ref.run_to_completion(memsys()).to_dict())
+
     def test_start_cycle_offsets_everything(self):
         s = _stream([10])
         groups, gaddrs = _translate(s)

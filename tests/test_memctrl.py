@@ -6,6 +6,7 @@ import pytest
 from repro.cpu.core import InOrderWindowCore
 from repro.cpu.hierarchy import KIND_LOAD, MissStream
 from repro.memctrl.addrmap import GroupAddressMap, LINE_BYTES
+from repro.memctrl.batch import _scheduler_keys
 from repro.memctrl.controller import ChannelController
 from repro.memctrl.request import MemRequest
 from repro.memctrl.scheduler import SCHEDULERS, fcfs_order, frfcfs_order
@@ -126,6 +127,24 @@ class TestSchedulers:
         with pytest.raises(ValueError, match=r"<lambda>.*repro\.memctrl"
                            r"\.scheduler\.SCHEDULERS \(fcfs, frfcfs\)"):
             core.run_to_completion(memsys)
+
+    def test_replay_keys_order_wide_gaddrs(self):
+        """Addresses too wide to pack beside the tie-run index take the
+        lexsort path and give the same scheduler keys."""
+        ctrl = np.zeros(5, dtype=np.int64)
+        klass = np.array([0, 2, 0, 0, 1])
+        fcfs = np.array([False])
+        ep_of = np.array([0, 0, 0, 0, 1])
+        off = np.array([0, 3, 3, 3, 0])
+        narrow = np.array([9, 8, 7, 5, 1]) * 64
+        keys = [_scheduler_keys(ctrl, klass, fcfs, ep_of, off, g)
+                for g in (narrow, narrow + (1 << 61))]
+        for got, want in zip(keys[1], keys[0]):
+            assert np.array_equal(got, want)
+        hit, miss, mask = keys[0]
+        assert sorted(hit[:4].tolist()) == hit[[0, 3, 2, 1]].tolist()
+        assert np.all(miss > hit)
+        assert (hit & mask).tolist() == [0, 1, 2, 3, 4]
 
     def test_frfcfs_row_hit_is_a_batch_snapshot(self):
         """Hit/miss classification is frozen when the batch arrives: a
