@@ -25,14 +25,19 @@ over raw 64-bit words ``w``:
   double per variate, inverted with a precomputed partial-sum table;
 * ``geometric(p)`` with ``p < 1/3`` — inversion via the exponential
   ziggurat (tables in :mod:`repro.trace.zigtables`): one word per
-  variate on the ~98.9% fast path, extra words on rejection/tail.
+  variate on the ~97.8% fast path, extra words on rejection/tail.
 
 Only two constructs consume a *data-dependent* number of words: Lemire
-rejections and ziggurat slow paths.  The kernel therefore lays the
-whole stream out speculatively (zero rare events), detects violations
-vectorized, and repairs from the first violation forward — processing
-ops in small blocks so each repair re-examines a bounded window.  All
-bulk decoding (burst schedule, offsets, write/dep flags, gaps) is
+rejections and ziggurat slow paths.  The kernel lays the stream out
+speculatively (no rejections, fast-path gaps), in blocks of
+``_BLOCK_ACCESSES`` accesses.  A ziggurat slow path takes ~2.2% of gap
+draws, and whether a draw takes it depends only on the word it reads.
+So one linear walk over a window's failing words resolves every slow
+path exactly, with the shift of each later read known as it goes (see
+``_Kernel._zig_chain``).  Lemire rejections and degenerate hotspots are
+rarer *true events*: detected vectorized under the walked shifts, each
+cuts the window, is repaired scalar, and the layout restarts after it.
+All bulk decoding (burst schedule, offsets, write/dep flags, gaps) is
 whole-array numpy.
 
 The kernel never touches the caller's Generator until the very end:
@@ -51,18 +56,25 @@ import numpy as np
 
 from repro.trace.zigtables import FE, KE, WE, ZIGGURAT_EXP_R
 
+_WE, _KE, _FE = WE.tolist(), KE.tolist(), FE.tolist()  # for the walk
+
 __all__ = ["supported", "iter_kernel_blocks"]
 
 _DBL = 2.0 ** -53
 #: numpy's geometric() method cutover: search below, ziggurat inversion
 #: at and above (the C constant rounds to the same double as 1/3).
 _SEARCH_P_MIN = 1.0 / 3.0
-#: Target accesses per walk block: small enough that an event repair's
-#: re-scan window (and the shift-chain's 2-D fail enumeration, quadratic
-#: in the block) stays cheap, large enough to amortize numpy call
-#: overhead.  The chunk count per block is derived from the schedule's
-#: mean burst so blocks have comparable size across workloads.
-_BLOCK_ACCESSES = 2048
+#: Target accesses per walk block: large enough to amortize numpy call
+#: overhead (apps with few true events build 30-45% faster than at 2048
+#: on a 2-CPU x86 VM; 16384 gains nothing more), while a window after a
+#: true event stays sized by the event rate, not by the block.  The
+#: chunk count per block is derived from the schedule's mean burst so
+#: blocks have comparable size across workloads.
+_BLOCK_ACCESSES = 8192
+#: Slack of the zig walk's first failing-word scan, in words per zig
+#: draw to resolve (plus a constant): about twice the expected shift, so
+#: the walk rarely has to scan further.
+_WALK_SLACK = 1 / 16
 
 # Op kinds, in the per-chunk stream order the reference emits them.
 _K_LEM = 0   # integers(0, L, n)            -- rand/chase offsets
@@ -420,17 +432,23 @@ class _Kernel:
 
     def _layout_detect_decode(self, kinds, nn, oo, ch, rowstart, out):
         """Lay out ops [0:] speculatively from the current state, decode
-        everything before the first rare event, and advance the state
+        everything before the first true event, and advance the state
         there.  Returns the local index of the event op, or ``None``.
 
         Ziggurat slow paths are too common (~2.2% of gap draws) to be
-        frontier events; they are resolved up front by the shift chain
-        (:meth:`_zig_chain`), and the resulting extra-word shifts are
-        folded into every later read.  Only Lemire rejections and
-        degenerate hotspots — a few per million accesses — remain true
-        events that cut the layout short.
+        true events: the walk (:meth:`_zig_chain`) resolves them, and
+        their extra words shift every later read.  Only Lemire
+        rejections and degenerate hotspots cut the layout short.  Where
+        a rejection lies depends on the shifts before it, so detection
+        and walk alternate: find the first event under the shifts known
+        so far, walk the zig sites before it, and look again, until the
+        walk adds no slow path or the event lies inside the walked
+        prefix.  The walk thus stops at every candidate cut; it passes
+        the true one only when its own slow paths moved a rejection
+        into the stretch it just walked.
         """
         P, tape = self.P, self.tape
+        nops = len(kinds)
         h = nn * P.halfmul[oo, kinds]
         par = (self.b + _excl_cumsum(h & 1)) & 1
         fetch = np.where(h > 0, (h - par + 1) // 2, 0)
@@ -441,170 +459,170 @@ class _Kernel:
         end_c = int(wstart[-1] + wds[-1])
         tape.need(end_c)
 
-        # Ziggurat gap sites: resolve slow-path extra words exactly.
+        # Base-layout sites: zig draws, hotspot uniforms (the hot/cold
+        # split feeds the half thresholds) and Lemire halves (normal LEM
+        # + normal HOT ops).  Zig extras consume whole words only, so
+        # half parities are exact here; word positions after a slow
+        # path all shift by the op shift.
         zo = np.flatnonzero(kinds == _K_GZ)
         zop = np.repeat(zo, nn[zo])
         zpos = np.repeat(wstart[zo], nn[zo]) + _ragged_arange(nn[zo])
-        zgap, op_extras, total_extras = self._zig_chain(
-            zpos, zop, oo, len(kinds))
-        opshift = _excl_cumsum(op_extras)
-        wsh = wstart + opshift
-        end_c += total_extras
-
-        # Zig extras consume whole words only, so parities are exact in
-        # the base layout; word positions after a slow path all shift.
-        lastw_s = np.where(lastw >= 0, lastw + opshift, -1)
-        prevw = np.concatenate(([-1], np.maximum.accumulate(lastw_s)[:-1]))
-
-        # Hotspot uniforms (the hot/cold split feeds the half thresholds).
         nho = np.flatnonzero((kinds == _K_HOT) & ~P.hot_aev[oo]
                              & ~P.hot_nohalf[oo])
-        upos = np.repeat(wsh[nho], nn[nho]) + _ragged_arange(nn[nho])
-        in_hot = _doubles(tape.take(upos)) < np.repeat(P.hot_w[oo[nho]],
-                                                       nn[nho])
-        nhot_by_op = np.zeros(len(kinds), dtype=np.int64)
-        if len(nho):
-            ustarts = _excl_cumsum(nn[nho])
-            nhot_by_op[nho] = np.add.reduceat(
-                in_hot.astype(np.int64), ustarts) if in_hot.size else 0
-
-        # Lemire half sites (normal LEM + normal HOT ops).
+        uop = np.repeat(nho, nn[nho])
+        upos = np.repeat(wstart[nho], nn[nho]) + _ragged_arange(nn[nho])
+        hot_w = P.hot_w[oo[uop]]
         hsel = np.flatnonzero((h > 0) & ~P.hot_aev[oo])
         hop = np.repeat(hsel, h[hsel])
         j = _ragged_arange(h[hsel])
         adj = j - par[hop]
-        word = hstart[hop] + opshift[hop] + np.maximum(adj, 0) // 2
-        hv = (tape.take(word) >> (np.uint64(32)
-                                  * (adj & 1).astype(np.uint64))) \
-            & np.uint64(0xFFFFFFFF)
-        carry = adj < 0
-        if carry.any():
-            pw = prevw[hop[carry]]
-            # pw == -1 means "carry predates this block" (use self.v);
-            # real word indices are always >= self.c, so clamp the
-            # sentinel there to keep take() inside the tape window.
-            cv = np.where(
-                pw >= 0,
-                tape.take(np.maximum(pw, self.c)) >> np.uint64(32),
-                np.uint64(self.v))
-            hv = hv.copy()
-            hv[carry] = cv
-        is_hot_half = (kinds[hop] == _K_HOT) & (j < nhot_by_op[hop])
-        L = np.where(is_hot_half, P.hot_L[oo[hop]], P.lem_L[oo[hop]])
-        thr = np.where(is_hot_half, P.hot_thr[oo[hop]], P.lem_thr[oo[hop]])
-        m = hv * L
-        hrej = (m & np.uint64(0xFFFFFFFF)) < thr
+        hword = hstart[hop] + np.maximum(adj, 0) // 2
+        hbits = np.uint64(32) * (adj & 1).astype(np.uint64)
+        carry = np.flatnonzero(adj < 0)
+        hot_site = kinds[hop] == _K_HOT
+        aev = np.flatnonzero((kinds == _K_HOT) & P.hot_aev[oo])
 
-        # First op carrying a true event.
-        evf = (kinds == _K_HOT) & P.hot_aev[oo]
-        if hrej.any():
-            evf = evf.copy()
-            evf[hop[hrej]] = True
-        ev = np.flatnonzero(evf)
-        e = int(ev[0]) if ev.size else None
-        end = e if e is not None else len(kinds)
+        op_extras = np.zeros(nops, dtype=np.int64)
+        ze = np.zeros(len(zpos), dtype=np.int64)
+        slow: list[int] = []
+        slow_vals: list[float] = []
+        f = s = walked = 0
+        limit = int(aev[0]) if aev.size else nops
+        while True:
+            opshift = _excl_cumsum(op_extras)
+            lastw_s = np.where(lastw >= 0, lastw + opshift, -1)
+            prevw = np.concatenate(([-1],
+                                    np.maximum.accumulate(lastw_s)[:-1]))
+            in_hot = _doubles(tape.take(upos + opshift[uop])) < hot_w
+            nhot_by_op = np.bincount(uop[in_hot], minlength=nops)
+            hv = (tape.take(hword + opshift[hop]) >> hbits) \
+                & np.uint64(0xFFFFFFFF)
+            if carry.size:
+                pw = prevw[hop[carry]]
+                # pw == -1 means "carry predates this block" (use self.v);
+                # real word indices are always >= self.c, so clamp the
+                # sentinel there to keep take() inside the tape window.
+                hv[carry] = np.where(
+                    pw >= 0,
+                    tape.take(np.maximum(pw, self.c)) >> np.uint64(32),
+                    np.uint64(self.v))
+            is_hot_half = hot_site & (j < nhot_by_op[hop])
+            L = np.where(is_hot_half, P.hot_L[oo[hop]], P.lem_L[oo[hop]])
+            thr = np.where(is_hot_half, P.hot_thr[oo[hop]],
+                           P.lem_thr[oo[hop]])
+            m = hv * L
+            rej = np.flatnonzero((m & np.uint64(0xFFFFFFFF)) < thr)
+            cut = min(limit, int(hop[rej[0]])) if rej.size else limit
+            if cut <= walked:
+                break
+            nres = int(zop.searchsorted(cut))
+            sites, vals, extras = self._zig_chain(zpos, f, nres, s)
+            f, walked = nres, cut
+            if not sites:
+                break
+            idx = zpos.searchsorted(sites)
+            ze[idx] = extras
+            np.add.at(op_extras, zop[idx], extras)
+            s += sum(extras)
+            slow += idx.tolist()
+            slow_vals += vals
 
-        self._decode(kinds, nn, oo, ch, rowstart, out, end, wsh,
+        zri = tape.take(zpos + _excl_cumsum(ze)) >> np.uint64(3)
+        zval = (zri >> np.uint64(8)).astype(np.float64) \
+            * WE[(zri & np.uint64(0xFF)).astype(np.intp)]
+        zval[slow] = slow_vals
+        zgap = np.ceil(zval / P.gap_denom[oo[zop]]).astype(np.int64)
+        wsh = wstart + opshift
+        self._decode(kinds, nn, oo, ch, rowstart, out, cut, wsh,
                      zop, zgap, nho, in_hot, hop, m)
 
         # Advance the state to the cut point.
-        if e is not None:
-            self.c = int(wsh[e])
-            self.b = int(par[e])
-            pw = int(prevw[e])
+        if cut < nops:
+            self.c = int(wsh[cut])
+            self.b = int(par[cut])
+            pw = int(prevw[cut])
             if pw >= 0:
                 self.v = tape.word(pw) >> 32
-        else:
-            self.c = end_c
-            self.b = int((self.b + int((h & 1).sum())) & 1)
-            last = int(lastw_s.max()) if len(lastw_s) else -1
-            if last >= 0:
-                self.v = tape.word(last) >> 32
-        return e
+            return cut
+        self.c = end_c + s
+        self.b = int((self.b + int((h & 1).sum())) & 1)
+        last = int(lastw_s.max()) if len(lastw_s) else -1
+        if last >= 0:
+            self.v = tape.word(last) >> 32
+        return None
 
-    def _zig_fails(self, zpos, K):
-        """Fail sites of every zig draw under word shifts ``0..K-1``:
-        ``(cols, bounds)`` where ``cols[bounds[s]:bounds[s+1]]`` are the
-        (ascending) site indices that take the slow path when read
-        ``s`` words late.
+    def _zig_chain(self, zpos, f, nres, s):
+        """Resolve the ziggurat slow paths of zig draws ``f..nres-1``,
+        read ``s`` words late, in one linear walk.
 
-        The fail bit is a pure function of the raw *word*, so instead of
-        testing every (site, shift) pair, test each word in the block's
-        range once (~2.2% fail) and expand only the failing positions
-        into the (shift, site) pairs they can hit — two orders of
-        magnitude less data than the dense matrix.
+        A slow path consumes extra words and shifts every later read, so
+        which later draws fail depends on the shift accumulated so far.
+        But whether a draw fails depends only on the word it reads.  So
+        the walk goes once, in order, through the failing words: a
+        failing word ``p`` under shift ``s`` is a slow path iff
+        ``p - s`` is a zig site past the frontier.  The slow path then
+        runs over plain ints, and ``s`` grows by the extra words it
+        consumed.  Failing words are found up to the last site plus a
+        slack, and further whenever the shift outruns it.
+
+        Returns ``(sites, vals, extras)``: the base position of each
+        slow path, its exact exponential variate and its extra words.
         """
-        lo = int(zpos[0])
-        w = self.tape.aslice(lo, int(zpos[-1]) + K + 1)
-        ri = w >> np.uint64(3)
-        failw = ~((ri >> np.uint64(8)) < KE[(ri & np.uint64(0xFF))
-                                            .astype(np.intp)])
-        pw = np.flatnonzero(failw) + lo
-        plo = np.searchsorted(zpos, pw - (K - 1))
-        cnt = np.searchsorted(zpos, pw, side="right") - plo
-        i = np.repeat(plo, cnt) + _ragged_arange(cnt)
-        s = np.repeat(pw, cnt) - zpos[i]
-        nz1 = len(zpos) + 1
-        key = np.sort(s * nz1 + i)
-        bounds = np.searchsorted(key // nz1, np.arange(K + 1))
-        return key % nz1, bounds
-
-    def _zig_chain(self, zpos, zop, oo, nops):
-        """Resolve every ziggurat slow path in the block exactly.
-
-        Each slow path consumes extra words, shifting all later reads;
-        which *later* draws fail therefore depends on the cumulative
-        shift — a sequential chain.  Enumerating the fail bit of every
-        site under every candidate shift (one 2-D gather) reduces the
-        chain to a cheap walk over the ~2% failing sites: at shift
-        ``s``, the next event is the first site at or past the frontier
-        in the precomputed shift-``s`` fail list; its slow path is then
-        evaluated with full scalar semantics and the shift advances by
-        the words it actually consumed.
-
-        Returns ``(zgap, op_extras, total_extras)``: the decoded gap
-        value of every zig draw, extra words consumed per op, and their
-        total.
-        """
-        P, tape = self.P, self.tape
-        nz = len(zpos)
-        op_extras = np.zeros(nops, dtype=np.int64)
-        if nz == 0:
-            return np.empty(0, dtype=np.int64), op_extras, 0
-        K = int(0.03 * nz) + 24
-        cols, bounds = self._zig_fails(zpos, K)
-        ze = np.zeros(nz, dtype=np.int64)
-        evt_sites: list[int] = []
-        evt_vals: list[float] = []
-        s = 0
-        f = 0
-        while True:
-            if s >= K:  # chain outran the enumerated shifts (rare)
-                K = s + max(K, 32)
-                cols, bounds = self._zig_fails(zpos, K)
-            row = cols[bounds[s]:bounds[s + 1]]
-            t = int(np.searchsorted(row, f))
-            if t == len(row):
-                break
-            i = int(row[t])
-            start = int(zpos[i]) + s
-            x, cend = self._zig_slow(start)
-            ze[i] = cend - start - 1
-            evt_sites.append(i)
-            evt_vals.append(x)
-            s += cend - start - 1
-            f = i + 1
-
-        zw = tape.take(zpos + _excl_cumsum(ze))
-        zri = zw >> np.uint64(3)
-        vals = (zri >> np.uint64(8)).astype(np.float64) \
-            * WE[(zri & np.uint64(0xFF)).astype(np.intp)]
-        if evt_sites:
-            ev = np.asarray(evt_sites, dtype=np.int64)
-            vals[ev] = evt_vals
-            np.add.at(op_extras, zop[ev], ze[ev])
-        zgap = np.ceil(vals / P.gap_denom[oo[zop]]).astype(np.int64)
-        return zgap, op_extras, s
+        sites: list[int] = []
+        vals: list[float] = []
+        extras: list[int] = []
+        if f >= nres:
+            return sites, vals, extras
+        lo, qmax = int(zpos[f]), int(zpos[nres - 1])
+        mask = np.zeros(qmax - lo + 1, dtype=bool)
+        mask[zpos[f:nres] - lo] = True
+        is_site = mask.tobytes()
+        slack = int((nres - f) * _WALK_SLACK) + 8
+        last = lo - 1  # frontier: the last resolved site
+        hi = lo + s    # failing words below ``hi`` are walked
+        while hi <= qmax + s:
+            top = qmax + s + slack
+            # Two words more: a slow path's uniform and its redraw.
+            w = self.tape.aslice(hi, top + 2)
+            ri = w[:-2] >> np.uint64(3)
+            fail = np.flatnonzero(
+                (ri >> np.uint64(8)) >= KE[(ri & np.uint64(0xFF))
+                                           .astype(np.intp)])
+            for p, wv, uv, rv in zip((fail + hi).tolist(), w[fail].tolist(),
+                                     w[fail + 1].tolist(),
+                                     w[fail + 2].tolist()):
+                q = p - s
+                if q <= last:
+                    continue
+                if q > qmax:
+                    break
+                if not is_site[q - lo]:
+                    continue
+                ri = wv >> 3
+                idx = ri & 0xFF
+                x = (ri >> 8) * _WE[idx]
+                u = (uv >> 11) * _DBL
+                c = p + 2
+                if idx == 0:
+                    x = ZIGGURAT_EXP_R - math.log1p(-u)
+                elif (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] \
+                        >= math.exp(-x):  # wedge rejects: draw again
+                    ri = rv >> 3
+                    idx = ri & 0xFF
+                    if (ri >> 8) < _KE[idx]:
+                        x, c = (ri >> 8) * _WE[idx], p + 3
+                    else:
+                        x, c = self._zig_slow(c)
+                sites.append(q)
+                vals.append(x)
+                extras.append(c - p - 1)
+                s += c - p - 1
+                last = q
+            else:  # no site past ``qmax`` reached yet: scan further
+                hi = top
+                continue
+            break
+        return sites, vals, extras
 
     def _decode(self, kinds, nn, oo, ch, rowstart, out, end, wstart,
                 zop, zgap, nho, in_hot, hop, m):
@@ -683,51 +701,24 @@ class _Kernel:
         semantics (tail and wedge slow paths, libm log1p/exp)."""
         tape = self.tape
         while True:
-            w = tape.word(c)
-            c += 1
-            ri = w >> 3
-            idx = ri & 0xFF
-            k = ri >> 8
-            x = k * float(WE[idx])
-            if k < int(KE[idx]):
-                return x, c
-            u = (tape.word(c) >> 11) * _DBL
-            c += 1
+            ri = tape.word(c) >> 3
+            idx, k = ri & 0xFF, ri >> 8
+            x = k * _WE[idx]
+            if k < _KE[idx]:
+                return x, c + 1
+            u = (tape.word(c + 1) >> 11) * _DBL
+            c += 2
             if idx == 0:
                 return ZIGGURAT_EXP_R - math.log1p(-u), c
-            if (float(FE[idx - 1]) - float(FE[idx])) * u + float(FE[idx]) \
-                    < math.exp(-x):
+            if (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] < math.exp(-x):
                 return x, c
 
-    def _zig_exact(self, n: int, denom: float, row0: int, gap: np.ndarray):
-        tape = self.tape
-        vals = np.empty(n)
-        i = 0
-        while i < n:
-            mreq = n - i
-            w = tape.aslice(self.c, self.c + mreq)
-            ri = w >> np.uint64(3)
-            idx = (ri & np.uint64(0xFF)).astype(np.intp)
-            kk = ri >> np.uint64(8)
-            ok = kk < KE[idx]
-            bad = np.flatnonzero(~ok)
-            t = int(bad[0]) if bad.size else mreq
-            if t:
-                vals[i:i + t] = kk[:t].astype(np.float64) * WE[idx[:t]]
-                self.c += t
-                i += t
-            if t < mreq:
-                vals[i], self.c = self._zig_slow(self.c)
-                i += 1
-        gap[row0:row0 + n] = np.ceil(vals / denom).astype(np.int64)
-
     def _eval_exact(self, kind, n, bi, row0, out):
-        """Evaluate one op with full sequential semantics (event repair)."""
+        """Evaluate one event op (LEM or HOT) with full sequential
+        semantics (event repair)."""
         P = self.P
-        off, wr, dep, gap = out
-        if kind == _K_GZ:
-            self._zig_exact(n, float(P.gap_denom[bi]), row0, gap)
-        elif kind == _K_LEM:
+        off = out[0]
+        if kind == _K_LEM:
             L, thr = int(P.lem_L[bi]), int(P.lem_thr[bi])
             vals = np.asarray([self._lem_scalar(L, thr) for _ in range(n)],
                               dtype=np.int64)
@@ -747,7 +738,7 @@ class _Kernel:
                 offs[~in_hot] = [self._lem_scalar(Lc, tc)
                                  for _ in range(n - n_hot)]
             off[row0:row0 + n] = (offs // P.ab) * P.ab
-        else:  # pragma: no cover - WR/DEP/GS ops never carry events
+        else:  # pragma: no cover - only LEM/HOT ops carry events
             raise AssertionError(f"unexpected event op kind {kind}")
 
 

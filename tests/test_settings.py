@@ -14,11 +14,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import engine
+from repro.experiments import engine, resilience
 from repro.sim.single import filtered_stream
 from repro.sim.spec import RunSpec
 from repro.trace import chunked
@@ -131,12 +132,31 @@ class TestTraceStoreFollowsCache:
         assert tmp_path not in directory.parents
 
 
+def _report_settings(spec: RunSpec) -> tuple[int, Settings]:
+    """Pool runner: this worker's pid and installed settings.
+
+    Each call first waits (up to a minute) until two workers have
+    checked in under ``<cache_dir>/meet``, so one worker cannot take
+    every unit while the other is still starting.
+    """
+    received = settings.current()
+    meet = Path(received.cache_dir) / "meet"
+    meet.mkdir(parents=True, exist_ok=True)
+    (meet / str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(list(meet.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid(), received
+
+
 def handoff(cache: str) -> dict:
-    """Run :data:`SPECS` as a refresh + telemetry campaign on ``cache``.
+    """Run :data:`SPECS` as a refresh + telemetry campaign on ``cache``,
+    then ask both workers of a fresh pool which settings they received.
 
     The caller sets ``REPRO_WORKERS``/``REPRO_OVERSUBSCRIBE``.  Returns
-    what the test checks: whether ``os.environ`` changed, the worker
-    pids, and the campaign counters the workers shipped back.
+    what the test checks: whether ``os.environ`` changed, the pids of
+    the workers that ran units, the campaign counters they shipped back,
+    and per worker whether its settings equal the parent's.
     """
     filtered_stream.cache_clear()  # forked workers must not inherit it
     before = dict(os.environ)
@@ -145,9 +165,13 @@ def handoff(cache: str) -> dict:
     try:
         engine.execute(SPECS, phase="handoff")
         ct = engine.campaign_telemetry()
+        probe = resilience.run_resilient(SPECS, workers=2,
+                                         runner=_report_settings)
         return {"env_unchanged": dict(os.environ) == before,
                 "parent": os.getpid(), "units": ct.units,
                 "workers": sorted(int(pid) for pid in ct.workers),
+                "received": {str(pid): got == settings.current()
+                             for pid, got in probe.results},
                 "counters": ct.counters,
                 "entries": len(list((Path(cache) / "streams").iterdir()))}
     finally:
@@ -157,7 +181,13 @@ def handoff(cache: str) -> dict:
 def _check_handoff(out: dict) -> None:
     assert out["env_unchanged"]
     assert out["units"] == len(SPECS)
-    assert len(out["workers"]) == 2 and out["parent"] not in out["workers"]
+    # Which worker ran the units is up to the pool; every worker of the
+    # probe pool must hold the parent's settings.
+    assert 1 <= len(out["workers"]) <= 2
+    assert out["parent"] not in out["workers"]
+    assert len(out["received"]) == 2
+    assert str(out["parent"]) not in out["received"]
+    assert all(out["received"].values()), out["received"]
     # Every worker filtered into <cache>/streams, bypassing reads
     # because --refresh travelled with the settings.
     counters = out["counters"]

@@ -10,6 +10,7 @@ kernel to that claim.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,40 @@ class TestKernelParity:
         fast, ref = _build_both(bs, 4000)
         _assert_identical(fast, ref)
         assert bool(ref[0].dep[1:].all() or len(ref[0].dep) <= 1)
+
+
+#: Ziggurat gaps (gap mean > 3) beside Lemire-heavy objects: a chase
+#: and a rand object whose spans reject often, hotspots (one of them
+#: degenerate: a one-slot hot region inside a wider cold one) and a
+#: search-method gap.
+_MIXED = [
+    ObjectBehavior("arcs", 34 << 20, 1.0, pattern="chase", gap_mean=14.0,
+                   burst_mean=32.0, write_frac=0.1),
+    ObjectBehavior("costs", 3 << 20, 0.4, pattern="rand", dep_prob=0.3,
+                   gap_mean=10.0, burst_mean=16.0),
+    ObjectBehavior("pyr", 2560 << 10, 0.5, pattern="hotspot",
+                   hot_fraction=0.06, hot_weight=0.98, gap_mean=8.0,
+                   burst_mean=24.0),
+    ObjectBehavior("slot", 64, 0.1, pattern="hotspot", hot_fraction=0.1,
+                   gap_mean=5.0, burst_mean=6.0),
+    ObjectBehavior("buf", 192 << 10, 0.3, pattern="seq", gap_mean=2.0,
+                   burst_mean=12.0),
+]
+
+
+class TestBlockSizeInvariance:
+    """Block boundaries and the walk's scan window are layout choices:
+    no size may change a column, the instruction count or the RNG end
+    state."""
+
+    @pytest.mark.parametrize("block", [1, 64, 2048, 8192, 1 << 17])
+    @pytest.mark.parametrize("slack", [None, 0.0])
+    def test_any_block_and_walk_window(self, monkeypatch, block, slack):
+        monkeypatch.setattr(kernel, "_BLOCK_ACCESSES", block)
+        if slack is not None:  # rescan every few words
+            monkeypatch.setattr(kernel, "_WALK_SLACK", slack)
+        fast, ref = _build_both(_MIXED, 30_000)
+        _assert_identical(fast, ref)
 
 
 class TestKernelDispatch:
