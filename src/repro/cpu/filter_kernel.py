@@ -9,37 +9,47 @@ geometries).  The reference loop stays as the executable specification
 and as the engine for the inputs the kernel cannot take (see the end of
 this docstring).
 
-Algorithm — round-parallel LRU simulation across sets
------------------------------------------------------
+Algorithm — per-set LRU without a per-access loop
+-------------------------------------------------
 
 Cache sets are independent: the outcome of an access depends only on
-the prior accesses that map to the *same* set.  So instead of walking
-the trace access-by-access, group the accesses by set and process
-"rounds": round *r* handles the *r*-th access of every set at once.
-State is a pair of ``(n_touched_sets, assoc)`` matrices — ``stack``
-holds line numbers MRU→LRU (``-1`` = empty way) and ``dirty`` the
-write-back flags — and one round is a handful of whole-matrix numpy
-operations: an equality scan for the hit way, a masked shift to promote
-or insert at MRU, and a read of the last column for the LRU victim.
-Sets are ranked by access count so the active rows of every round form
-a shrinking prefix, and the per-round access indices are precomputed as
-one round-major permutation of the trace.
+the prior accesses that map to the *same* set.  A warm hierarchy's
+resident lines enter each set ahead of its accesses, LRU first (filling
+an empty set in that order rebuilds its lines, dirty bits and recency).
+Each level then takes one of two engines:
 
-This is exact (it *is* the LRU automaton, just batched), including
-victim identity and dirty propagation — unlike closed-form
-Mattson-stack-distance formulations, which yield hit/miss but not the
-victim sequence, and whose exact per-access distances need dominance
-counting that does not vectorize.  Cost is ``O(rounds x touched_sets x
-assoc)`` vector work where ``rounds`` is the *maximum* accesses landing
-in one set; for the synthetic workloads at default fidelity that is
-a few hundred rounds over ~512 sets.  A trace that hammers one set
-(``rounds`` ~ ``n``) would degenerate, so a scalar dict-based fallback
-— the reference automaton without the record bookkeeping — kicks in on
-extreme skew.
+* **Closed form** (``"runs"``, assoc ≤ 2, the L1D).  An LRU set holds
+  its ``assoc`` most recently used distinct lines.  One stable
+  ``uint16`` argsort puts the accesses in set-major order, and repeats
+  of a line collapse into *runs*, so adjacent runs of a set differ.  A
+  run head hits iff its line equals the line ``assoc`` runs back in the
+  set (never, for one way); on a miss that line is the victim.  A line's
+  residency is a chain of hit runs ``assoc`` apart that a miss run
+  starts: one ``maximum.accumulate`` of miss-run indices per chain
+  finds each run's residency start, and a running write count along the
+  chain gives the dirty bit at any run, eviction included.  About 30
+  vector ops, whatever the per-set skew.
+* **Stamp rounds** (``"rounds"``, any assoc; the L2).  Round *r*
+  advances the *r*-th access of every set at once.  Ways are fixed
+  slots holding a tag, a dirty bit and the round that last used them.
+  A round is one equality scan over the active ``(sets x assoc)`` tags,
+  one ``argmin`` over stamps with the hit way keyed lowest (so it picks
+  the hit way, else the LRU way), and gathers and scatters on one way
+  per active set.  Sets are ranked by access count, so each round's
+  active rows are a prefix; one sort of each row by stamp gives the
+  final MRU→LRU order.  Cost is ``O(rounds x active_sets x assoc)``,
+  where ``rounds`` is the most accesses landing in one set.  Once fewer
+  than ``_ACTIVE_CUTOVER`` sets remain, the dict automaton finishes the
+  tail; a trace that hammers one set from the start (``rounds`` ~ ``n``)
+  takes the automaton outright (``"scalar"``).
+
+Both are exact: hit mask, victim identity and dirty bits, and the final
+tag state with its recency order.  Mattson stack distances would give
+hit/miss only, not the victim sequence.
 
 Prefetcher-enabled hierarchies always take the reference loop: runahead
-fills inject state transitions between demand accesses that the
-round-parallel batching cannot reproduce.
+fills inject state transitions between demand accesses that per-set
+batching cannot reproduce.
 """
 
 from __future__ import annotations
@@ -58,14 +68,14 @@ __all__ = [
 ]
 
 
-#: Above this many rounds per trace access the matrix formulation loses
-#: to the scalar automaton (rounds ~ n means one set ate the trace).
+#: Above this many rounds per trace access the stamp rounds lose to the
+#: scalar automaton (rounds ~ n means one set ate the trace).
 _SKEW_LIMIT_DIVISOR = 16
 #: ...but never fall back for tiny traces where either path is instant.
 _SKEW_MIN_ROUNDS = 64
 #: Mid-simulation cutover: once fewer sets than this are still active,
 #: the long skewed tail of rounds (each a handful of rows but a fixed
-#: ~20 numpy calls) is cheaper on the scalar automaton.
+#: dozen numpy calls) is cheaper on the scalar automaton.
 _ACTIVE_CUTOVER = 48
 
 
@@ -75,10 +85,10 @@ class LevelResult:
 
     ``victim_line``/``victim_dirty`` are only meaningful where
     ``victim_mask`` is true (a miss that evicted a resident line).
-    ``state_sets`` / ``state_stack`` / ``state_dirty`` describe the
-    final occupancy of every *simulated* set, MRU→LRU with ``-1`` for
-    empty ways, so the caller can write the result back into the
-    dict-based tag store bit-identically.
+    ``state_sets`` (ascending) / ``state_stack`` / ``state_dirty``
+    describe the final occupancy of every *simulated* set, MRU→LRU with
+    ``-1`` (and a clean bit) for empty ways, so the caller can write the
+    result back into the dict-based tag store bit-identically.
     """
 
     hit: np.ndarray
@@ -91,35 +101,31 @@ class LevelResult:
     engine: str
 
 
-def _empty_result(assoc: int) -> LevelResult:
-    return LevelResult(
-        hit=np.zeros(0, dtype=bool),
-        victim_mask=np.zeros(0, dtype=bool),
-        victim_line=np.zeros(0, dtype=np.int64),
-        victim_dirty=np.zeros(0, dtype=bool),
-        state_sets=np.zeros(0, dtype=np.int64),
-        state_stack=np.full((0, assoc), -1, dtype=np.int64),
-        state_dirty=np.zeros((0, assoc), dtype=bool),
-        engine="rounds",
-    )
+def _result(hit, venc, sets, stack, dirty, engine: str) -> LevelResult:
+    """Package outcomes; ``venc`` holds each access's victim as
+    ``line << 1 | dirty``, negative where it evicted nothing."""
+    return LevelResult(hit=hit, victim_mask=venc >= 0, victim_line=venc >> 1,
+                       victim_dirty=(venc & 1) != 0, state_sets=sets,
+                       state_stack=stack, state_dirty=dirty, engine=engine)
 
 
-def _seed_enc(cache, sets: np.ndarray, assoc: int) -> np.ndarray:
-    """Initial encoded stack matrix from the cache's current tag store.
+def _residents(cache, sets: np.ndarray) -> tuple[list, list, list, list]:
+    """Resident lines of ``sets`` as flat ``(row, way, tag, dirty)`` lists.
 
     ``filter_trace`` on a warm hierarchy must continue from its state
-    (the reference loop does), so the kernel starts where the dicts
-    stand: dict insertion order is LRU→MRU, stack column order MRU→LRU.
-    Each cell packs ``line << 1 | dirty`` (``-1`` = empty way), so one
-    matrix carries both planes and the dirty bit shifts along with its
-    line for free.
+    (the reference loop does).  Dict insertion order is LRU→MRU, so
+    ``way`` counts up from each set's LRU line.
     """
-    enc = np.full((len(sets), assoc), -1, dtype=np.int64)
+    rows, ways, tags, dirty = [], [], [], []
+    store = cache._sets
     for row, set_idx in enumerate(sets.tolist()):
-        resident = cache._sets[set_idx]
-        for col, (tag, d) in enumerate(reversed(resident.items())):
-            enc[row, col] = (tag << 1) | d
-    return enc
+        resident = store[set_idx]
+        if resident:
+            rows += [row] * len(resident)
+            ways += range(len(resident))
+            tags += resident.keys()
+            dirty += resident.values()
+    return rows, ways, tags, dirty
 
 
 def _automaton(sets: dict[int, dict], set_mask: int, assoc: int,
@@ -152,35 +158,101 @@ def _automaton(sets: dict[int, dict], set_mask: int, assoc: int,
     return hit, victim_mask, victim_line, victim_dirty
 
 
-def _enc_to_dicts(enc: np.ndarray, rows: range, sets: np.ndarray,
-                  assoc: int) -> dict[int, dict]:
-    """Encoded matrix rows → per-set tag→dirty dicts (LRU→MRU order)."""
+def _rows_to_dicts(stack: np.ndarray, dirty: np.ndarray, rows: range,
+                   sets: np.ndarray) -> dict[int, dict]:
+    """State rows (MRU→LRU) → per-set tag→dirty dicts (LRU→MRU order)."""
     out: dict[int, dict] = {}
-    cells = enc.tolist()
+    tags_l, dirty_l = stack.tolist(), dirty.tolist()
     for row in rows:
-        s: dict = {}
-        enc_row = cells[row]
-        for col in range(assoc - 1, -1, -1):
-            v = enc_row[col]
-            if v != -1:
-                s[v >> 1] = bool(v & 1)
-        out[int(sets[row])] = s
+        out[int(sets[row])] = {t: d for t, d in zip(reversed(tags_l[row]),
+                                                     reversed(dirty_l[row]))
+                               if t != -1}
     return out
 
 
-def _dicts_to_enc(sets_map: dict[int, dict], enc: np.ndarray, rows: range,
-                  sets: np.ndarray) -> None:
-    """Write per-set dicts back into their encoded rows (MRU→LRU)."""
+def _dicts_to_rows(sets_map: dict[int, dict], stack: np.ndarray,
+                   dirty: np.ndarray, rows: range, sets: np.ndarray) -> None:
+    """Write per-set dicts back into their state rows (MRU→LRU)."""
     for row in rows:
-        enc[row] = -1
-        for col, (tag, d) in enumerate(reversed(sets_map[int(sets[row])]
-                                                .items())):
-            enc[row, col] = (tag << 1) | d
+        resident = sets_map[int(sets[row])]
+        stack[row] = -1
+        dirty[row] = False
+        stack[row, :len(resident)] = list(reversed(resident.keys()))
+        dirty[row, :len(resident)] = list(reversed(resident.values()))
+
+
+def _simulate_runs(cache, line: np.ndarray, is_write: np.ndarray,
+                   ) -> LevelResult:
+    """Closed-form LRU for assoc ≤ 2 (see module docstring)."""
+    a = cache.assoc
+    mask = cache._set_mask
+    sets = np.flatnonzero(np.bincount(line & mask, minlength=cache.n_sets))
+    _, _, seed_tags, seed_dirty = _residents(cache, sets)
+    n_seed = len(seed_tags)
+    if n_seed:
+        line = np.concatenate([np.asarray(seed_tags, dtype=np.int64), line])
+        is_write = np.concatenate([np.asarray(seed_dirty, dtype=bool),
+                                   is_write])
+    key = line & mask
+    # uint16 keys take numpy's radix path (~6x the int64 merge sort).
+    order = np.argsort(key.astype(np.uint16) if mask <= 0xFFFF else key,
+                       kind="stable")
+    ln = line[order]
+    head = np.empty(ln.size, dtype=bool)
+    head[0] = True
+    np.not_equal(ln[1:], ln[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    run_line = ln[heads]
+    run_set = run_line & mask
+    run_w = np.logical_or.reduceat(is_write[order], heads)
+    r = heads.size
+    hit = np.zeros(r, dtype=bool)
+    if a == 2:
+        np.equal(run_line[2:], run_line[:-2], out=hit[2:])
+    # Residency start of each run: the latest miss run on its chain
+    # (runs ``a`` apart, one column of the reshape).  The first ``a`` runs
+    # of every set miss, so no chain crosses a set boundary.
+    width = -(-r // a) * a
+    start = np.zeros(width, dtype=np.int64)
+    start[:r] = np.where(hit, 0, np.arange(r))
+    np.maximum.accumulate(start.reshape(-1, a), axis=0,
+                          out=start.reshape(-1, a))
+    writes = np.zeros(width, dtype=np.int64)
+    writes[:r] = run_w
+    np.cumsum(writes.reshape(-1, a), axis=0, out=writes.reshape(-1, a))
+    start = start[:r]
+    dirty = writes[:r] - writes[start] + run_w[start] > 0
+
+    # A miss evicts the line ``a`` runs back when that run is in its set
+    # (seed runs never evict: a set holds at most ``a`` of them).
+    evict = np.zeros(r, dtype=bool)
+    np.equal(run_set[a:], run_set[:-a], out=evict[a:])
+    evict &= ~hit
+    ev = np.flatnonzero(evict)
+    venc = np.full(line.size, -1, dtype=np.int64)
+    venc[order[heads[ev]]] = (run_line[ev - a] << 1) | dirty[ev - a]
+    hit_all = np.ones(line.size, dtype=bool)
+    hit_all[order[heads[~hit]]] = False
+
+    # Final state: each set's last run is MRU, the run before it (if in
+    # the same set) the second way.
+    last = np.flatnonzero(np.append(run_set[1:] != run_set[:-1], True))
+    stack = np.full((sets.size, a), -1, dtype=np.int64)
+    sdirty = np.zeros((sets.size, a), dtype=bool)
+    stack[:, 0] = run_line[last]
+    sdirty[:, 0] = dirty[last]
+    if a == 2:
+        prev = last - 1
+        two = last > np.append(-1, last[:-1]) + 1
+        stack[:, 1] = np.where(two, run_line[prev], -1)
+        sdirty[:, 1] = two & dirty[prev]
+    return _result(hit_all[n_seed:], venc[n_seed:], sets, stack, sdirty,
+                   "runs")
 
 
 def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
                      ) -> LevelResult:
-    """Round-parallel LRU simulation (see module docstring)."""
+    """Stamp-based round-parallel LRU (see module docstring)."""
     n = line.shape[0]
     assoc = cache.assoc
     set_idx = line & cache._set_mask
@@ -216,95 +288,81 @@ def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
     # bounds[r] + g — no second argsort needed.
     rm = np.empty(n, dtype=np.int64)
     rm[bounds[round_of] + sm_ranks] = set_major
-
-    # Lines arrive pre-shifted by one so cell encoding (line<<1 | dirty)
-    # comparisons need no per-round decode.
-    ln2_rm = line[rm] << 1
+    ln_rm = line[rm]
     wr_rm = is_write[rm]
 
-    enc = _seed_enc(cache, sel, assoc)
+    # Way slots, way-major so every scan runs along the sets.  A slot's
+    # key is ``stamp << bits | slot`` (slot = way * width + row); stamp 0
+    # = empty, 1..assoc = seeded residents LRU first, ``assoc + 1 + r`` =
+    # used in round r.  A hit slot is keyed ``slot - size`` (negative), so
+    # one min over the ways finds the hit slot, else the LRU (or an
+    # empty) one, and its low bits name it.
     n_rows = len(sel)
+    width = 1 << (n_rows - 1).bit_length()
+    size = assoc * width
+    bits = size.bit_length() - 1
+    slot = np.arange(size, dtype=np.int64).reshape(assoc, width)
+    tags = np.full((assoc, width), -1, dtype=np.int64)
+    dirty = np.zeros((assoc, width), dtype=bool)
+    key = slot.copy()
+    rows, ways, seed_tags, seed_dirty = _residents(cache, sel)
+    tags[ways, rows] = seed_tags
+    dirty[ways, rows] = seed_dirty
+    key[ways, rows] += (np.asarray(ways, dtype=np.int64) + 1) << bits
+    hit_key = slot - size
+    flat_tags, flat_dirty = tags.reshape(-1), dirty.reshape(-1)
+    flat_key = key.reshape(-1)
     # Outcomes are produced round-major (cheap slice writes) and
-    # scattered back to access order once at the end; victims stay
-    # encoded until then.
-    hit_rm = np.zeros(n, dtype=bool)
-    venc_rm = np.full(n, -1, dtype=np.int64)
-    last = assoc - 1
-    # Round-loop scratch, allocated once and sliced to the active rows.
-    scratch_i = np.empty((n_rows, assoc), dtype=np.int64)
-    eq_b = np.empty((n_rows, assoc), dtype=bool)
-    # eq has at most one True per row (lines are unique within a set),
-    # so its running sum fits any integer dtype; int8 keeps the three
-    # cumsum-derived ops on the smallest buffers.
-    cs_b = np.empty((n_rows, assoc), dtype=np.int8)
-    shift_b = np.empty((n_rows, assoc), dtype=bool)
-    shifted_b = np.empty((n_rows, assoc), dtype=np.int64)
-    newd_b = np.empty(n_rows, dtype=bool)
-
+    # scattered back to access order once at the end.
+    hit_rm = np.empty(n, dtype=bool)
+    vtag_rm = np.empty(n, dtype=np.int64)
+    vdirty_rm = np.empty(n, dtype=bool)
+    eq_b = np.empty((assoc, width), dtype=bool)
+    tail = None
     for r in range(n_rounds):
         b0, b1 = int(bounds[r]), int(bounds[r + 1])
         active = b1 - b0
         if active < _ACTIVE_CUTOVER:
-            # Skewed tail: few sets still have accesses left, but each
-            # remaining round costs the same fixed stack of numpy calls.
-            # rm[b0:] preserves per-set access order (rounds ascend),
-            # and sets are independent, so the scalar automaton can
-            # finish the tail from the current matrix state.
-            tail_sets = _enc_to_dicts(enc, range(active), sel, assoc)
-            t_hit, t_vm, t_vl, t_vd = _automaton(
-                tail_sets, cache._set_mask, assoc,
-                (ln2_rm[b0:] >> 1).tolist(), wr_rm[b0:].tolist())
-            hit_rm[b0:] = t_hit
-            vm_a = np.asarray(t_vm, dtype=bool)
-            venc_rm[b0:] = np.where(
-                vm_a,
-                (np.asarray(t_vl, dtype=np.int64) << 1)
-                | np.asarray(t_vd, dtype=bool),
-                -1)
-            _dicts_to_enc(tail_sets, enc, range(active), sel)
+            tail = b0, active
             break
-        ln2 = ln2_rm[b0:b1]
-        st = enc[:active]
-        scr = scratch_i[:active]
-        eq = eq_b[:active]
-        cs = cs_b[:active]
-        shift = shift_b[:active]
-        shifted = shifted_b[:active]
-        newd = newd_b[:active]
+        ln = ln_rm[b0:b1]
+        eq = np.equal(tags[:, :active], ln, out=eq_b[:, :active])
+        s = np.where(eq, hit_key[:, :active], key[:, :active]).min(axis=0)
+        hit = np.less(s, 0, out=hit_rm[b0:b1])
+        s &= size - 1
+        np.take(flat_tags, s, out=vtag_rm[b0:b1])
+        newd = np.take(flat_dirty, s, out=vdirty_rm[b0:b1]) & hit
+        flat_dirty[s] = np.logical_or(newd, wr_rm[b0:b1], out=newd)
+        flat_tags[s] = ln
+        flat_key[s] = s | ((assoc + 1 + r) << bits)
 
-        np.bitwise_and(st, -2, out=scr)          # cells minus dirty bit
-        np.equal(scr, ln2[:, None], out=eq)      # hit way (at most one)
-        np.cumsum(eq, axis=1, out=cs)
-        np.not_equal(cs[:, last], 0, out=hit_rm[b0:b1])
-        venc_rm[b0:b1] = st[:, last]             # LRU way (pre-update)
-        # Promote/insert = shift columns [0, pos] right by one and put
-        # the line at MRU, where pos is the hit way or (on a miss) the
-        # LRU column.  Both cases are "columns whose *exclusive* prefix
-        # of eq is empty": up to and including the hit way, or the
-        # whole row when eq is all-False.
-        np.subtract(cs, eq, out=cs)
-        np.equal(cs, 0, out=shift)
-        # New MRU dirty bit: dirty of the hit way (all-False eq on a
-        # miss contributes nothing) OR the access being a write.
-        np.bitwise_and(st, 1, out=scr)
-        np.logical_and(scr, eq, out=eq)
-        np.any(eq, axis=1, out=newd)
-        np.logical_or(newd, wr_rm[b0:b1], out=newd)
-        shifted[:, 1:] = st[:, :-1]
-        np.bitwise_or(ln2, newd, out=shifted[:, 0])
-        np.copyto(st, shifted, where=shift)
+    order = np.argsort(-key[:, :n_rows].T, axis=1)
+    stack = np.take_along_axis(tags[:, :n_rows].T, order, axis=1)
+    sdirty = np.take_along_axis(dirty[:, :n_rows].T, order, axis=1)
+    if tail is not None:
+        # Skewed tail: few sets still have accesses left, but each
+        # remaining round costs the same fixed stack of numpy calls.
+        # rm[b0:] preserves per-set access order (rounds ascend), and
+        # sets are independent, so the scalar automaton can finish the
+        # tail from the current state.
+        b0, active = tail
+        tail_sets = _rows_to_dicts(stack, sdirty, range(active), sel)
+        t_hit, t_vm, t_vl, t_vd = _automaton(
+            tail_sets, cache._set_mask, assoc, ln_rm[b0:].tolist(),
+            wr_rm[b0:].tolist())
+        hit_rm[b0:] = t_hit
+        vtag_rm[b0:] = np.where(t_vm, t_vl, -1)
+        vdirty_rm[b0:] = t_vd
+        _dicts_to_rows(tail_sets, stack, sdirty, range(active), sel)
 
+    vtag_rm[hit_rm] = -1
     hit = np.empty(n, dtype=bool)
     venc = np.empty(n, dtype=np.int64)
     hit[rm] = hit_rm
-    venc[rm] = venc_rm
-    victim_mask = ~hit & (venc != -1)
-    return LevelResult(hit=hit, victim_mask=victim_mask,
-                       victim_line=venc >> 1,
-                       victim_dirty=(venc & 1) != 0,
-                       state_sets=sel, state_stack=enc >> 1,
-                       state_dirty=(enc & 1) != 0,
-                       engine="rounds")
+    venc[rm] = (vtag_rm << 1) | vdirty_rm
+    by_set = np.argsort(sel)
+    return _result(hit, venc, sel[by_set], stack[by_set], sdirty[by_set],
+                   "rounds")
 
 
 def _simulate_scalar(cache, line: np.ndarray, is_write: np.ndarray,
@@ -312,28 +370,25 @@ def _simulate_scalar(cache, line: np.ndarray, is_write: np.ndarray,
     """Dict-based LRU automaton with the kernel's output contract.
 
     The skew fallback, used when one set soaks up most of the trace and
-    the matrix formulation would run ~n rounds of tiny rows.
+    the stamp rounds would run ~n rounds of tiny rows.
     """
-    n = line.shape[0]
     assoc = cache.assoc
     set_mask = cache._set_mask
-    touched = np.unique(line & set_mask)
-    sets = {int(s): dict(cache._sets[int(s)]) for s in touched.tolist()}
+    touched = np.unique(line & set_mask).astype(np.int64)
+    sets = {s: dict(cache._sets[s]) for s in touched.tolist()}
+    hit, vmask, vline, vdirty = _automaton(sets, set_mask, assoc,
+                                           line.tolist(), is_write.tolist())
+    venc = np.where(vmask, (np.asarray(vline, dtype=np.int64) << 1)
+                    | np.asarray(vdirty, dtype=bool), -1)
+    stack = np.full((len(touched), assoc), -1, dtype=np.int64)
+    dirty = np.zeros((len(touched), assoc), dtype=bool)
+    _dicts_to_rows(sets, stack, dirty, range(len(touched)), touched)
+    return _result(np.asarray(hit, dtype=bool), venc, touched, stack, dirty,
+                   "scalar")
 
-    outs = _automaton(sets, set_mask, assoc, line.tolist(),
-                      is_write.tolist())
-    hit = np.asarray(outs[0], dtype=bool)
-    victim_mask = np.asarray(outs[1], dtype=bool)
-    victim_line = np.asarray(outs[2], dtype=np.int64)
-    victim_dirty = np.asarray(outs[3], dtype=bool)
 
-    state_sets = touched.astype(np.int64)
-    enc = np.full((len(touched), assoc), -1, dtype=np.int64)
-    _dicts_to_enc(sets, enc, range(len(touched)), state_sets)
-    return LevelResult(hit=hit, victim_mask=victim_mask,
-                       victim_line=victim_line, victim_dirty=victim_dirty,
-                       state_sets=state_sets, state_stack=enc >> 1,
-                       state_dirty=(enc & 1) != 0, engine="scalar")
+_ENGINES = {"runs": _simulate_runs, "rounds": _simulate_rounds,
+            "scalar": _simulate_scalar}
 
 
 def simulate_lru(cache, line: np.ndarray, is_write: np.ndarray, *,
@@ -343,23 +398,31 @@ def simulate_lru(cache, line: np.ndarray, is_write: np.ndarray, *,
     Continues from ``cache``'s current tag-store contents but does not
     mutate the cache — the caller decides whether to write the final
     state back (:func:`install_state`).  ``mode`` pins the engine for
-    the parity tests; ``"auto"`` picks the matrix formulation unless the
-    per-set skew makes the scalar automaton cheaper.
+    the parity tests: ``"runs"`` (the closed form; assoc ≤ 2 only),
+    ``"rounds"`` or ``"scalar"``.  ``"auto"`` takes the closed form up
+    to two ways and the stamp rounds above, unless per-set skew makes
+    the scalar automaton cheaper.
     """
     n = line.shape[0]
-    if n == 0:
-        return _empty_result(cache.assoc)
-    if mode == "auto":
+    assoc = cache.assoc
+    if mode == "auto" and assoc <= 2:
+        mode = "runs"
+    elif mode == "auto":
         max_per_set = int(np.bincount(line & cache._set_mask,
                                       minlength=1).max())
         scalar = (max_per_set > _SKEW_MIN_ROUNDS
                   and max_per_set * _SKEW_LIMIT_DIVISOR > n)
         mode = "scalar" if scalar else "rounds"
-    if mode == "scalar":
-        return _simulate_scalar(cache, line, is_write)
-    if mode == "rounds":
-        return _simulate_rounds(cache, line, is_write)
-    raise ValueError(f"unknown simulate_lru mode {mode!r}")
+    if mode not in _ENGINES:
+        raise ValueError(f"unknown simulate_lru mode {mode!r}")
+    if mode == "runs" and assoc > 2:
+        raise ValueError(f"mode 'runs' needs assoc <= 2, got {assoc}")
+    if n == 0:
+        return _result(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64),
+                       np.full((0, assoc), -1, dtype=np.int64),
+                       np.zeros((0, assoc), dtype=bool), mode)
+    return _ENGINES[mode](cache, line, is_write)
 
 
 def install_state(cache, result: LevelResult) -> None:
@@ -369,17 +432,11 @@ def install_state(cache, result: LevelResult) -> None:
     residents), inserting LRU→MRU so dict order matches what the
     reference loop would have left behind.
     """
-    stacks = result.state_stack.tolist()
-    dirties = result.state_dirty.tolist()
-    for row, set_idx in enumerate(result.state_sets.tolist()):
-        s = cache._sets[set_idx]
-        s.clear()
-        st_row = stacks[row]
-        dt_row = dirties[row]
-        for col in range(cache.assoc - 1, -1, -1):
-            tag = st_row[col]
-            if tag != -1:
-                s[tag] = dt_row[col]
+    sets = result.state_sets
+    for set_idx, resident in _rows_to_dicts(
+            result.state_stack, result.state_dirty, range(len(sets)),
+            sets).items():
+        cache._sets[set_idx] = resident
 
 
 @dataclass
@@ -488,20 +545,21 @@ def run_filter_window(trace, hierarchy, warm_until: int,
     # Per-object tallies in first-touch order (dict-iteration parity
     # with the reference's setdefault-style bookkeeping).  Object ids
     # are small non-negative ints after shifting out the segment
-    # sentinels (>= -3), so bincount beats sorting; first-touch order
-    # comes from a reversed scatter (last write = first occurrence).
-    # Merging into the carried dict preserves *global* first-touch
-    # order: dict insertion order appends new objects as windows
-    # arrive.
+    # sentinels (>= -3), so bincount beats sorting.  A first touch sits
+    # where the object changes, and ``minimum.at`` keeps the earliest
+    # (a scatter with repeated indices has no defined winner).  Merging
+    # into the carried dict preserves *global* first-touch order: dict
+    # insertion order appends new objects as windows arrive.
     obj_meas = trace.obj_id[wl:]
     if obj_meas.size:
         obj_shift = obj_meas.astype(np.int64) + 3
         acc_counts = np.bincount(obj_shift)
         miss_counts = np.bincount(trace.obj_id[dm].astype(np.int64) + 3,
                                   minlength=len(acc_counts))
-        first_pos = np.zeros(len(acc_counts), dtype=np.int64)
-        first_pos[obj_shift[::-1]] = np.arange(len(obj_shift) - 1, -1, -1,
-                                               dtype=np.int64)
+        change = np.flatnonzero(obj_meas[1:] != obj_meas[:-1]) + 1
+        first_pos = np.full(len(acc_counts), obj_meas.size, dtype=np.int64)
+        first_pos[obj_shift[0]] = 0
+        np.minimum.at(first_pos, obj_shift[change], change)
         present = np.flatnonzero(acc_counts)
         for v in present[np.argsort(first_pos[present],
                                     kind="stable")].tolist():

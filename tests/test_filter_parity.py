@@ -6,10 +6,13 @@ The vectorized filter kernel (``repro.cpu.filter_kernel``) must be
 (values and dtypes), same ``CacheStats`` including per-object tallies
 and their first-touch ordering, same final tag-store state.  This suite
 pins that over randomized traces and geometries, plus the engineered
-corners (both kernel dispatch modes, the input-driven engine choice —
-the prefetcher fallback — and ``filtered_stream``'s shared-identity
+corners (every per-level engine against the dict automaton, the
+kernel's engine dispatch, the input-driven engine choice — the
+prefetcher fallback — and ``filtered_stream``'s shared-identity
 contract).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,21 +143,72 @@ class TestRandomizedParity:
         _assert_same_state(h_k, h_r)
 
 
+def _level_outputs(r):
+    """Everything a LevelResult promises, victims masked to real ones."""
+    vm = r.victim_mask
+    return (r.hit, vm, r.victim_line[vm], r.victim_dirty[vm],
+            r.state_sets, r.state_stack, r.state_dirty)
+
+
 class TestKernelModes:
-    def test_rounds_and_scalar_agree(self):
-        trace = _make_trace(400, 7)
-        c1 = SetAssocCache(4 * 1024, 2)
-        c2 = SetAssocCache(4 * 1024, 2)
-        line = trace.vaddr >> c1._line_shift
-        wr = trace.is_write
-        r1 = filter_kernel.simulate_lru(c1, line, wr, mode="rounds")
-        r2 = filter_kernel.simulate_lru(c2, line, wr, mode="scalar")
-        assert np.array_equal(r1.hit, r2.hit)
-        assert np.array_equal(r1.victim_mask, r2.victim_mask)
-        assert np.array_equal(r1.victim_line[r1.victim_mask],
-                              r2.victim_line[r2.victim_mask])
-        assert np.array_equal(r1.victim_dirty[r1.victim_mask],
-                              r2.victim_dirty[r2.victim_mask])
+    @given(
+        assoc=st.sampled_from([1, 2, 4, 16]),
+        n_sets=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        sizes=st.lists(st.integers(min_value=0, max_value=300),
+                       min_size=3, max_size=3),
+        span=st.sampled_from([1, 2, 4]),
+        write_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        cutover=st.sampled_from([0, 3, filter_kernel._ACTIVE_CUTOVER]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_engines_match_scalar(self, assoc, n_sets, seed, sizes, span,
+                                  write_frac, cutover):
+        """Each engine agrees with the dict automaton on every output —
+        hits, victims with dirty bits, final state in recency order —
+        over three consecutive calls, so later calls start from warm,
+        dirty and partly filled sets."""
+        modes = ["rounds"] + (["runs"] if assoc <= 2 else [])
+        size = n_sets * assoc * 64
+        ref = SetAssocCache(size, assoc)
+        caches = {m: SetAssocCache(size, assoc) for m in modes}
+        rng = stream("tests", "filter_modes", seed)
+        with mock.patch.object(filter_kernel, "_ACTIVE_CUTOVER", cutover):
+            for n in sizes:
+                # A universe of ``span`` lines per way keeps hits common.
+                line = rng.integers(0, n_sets * assoc * span, size=n)
+                wr = rng.random(n) < write_frac
+                want = filter_kernel.simulate_lru(ref, line, wr,
+                                                  mode="scalar")
+                filter_kernel.install_state(ref, want)
+                for mode, cache in caches.items():
+                    got = filter_kernel.simulate_lru(cache, line, wr,
+                                                     mode=mode)
+                    assert got.engine == mode
+                    for a, b in zip(_level_outputs(got),
+                                    _level_outputs(want)):
+                        assert a.dtype == b.dtype, mode
+                        assert np.array_equal(a, b), mode
+                    filter_kernel.install_state(cache, got)
+
+    def test_auto_dispatch(self):
+        """Two ways take the closed form even on a one-set hammer; 16
+        ways take the stamp rounds, or the automaton on such skew."""
+        hammer = np.arange(4000, dtype=np.int64) % 5 * 512
+        spread = np.arange(4000, dtype=np.int64) * 7
+        wr = np.zeros(4000, dtype=bool)
+        l1 = SetAssocCache(64 * 1024, 2)
+        l2 = SetAssocCache(512 * 1024, 16)
+        assert filter_kernel.simulate_lru(l1, hammer, wr).engine == "runs"
+        assert filter_kernel.simulate_lru(l1, spread, wr).engine == "runs"
+        assert filter_kernel.simulate_lru(l2, spread, wr).engine == "rounds"
+        assert filter_kernel.simulate_lru(l2, hammer, wr).engine == "scalar"
+
+    def test_runs_rejects_wide_sets(self):
+        c = SetAssocCache(4 * 1024, 4)
+        with pytest.raises(ValueError, match="assoc"):
+            filter_kernel.simulate_lru(c, np.zeros(1, dtype=np.int64),
+                                       np.zeros(1, dtype=bool), mode="runs")
 
     def test_unknown_mode_rejected(self):
         c = SetAssocCache(4 * 1024, 2)
