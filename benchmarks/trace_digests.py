@@ -4,8 +4,10 @@ Each digest covers everything a trace build hands back — the five
 columns (``inst``, ``vaddr``, ``is_write``, ``dep``, ``obj_id``, with
 their dtypes), ``total_instructions`` and the generator's final PCG64
 state — for every stock application on the ``train``, ``ref``,
-``ref2``, ``drift1`` and ``drift2`` inputs at 30k accesses, plus the
-two 1M-access builds the synthesis benchmark and the ``scale`` ledger
+``ref2``, ``drift1`` and ``drift2`` inputs at 30k accesses, the six
+Lemire-heavy builds at 120k (rand/chase objects whose rejections the
+synthesis kernel walks hundreds of times per build), plus the two
+1M-access builds the synthesis benchmark and the ``scale`` ledger
 workload run.  A synthesis change that alters any column, the
 instruction count or the number of RNG words it consumes changes a
 digest.
@@ -38,13 +40,17 @@ from repro.workloads.spec import APPS, app  # noqa: E402
 
 INPUTS = ("train", "ref", "ref2", "drift1", "drift2")
 SHORT = 30_000
+HEAVY = (("milc", "ref", 120_000), ("milc", "drift1", 120_000),
+         ("milc", "train", 120_000), ("mcf", "ref", 120_000),
+         ("mcf", "train", 120_000), ("disparity", "ref", 120_000))
 LONG = (("sift", "train", 1_000_000), ("gcc", "train", 1_000_000))
 COLUMNS = ("inst", "vaddr", "is_write", "dep", "obj_id")
 
 
 def builds() -> list[tuple[str, str, int]]:
     """Every pinned ``(app, input, n_accesses)``, in file order."""
-    return [(a, i, SHORT) for a in APPS for i in INPUTS] + list(LONG)
+    return ([(a, i, SHORT) for a in APPS for i in INPUTS] + list(HEAVY)
+            + list(LONG))
 
 
 def digest(app_name: str, input_name: str, n_accesses: int) -> str:

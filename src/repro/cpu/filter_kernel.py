@@ -55,6 +55,8 @@ batching cannot reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -84,29 +86,46 @@ class LevelResult:
     """Per-access outcome of one cache level plus its final tag state.
 
     ``victim_line``/``victim_dirty`` are only meaningful where
-    ``victim_mask`` is true (a miss that evicted a resident line).
-    ``state_sets`` (ascending) / ``state_stack`` / ``state_dirty``
-    describe the final occupancy of every *simulated* set, MRU→LRU with
-    ``-1`` (and a clean bit) for empty ways, so the caller can write the
-    result back into the dict-based tag store bit-identically.
+    ``victim_mask`` is true (a miss that evicted a resident line).  They
+    are built on first read: the filter reads the L2's victims (its
+    writebacks) but never the L1's.  ``state_sets`` (ascending) /
+    ``state_stack`` / ``state_dirty`` describe the final occupancy of
+    every *simulated* set, MRU→LRU with ``-1`` (and a clean bit) for
+    empty ways, so the caller can write the result back into the
+    dict-based tag store bit-identically.
     """
 
     hit: np.ndarray
-    victim_mask: np.ndarray
-    victim_line: np.ndarray
-    victim_dirty: np.ndarray
     state_sets: np.ndarray
     state_stack: np.ndarray
     state_dirty: np.ndarray
     engine: str
+    #: Each access's victim as ``line << 1 | dirty``, negative where it
+    #: evicted nothing — or a function that computes it.
+    venc: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+
+    def _victims(self) -> np.ndarray:
+        if callable(self.venc):
+            self.venc = self.venc()
+        return self.venc
+
+    @cached_property
+    def victim_mask(self) -> np.ndarray:
+        return self._victims() >= 0
+
+    @cached_property
+    def victim_line(self) -> np.ndarray:
+        return self._victims() >> 1
+
+    @cached_property
+    def victim_dirty(self) -> np.ndarray:
+        return (self._victims() & 1) != 0
 
 
 def _result(hit, venc, sets, stack, dirty, engine: str) -> LevelResult:
-    """Package outcomes; ``venc`` holds each access's victim as
-    ``line << 1 | dirty``, negative where it evicted nothing."""
-    return LevelResult(hit=hit, victim_mask=venc >= 0, victim_line=venc >> 1,
-                       victim_dirty=(venc & 1) != 0, state_sets=sets,
-                       state_stack=stack, state_dirty=dirty, engine=engine)
+    """Package outcomes (``venc`` as in :class:`LevelResult`)."""
+    return LevelResult(hit=hit, state_sets=sets, state_stack=stack,
+                       state_dirty=dirty, engine=engine, venc=venc)
 
 
 def _residents(cache, sets: np.ndarray) -> tuple[list, list, list, list]:
@@ -223,14 +242,17 @@ def _simulate_runs(cache, line: np.ndarray, is_write: np.ndarray,
     start = start[:r]
     dirty = writes[:r] - writes[start] + run_w[start] > 0
 
-    # A miss evicts the line ``a`` runs back when that run is in its set
-    # (seed runs never evict: a set holds at most ``a`` of them).
-    evict = np.zeros(r, dtype=bool)
-    np.equal(run_set[a:], run_set[:-a], out=evict[a:])
-    evict &= ~hit
-    ev = np.flatnonzero(evict)
-    venc = np.full(line.size, -1, dtype=np.int64)
-    venc[order[heads[ev]]] = (run_line[ev - a] << 1) | dirty[ev - a]
+    def victims():
+        # A miss evicts the line ``a`` runs back when that run is in its
+        # set (seed runs never evict: a set holds at most ``a`` of them).
+        evict = np.zeros(r, dtype=bool)
+        np.equal(run_set[a:], run_set[:-a], out=evict[a:])
+        evict &= ~hit
+        ev = np.flatnonzero(evict)
+        venc = np.full(line.size, -1, dtype=np.int64)
+        venc[order[heads[ev]]] = (run_line[ev - a] << 1) | dirty[ev - a]
+        return venc[n_seed:]
+
     hit_all = np.ones(line.size, dtype=bool)
     hit_all[order[heads[~hit]]] = False
 
@@ -246,8 +268,7 @@ def _simulate_runs(cache, line: np.ndarray, is_write: np.ndarray,
         two = last > np.append(-1, last[:-1]) + 1
         stack[:, 1] = np.where(two, run_line[prev], -1)
         sdirty[:, 1] = two & dirty[prev]
-    return _result(hit_all[n_seed:], venc[n_seed:], sets, stack, sdirty,
-                   "runs")
+    return _result(hit_all[n_seed:], victims, sets, stack, sdirty, "runs")
 
 
 def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
@@ -487,8 +508,10 @@ def run_filter_window(trace, hierarchy, warm_until: int,
     # the tag-store state must flow through.
     r1 = simulate_lru(l1, vaddr >> l1._line_shift, is_write)
     idx2 = np.flatnonzero(~r1.hit)
-    r2 = simulate_lru(l2, vaddr[idx2] >> l2._line_shift, is_write[idx2])
+    l1_hits = int(r1.hit[wl:].sum())
     install_state(l1, r1)
+    del r1  # frees what its victims (never read) would be built from
+    r2 = simulate_lru(l2, vaddr[idx2] >> l2._line_shift, is_write[idx2])
     install_state(l2, r2)
 
     # Stat counters: the reference resets them at the warmup boundary,
@@ -497,7 +520,6 @@ def run_filter_window(trace, hierarchy, warm_until: int,
     # already held.  Windows wholly inside warmup add nothing and skip
     # the reset — the boundary window's reset clears their state.
     measured = n - wl
-    l1_hits = int(r1.hit[wl:].sum())
     meas2 = idx2 >= wl
     n_meas2 = int(meas2.sum())
     l2_hits = int(r2.hit[meas2].sum())

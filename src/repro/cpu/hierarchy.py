@@ -339,10 +339,9 @@ class CacheHierarchy:
             hit, _ = l1.access(vaddr, is_write)
             if hit:
                 continue
-            # L1 miss: look up L2.  (L1 victims are clean towards L2 in this
-            # model: stores mark dirty in L1 and the dirtiness is propagated
-            # when the line is re-fetched; full L1→L2 writeback modelling
-            # changes LLC MPKI by <1% at these sizes and is omitted.)
+            # L1 miss: look up L2.  L1 victims are not written back into
+            # the L2, so a store that hit in the L1 never dirties the L2
+            # copy (a known deviation: docs/modeling.md, Known limits).
             l2_hit, evicted = l2.access(vaddr, is_write)
             if l2_hit:
                 if self.prefetcher is not None:

@@ -29,15 +29,21 @@ over raw 64-bit words ``w``:
 
 Only two constructs consume a *data-dependent* number of words: Lemire
 rejections and ziggurat slow paths.  The kernel lays the stream out
-speculatively (no rejections, fast-path gaps), in blocks of
-``_BLOCK_ACCESSES`` accesses.  A ziggurat slow path takes ~2.2% of gap
-draws, and whether a draw takes it depends only on the word it reads.
-So one linear walk over a window's failing words resolves every slow
-path exactly, with the shift of each later read known as it goes (see
-``_Kernel._zig_chain``).  Lemire rejections and degenerate hotspots are
-rarer *true events*: detected vectorized under the walked shifts, each
-cuts the window, is repaired scalar, and the layout restarts after it.
-All bulk decoding (burst schedule, offsets, write/dep flags, gaps) is
+speculatively (no rejections, fast-path gaps), one window per block of
+``_BLOCK_ACCESSES`` accesses, in units of half words.  Whether a gap
+draw takes a slow path (~2.2% do) depends only on the word it reads,
+and whether a half rejects only on its value and the op's span.  So
+one linear walk per window over the failing words and the rejecting
+halves resolves every slow path and every rand/chase rejection
+exactly, with the shift of each later read known as it goes: a
+rejection moves the stream on by one half (so the parity of the u32
+buffer flips, and each later word draw moves by one word or none), a
+slow path by its extra words (see ``_Kernel._layout_detect_decode``
+and ``_Kernel._walk``).  Only hotspot ops cut a window: a rejection in
+one (rare, detected vectorized under the walked shifts) and a
+degenerate hotspot (whose half count depends on its draws) are
+replayed scalar, and the layout restarts after them.  All bulk
+decoding (burst schedule, offsets, write/dep flags, gaps) is
 whole-array numpy.
 
 The kernel never touches the caller's Generator until the very end:
@@ -57,23 +63,26 @@ import numpy as np
 from repro.trace.zigtables import FE, KE, WE, ZIGGURAT_EXP_R
 
 _WE, _KE, _FE = WE.tolist(), KE.tolist(), FE.tolist()  # for the walk
+_KE11 = KE << np.uint64(11)  # fast-path limits on the whole word
 
 __all__ = ["supported", "iter_kernel_blocks"]
 
 _DBL = 2.0 ** -53
+_M32 = np.uint64(0xFFFFFFFF)
+_NEVER = 1 << 62
 #: numpy's geometric() method cutover: search below, ziggurat inversion
 #: at and above (the C constant rounds to the same double as 1/3).
 _SEARCH_P_MIN = 1.0 / 3.0
-#: Target accesses per walk block: large enough to amortize numpy call
-#: overhead (apps with few true events build 30-45% faster than at 2048
-#: on a 2-CPU x86 VM; 16384 gains nothing more), while a window after a
-#: true event stays sized by the event rate, not by the block.  The
-#: chunk count per block is derived from the schedule's mean burst so
-#: blocks have comparable size across workloads.
+#: Target accesses per walk block (one layout window unless a hotspot
+#: cuts it): large enough to amortize numpy call overhead (120k-access
+#: builds run 15-45% faster than at 2048 on a 2-CPU x86 VM; 16384 to
+#: 65536 measured within that VM's noise).  The chunk count per block
+#: is derived from the schedule's mean burst so blocks have comparable
+#: size across workloads.
 _BLOCK_ACCESSES = 8192
-#: Slack of the zig walk's first failing-word scan, in words per zig
-#: draw to resolve (plus a constant): about twice the expected shift, so
-#: the walk rarely has to scan further.
+#: Slack of the walk's first candidate scan, in words per zig draw (and
+#: per eight rand/chase draws) to resolve, plus a constant: about twice
+#: the expected shift, so the walk rarely has to scan further.
 _WALK_SLACK = 1 / 16
 
 # Op kinds, in the per-chunk stream order the reference emits them.
@@ -307,11 +316,6 @@ class _Kernel:
             16, int(n_accesses / self.P.mean_burst * 1.6) + 8)
         self.block_chunks = max(
             32, int(_BLOCK_ACCESSES / self.P.mean_burst))
-        # EMA of ops between true events; sizes the post-event re-scan
-        # window so event-heavy workloads don't pay for layouts that an
-        # imminent next event will invalidate.
-        self.ev_ema = 1e9
-        self.since_ev = 0
 
     # ---------------------------------------------------------------- stream
 
@@ -376,34 +380,23 @@ class _Kernel:
         opn = n[opch]
         nops = len(opk)
 
-        # After a true event the whole remaining layout is stale, but
-        # re-laying the full suffix per event is quadratic in practice
-        # (Lemire-rejection-heavy workloads hit thousands of events per
-        # million accesses).  Lay out in windows sized by the observed
-        # inter-event distance — small when events cluster, growing back
-        # to full blocks through quiet stretches — so each event only
-        # invalidates about one event's worth of speculative work.
+        # One layout window per block; only hotspot ops cut it.  A
+        # degenerate hotspot (one span of a single slot) draws a
+        # data-dependent number of halves, so a window ends before it; a
+        # hotspot rejection is found after the walk and cuts the window
+        # there.  Either op is replayed scalar and the layout resumes.
+        stops = np.append(
+            np.flatnonzero((opk == _K_HOT) & P.hot_aev[opo]), nops)
         f = 0
-        W = min(nops, max(32, int(self.ev_ema * 1.5)))
         while f < nops:
-            g = min(f + W, nops)
-            e = self._layout_detect_decode(
-                opk[f:g], opn[f:g], opo[f:g], opch[f:g], rowstart, out)
-            if e is None:
-                self.since_ev += g - f
-                f = g
-                W = min(W * 4, nops)
-                continue
-            d = max(self.since_ev + e, 8)
-            self.ev_ema = d if self.ev_ema >= 1e9 \
-                else 0.75 * self.ev_ema + 0.25 * d
-            self.since_ev = 0
-            g = f + e
-            self._eval_exact(
-                int(opk[g]), int(opn[g]), int(opo[g]),
-                int(rowstart[opch[g]]), out)
-            f = g + 1
-            W = min(nops, max(32, int(self.ev_ema * 1.5)))
+            g = int(stops[stops.searchsorted(f)])
+            if f < g:
+                f += self._layout_detect_decode(
+                    opk[f:g], opn[f:g], opo[f:g], opch[f:g], rowstart, out)
+            if f < nops:
+                self._eval_exact(int(opn[f]), int(opo[f]),
+                                 int(rowstart[opch[f]]), out)
+                f += 1
 
         vaddr = off + np.repeat(P.base[obj], n)
         obj_id = np.repeat(P.ids[obj], n)
@@ -431,252 +424,295 @@ class _Kernel:
     # ------------------------------------------------- layout/detect/decode
 
     def _layout_detect_decode(self, kinds, nn, oo, ch, rowstart, out):
-        """Lay out ops [0:] speculatively from the current state, decode
-        everything before the first true event, and advance the state
-        there.  Returns the local index of the event op, or ``None``.
+        """Lay out ops ``[0:]`` from the current state, resolve their
+        data-dependent draws, decode them and advance the state.  Returns
+        how many ops it decoded: all of them, or those before the first
+        hotspot op with a rejection (the state is advanced to that op).
 
-        Ziggurat slow paths are too common (~2.2% of gap draws) to be
-        true events: the walk (:meth:`_zig_chain`) resolves them, and
-        their extra words shift every later read.  Only Lemire
-        rejections and degenerate hotspots cut the layout short.  Where
-        a rejection lies depends on the shifts before it, so detection
-        and walk alternate: find the first event under the shifts known
-        so far, walk the zig sites before it, and look again, until the
-        walk adds no slow path or the event lies inside the walked
-        prefix.  The walk thus stops at every candidate cut; it passes
-        the true one only when its own slow paths moved a rejection
-        into the stretch it just walked.
+        Positions are *units*: a whole word takes two, a u32 half one,
+        and unit ``2c`` is the low half of word ``c`` (a buffered half
+        sits at the odd unit before).  The speculative layout — no
+        rejection, fast-path gaps — puts each draw at a base unit ``u``.
+        An event adds units to every later draw: a Lemire rejection one
+        (its value is redrawn from the next half), a ziggurat slow path
+        two per extra word.  With ``D`` the units added before a draw, a
+        word draw reads word ``(u + D + 1) // 2`` and a half draw half
+        ``u + D`` — except an op's first half on an odd unit, the carry:
+        the high half of the last word the previous half op fetched,
+        at ``cb + D`` with ``cb`` the unit just after that op's halves.
+        So the parity of every later op flips with each rejection and
+        its words move by whole words otherwise.  :meth:`_walk` resolves
+        every rand/chase rejection and slow path in one pass; hotspot
+        rejections (rare: 15-25 per million accesses in the stock apps)
+        are detected under the walked shifts afterwards and cut the
+        window.
         """
         P, tape = self.P, self.tape
         nops = len(kinds)
         h = nn * P.halfmul[oo, kinds]
-        par = (self.b + _excl_cumsum(h & 1)) & 1
-        fetch = np.where(h > 0, (h - par + 1) // 2, 0)
-        wds = nn * P.wordmul[kinds] + fetch
-        wstart = self.c + _excl_cumsum(wds)
-        hstart = wstart + np.where(kinds == _K_HOT, nn, 0)
-        lastw = np.where(fetch > 0, hstart + fetch - 1, -1)
-        end_c = int(wstart[-1] + wds[-1])
-        tape.need(end_c)
+        units = 2 * nn * P.wordmul[kinds] + h
+        c0, V0 = self.c, 2 * self.c - self.b
+        a = V0 + _excl_cumsum(units)
+        Vend = int(a[-1] + units[-1])
+        ah = a + 2 * nn * (kinds == _K_HOT)  # each op's first half
+        hs = np.flatnonzero(h > 0)
+        # The op starting at each half op's carry unit: the one after the
+        # previous half op (halves end an op), or the window's first.
+        cbo = np.zeros(nops, dtype=np.int64)
+        cbo[hs[1:]] = hs[:-1] + 1
 
-        # Base-layout sites: zig draws, hotspot uniforms (the hot/cold
-        # split feeds the half thresholds) and Lemire halves (normal LEM
-        # + normal HOT ops).  Zig extras consume whole words only, so
-        # half parities are exact here; word positions after a slow
-        # path all shift by the op shift.
+        def draws(ops, start, step=1):
+            return (np.repeat(start[ops], nn[ops])
+                    + step * _ragged_arange(nn[ops]))
+
         zo = np.flatnonzero(kinds == _K_GZ)
-        zop = np.repeat(zo, nn[zo])
-        zpos = np.repeat(wstart[zo], nn[zo]) + _ragged_arange(nn[zo])
-        nho = np.flatnonzero((kinds == _K_HOT) & ~P.hot_aev[oo]
-                             & ~P.hot_nohalf[oo])
-        uop = np.repeat(nho, nn[nho])
-        upos = np.repeat(wstart[nho], nn[nho]) + _ragged_arange(nn[nho])
-        hot_w = P.hot_w[oo[uop]]
-        hsel = np.flatnonzero((h > 0) & ~P.hot_aev[oo])
-        hop = np.repeat(hsel, h[hsel])
-        j = _ragged_arange(h[hsel])
-        adj = j - par[hop]
-        hword = hstart[hop] + np.maximum(adj, 0) // 2
-        hbits = np.uint64(32) * (adj & 1).astype(np.uint64)
-        carry = np.flatnonzero(adj < 0)
-        hot_site = kinds[hop] == _K_HOT
-        aev = np.flatnonzero((kinds == _K_HOT) & P.hot_aev[oo])
+        zu = draws(zo, a, 2)
+        lo = np.flatnonzero((kinds == _K_LEM) & (h > 0))
+        app, dlt, slow_u, slow_x = self._walk(
+            V0, Vend, zu, a[lo], nn[lo], a[cbo[lo]], oo[lo])
+        order = np.argsort(app, kind="stable")
+        app = app[order]
+        cum = np.concatenate(([0], np.cumsum(dlt[order])))
 
-        op_extras = np.zeros(nops, dtype=np.int64)
-        ze = np.zeros(len(zpos), dtype=np.int64)
-        slow: list[int] = []
-        slow_vals: list[float] = []
-        f = s = walked = 0
-        limit = int(aev[0]) if aev.size else nops
-        while True:
-            opshift = _excl_cumsum(op_extras)
-            lastw_s = np.where(lastw >= 0, lastw + opshift, -1)
-            prevw = np.concatenate(([-1],
-                                    np.maximum.accumulate(lastw_s)[:-1]))
-            in_hot = _doubles(tape.take(upos + opshift[uop])) < hot_w
-            nhot_by_op = np.bincount(uop[in_hot], minlength=nops)
-            hv = (tape.take(hword + opshift[hop]) >> hbits) \
-                & np.uint64(0xFFFFFFFF)
-            if carry.size:
-                pw = prevw[hop[carry]]
-                # pw == -1 means "carry predates this block" (use self.v);
-                # real word indices are always >= self.c, so clamp the
-                # sentinel there to keep take() inside the tape window.
-                hv[carry] = np.where(
-                    pw >= 0,
-                    tape.take(np.maximum(pw, self.c)) >> np.uint64(32),
-                    np.uint64(self.v))
-            is_hot_half = hot_site & (j < nhot_by_op[hop])
-            L = np.where(is_hot_half, P.hot_L[oo[hop]], P.lem_L[oo[hop]])
-            thr = np.where(is_hot_half, P.hot_thr[oo[hop]],
-                           P.lem_thr[oo[hop]])
-            m = hv * L
-            rej = np.flatnonzero((m & np.uint64(0xFFFFFFFF)) < thr)
-            cut = min(limit, int(hop[rej[0]])) if rej.size else limit
-            if cut <= walked:
-                break
-            nres = int(zop.searchsorted(cut))
-            sites, vals, extras = self._zig_chain(zpos, f, nres, s)
-            f, walked = nres, cut
-            if not sites:
-                break
-            idx = zpos.searchsorted(sites)
-            ze[idx] = extras
-            np.add.at(op_extras, zop[idx], extras)
-            s += sum(extras)
-            slow += idx.tolist()
-            slow_vals += vals
+        def shift(u, side="right"):
+            return cum[app.searchsorted(u, side)]
 
-        zri = tape.take(zpos + _excl_cumsum(ze)) >> np.uint64(3)
-        zval = (zri >> np.uint64(8)).astype(np.float64) \
-            * WE[(zri & np.uint64(0xFF)).astype(np.intp)]
-        zval[slow] = slow_vals
-        zgap = np.ceil(zval / P.gap_denom[oo[zop]]).astype(np.int64)
-        wsh = wstart + opshift
-        self._decode(kinds, nn, oo, ch, rowstart, out, cut, wsh,
-                     zop, zgap, nho, in_hot, hop, m)
+        # Units added before each op; no event lies inside a word or
+        # hotspot op, so it holds for all their draws.
+        sa = shift(a, "left")
+        a_s = a + sa
 
-        # Advance the state to the cut point.
-        if cut < nops:
-            self.c = int(wsh[cut])
-            self.b = int(par[cut])
-            pw = int(prevw[cut])
-            if pw >= 0:
-                self.v = tape.word(pw) >> 32
-            return cut
-        self.c = end_c + s
-        self.b = int((self.b + int((h & 1).sum())) & 1)
-        last = int(lastw_s.max()) if len(lastw_s) else -1
-        if last >= 0:
-            self.v = tape.word(last) >> 32
-        return None
+        def words(ops):
+            return tape.take((draws(ops, a_s, 2) + 1) >> 1)
 
-    def _zig_chain(self, zpos, f, nres, s):
-        """Resolve the ziggurat slow paths of zig draws ``f..nres-1``,
-        read ``s`` words late, in one linear walk.
+        def halves(ops, p):
+            """The u32 each half draw of ``ops`` reads, given its half
+            index ``p`` in the stream (a carry's is resolved here)."""
+            f = _excl_cumsum(nn[ops])  # each op's first draw
+            car = (p[f] == ah[ops] + sa[ops]) & (p[f] & 1 == 1)
+            p[f[car]] = a_s[cbo[ops[car]]]
+            v = (tape.take(np.maximum(p >> 1, c0))
+                 >> (np.uint64(32) * (p & 1).astype(np.uint64))) & _M32
+            v[p < 2 * c0] = self.v  # the half buffered before the window
+            return v
 
-        A slow path consumes extra words and shifts every later read, so
-        which later draws fail depends on the shift accumulated so far.
-        But whether a draw fails depends only on the word it reads.  So
-        the walk goes once, in order, through the failing words: a
-        failing word ``p`` under shift ``s`` is a slow path iff
-        ``p - s`` is a zig site past the frontier.  The slow path then
-        runs over plain ints, and ``s`` grows by the extra words it
-        consumed.  Failing words are found up to the last site plus a
-        slack, and further whenever the shift outruns it.
+        end = nops
+        ho = np.flatnonzero((kinds == _K_HOT) & (h > 0))
+        if ho.size:
+            uop = np.repeat(ho, nn[ho])
+            bo = oo[uop]
+            in_hot = _doubles(words(ho)) < P.hot_w[bo]
+            is_h = _ragged_arange(nn[ho]) < np.bincount(
+                uop[in_hot], minlength=nops)[uop]
+            hm = halves(ho, draws(ho, ah + sa)) * np.where(
+                is_h, P.hot_L[bo], P.lem_L[bo])
+            rej = np.flatnonzero((hm & _M32) < np.where(
+                is_h, P.hot_thr[bo], P.lem_thr[bo]))
+            if rej.size:
+                end = int(uop[rej[0]])
 
-        Returns ``(sites, vals, extras)``: the base position of each
-        slow path, its exact exponential variate and its extra words.
-        """
-        sites: list[int] = []
-        vals: list[float] = []
-        extras: list[int] = []
-        if f >= nres:
-            return sites, vals, extras
-        lo, qmax = int(zpos[f]), int(zpos[nres - 1])
-        mask = np.zeros(qmax - lo + 1, dtype=bool)
-        mask[zpos[f:nres] - lo] = True
-        is_site = mask.tobytes()
-        slack = int((nres - f) * _WALK_SLACK) + 8
-        last = lo - 1  # frontier: the last resolved site
-        hi = lo + s    # failing words below ``hi`` are walked
-        while hi <= qmax + s:
-            top = qmax + s + slack
-            # Two words more: a slow path's uniform and its redraw.
-            w = self.tape.aslice(hi, top + 2)
-            ri = w[:-2] >> np.uint64(3)
-            fail = np.flatnonzero(
-                (ri >> np.uint64(8)) >= KE[(ri & np.uint64(0xFF))
-                                           .astype(np.intp)])
-            for p, wv, uv, rv in zip((fail + hi).tolist(), w[fail].tolist(),
-                                     w[fail + 1].tolist(),
-                                     w[fail + 2].tolist()):
-                q = p - s
-                if q <= last:
-                    continue
-                if q > qmax:
-                    break
-                if not is_site[q - lo]:
-                    continue
-                ri = wv >> 3
-                idx = ri & 0xFF
-                x = (ri >> 8) * _WE[idx]
-                u = (uv >> 11) * _DBL
-                c = p + 2
-                if idx == 0:
-                    x = ZIGGURAT_EXP_R - math.log1p(-u)
-                elif (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] \
-                        >= math.exp(-x):  # wedge rejects: draw again
-                    ri = rv >> 3
-                    idx = ri & 0xFF
-                    if (ri >> 8) < _KE[idx]:
-                        x, c = (ri >> 8) * _WE[idx], p + 3
-                    else:
-                        x, c = self._zig_slow(c)
-                sites.append(q)
-                vals.append(x)
-                extras.append(c - p - 1)
-                s += c - p - 1
-                last = q
-            else:  # no site past ``qmax`` reached yet: scan further
-                hi = top
-                continue
-            break
-        return sites, vals, extras
-
-    def _decode(self, kinds, nn, oo, ch, rowstart, out, end, wstart,
-                zop, zgap, nho, in_hot, hop, m):
-        """Decode the event-free ops ``[0:end)`` into the output columns."""
-        if end == 0:
-            return
-        P, tape = self.P, self.tape
+        # Decode ops [0:end).
         off, wr, dep, gap = out
 
-        def site_rows(ops):
+        def rows(ops):
             return (np.repeat(rowstart[ch[ops]], nn[ops])
                     + _ragged_arange(nn[ops]))
 
-        def uniforms(ops):
-            pos = np.repeat(wstart[ops], nn[ops]) + _ragged_arange(nn[ops])
-            return _doubles(tape.take(pos))
-
-        sel = np.flatnonzero(kinds[:end] == _K_WR)
-        if sel.size:
-            wr[site_rows(sel)] = uniforms(sel) < np.repeat(P.wf[oo[sel]],
-                                                           nn[sel])
-        sel = np.flatnonzero(kinds[:end] == _K_DEP)
-        if sel.size:
-            dep[site_rows(sel)] = uniforms(sel) < np.repeat(P.dp[oo[sel]],
-                                                            nn[sel])
+        for k, col, prob in ((_K_WR, wr, P.wf), (_K_DEP, dep, P.dp)):
+            sel = np.flatnonzero(kinds[:end] == k)
+            if sel.size:
+                col[rows(sel)] = _doubles(words(sel)) < np.repeat(
+                    prob[oo[sel]], nn[sel])
         sel = np.flatnonzero(kinds[:end] == _K_GS)
         if sel.size:
-            u = uniforms(sel)
-            rws = site_rows(sel)
+            u = _doubles(words(sel))
+            rws = rows(sel)
             obs = np.repeat(oo[sel], nn[sel])
             for bi in np.unique(obs):
                 pick = obs == bi
                 gap[rws[pick]] = 1 + P.gap_tbl[bi].searchsorted(
                     u[pick], side="left")
-        zin = zop < end
-        if zin.any():
-            rws = site_rows(np.flatnonzero(kinds[:end] == _K_GZ))
-            gap[rws] = zgap[zin]
-        lem_half = (kinds[hop] == _K_LEM) & (hop < end)
-        if lem_half.any():
-            sel = np.flatnonzero((kinds[:end] == _K_LEM)
-                                 & ~P.lem_nohalf[oo[:end]])
-            vals = (m[lem_half] >> np.uint64(32)).astype(np.int64)
-            off[site_rows(sel)] = (vals // P.ab) * P.ab
-        hin = nho < end
-        if hin.any():
-            hsel = nho[hin]
-            urows = site_rows(hsel)
-            uop = np.repeat(hsel, nn[hsel])
-            order = np.argsort(uop * 2 + (~in_hot[:len(uop)]).astype(np.int64),
-                               kind="stable")
-            hot_half = (kinds[hop] == _K_HOT) & (hop < end)
-            vals = (m[hot_half] >> np.uint64(32)).astype(np.int64)
-            off[urows[order]] = (vals // P.ab) * P.ab
+        zo = zo[zo < end]
+        if zo.size:
+            zu = zu[:int(nn[zo].sum())]
+            zri = tape.take((zu + shift(zu) + 1) >> 1) >> np.uint64(3)
+            zval = (zri >> np.uint64(8)).astype(np.float64) \
+                * WE[(zri & np.uint64(0xFF)).astype(np.intp)]
+            si = zu.searchsorted(slow_u)
+            keep = si < len(zu)
+            zval[si[keep]] = slow_x[keep]
+            gap[rows(zo)] = np.ceil(zval / np.repeat(
+                P.gap_denom[oo[zo]], nn[zo])).astype(np.int64)
+        lo = lo[lo < end]
+        if lo.size:
+            u = draws(lo, a)
+            m = halves(lo, u + shift(u)) * np.repeat(P.lem_L[oo[lo]], nn[lo])
+            off[rows(lo)] = ((m >> np.uint64(32)).astype(np.int64)
+                             // P.ab) * P.ab
+        if ho.size and ho[0] < end:
+            keep = uop < end
+            order = np.argsort(uop[keep] * 2 + ~in_hot[keep], kind="stable")
+            vals = (hm[keep] >> np.uint64(32)).astype(np.int64)
+            off[rows(ho[ho < end])[order]] = (vals // P.ab) * P.ab
+
+        # Advance the state to the end (or the cut op).
+        x = int(a_s[end]) if end < nops else Vend + int(cum[-1])
+        self.c, self.b = (x + 1) >> 1, x & 1
+        hs = hs[hs < end]
+        if hs.size:  # the last fetched word's high half stays buffered
+            g = int(hs[-1])
+            u = int(ah[g] + h[g] - 1)
+            p = u + int(shift(u))
+            if p == ah[g] + sa[g] and p & 1:  # a lone draw, the carry
+                p = int(a_s[cbo[g]])
+            if p >= 2 * c0:
+                self.v = tape.word(p >> 1) >> 32
+        return end
+
+    def _walk(self, V0, Vend, zu, la, ln, lcb, lb):
+        """Resolve a window's rand/chase rejections and ziggurat slow
+        paths in one linear walk.
+
+        ``zu`` are the zig draws' base units; ``la``, ``ln``, ``lcb`` and
+        ``lb`` give each rand/chase op's first unit, draw count, carry
+        unit and behaviour.  Each event shifts every later read, so
+        which later draws hit one depends on the shift ``D`` so far.
+        But whether a word takes a slow path depends only on its value,
+        and whether a half rejects only on its value and the op's span.
+        So the walk goes once, in stream order, through the failing
+        words and (per rand/chase behaviour) the rejecting halves: a
+        candidate at half index ``p`` is an event iff unit ``p - D`` is
+        a matching draw past the frontier (a word draw may start one
+        unit earlier).  A rejected carry lies before the word draws that
+        separate it from its op, so its unit counts only once the walk
+        reaches the op.  Candidates are found up to the window end plus
+        a slack, and further whenever the shift outruns it.
+
+        Returns ``(app, delta, slow_u, slow_x)``: the base unit each
+        event's units count from, how many it adds, and each slow path's
+        base unit and exact exponential variate.
+        """
+        app: list[int] = []
+        dlt: list[int] = []
+        su: list[int] = []
+        sx: list[float] = []
+        nl = len(la)
+        if not (len(zu) or nl):
+            return (np.asarray(app, dtype=np.int64),) * 3 + (np.asarray(sx),)
+        P, tape = self.P, self.tape
+        span = Vend - V0
+        zmap = np.zeros(span, dtype=np.uint8)  # 1 + unit of a zig draw
+        zmap[zu - V0] = 1
+        zmap[zu - V0 + 1] = 2
+        zmap = zmap.tobytes()
+        beh, slot = np.unique(lb, return_inverse=True)
+        slot, first = slot.tolist(), la.tolist()
+        spans = [(int(P.lem_L[b]), int(P.lem_thr[b])) for b in beh]
+        if nl:
+            ks = np.arange(1, nl + 1, dtype=np.int32)
+            vmap = np.zeros(span, dtype=np.int32)  # 1 + op of each draw
+            vmap[np.repeat(la - V0, ln) + _ragged_arange(ln)] = \
+                np.repeat(ks, ln)
+            cmap = np.zeros(span, dtype=np.int32)  # 1 + op of each carry
+            cmap[lcb - V0] = ks
+            vmap, cmap = memoryview(vmap), memoryview(cmap)
+        Z = len(spans)  # the zig candidates' tag
+        D, fb, last, pend = 0, V0, -1, _NEVER
+        if nl and self.b and lcb[0] == V0:  # carry from before the window
+            L, thr = spans[slot[0]]
+            if (self.v * L) & 0xFFFFFFFF < thr:
+                app.append(first[0])
+                dlt.append(1)
+                pend = first[0]
+        slack = int((len(zu) + int(ln.sum()) // 8) * _WALK_SLACK) + 8
+        hi = self.c
+        while True:
+            top = (Vend + D + 1) // 2 + slack
+            w = tape.aslice(hi, top + 2)  # + a slow path's next two words
+            keys = []
+            if len(zu):  # (w >> 11) >= KE[(w >> 3) & 0xFF], in one compare
+                idx = (w[:-2] >> np.uint64(3)) & np.uint64(0xFF)
+                fail = np.flatnonzero(w[:-2] >= _KE11[idx.astype(np.intp)])
+                keys.append((fail + hi) * (2 * Z + 2) + Z)
+            if spans:  # u32 products wrap: (v * L) mod 2**32 < thr
+                half = w[:-2].astype("<u8", copy=False).view("<u4")
+                for s, (L, thr) in enumerate(spans):
+                    rej = np.flatnonzero(
+                        half * np.uint32(L) < np.uint32(thr))
+                    keys.append((rej + 2 * hi) * (Z + 1) + s)
+            keys = np.sort(np.concatenate(keys))
+            ps = keys // (Z + 1)
+            for p, t in zip(ps.tolist(), (keys - ps * (Z + 1)).tolist()):
+                u = p - D
+                if u > pend:  # the walk reached a rejected carry's op
+                    D += 1
+                    u -= 1
+                    pend = _NEVER
+                if t == Z:
+                    if u < fb:
+                        continue
+                    if u >= Vend:
+                        break
+                    z = zmap[u - V0]
+                    if not z:
+                        continue
+                    u -= z - 1
+                    q = p >> 1  # the slow path's word, uniform, redraw
+                    wv, uv, rv = w[q - hi:q - hi + 3].tolist()
+                    ri = wv >> 3
+                    idx = ri & 0xFF
+                    x = (ri >> 8) * _WE[idx]
+                    uf = (uv >> 11) * _DBL
+                    c = q + 2
+                    if idx == 0:
+                        x = ZIGGURAT_EXP_R - math.log1p(-uf)
+                    elif (_FE[idx - 1] - _FE[idx]) * uf + _FE[idx] \
+                            >= math.exp(-x):  # wedge rejects: draw again
+                        ri = rv >> 3
+                        idx = ri & 0xFF
+                        if (ri >> 8) < _KE[idx]:
+                            x, c = (ri >> 8) * _WE[idx], c + 1
+                        else:
+                            x, c = self._zig_slow(c)
+                    e = 2 * (c - q - 1)
+                    app.append(u + 1)
+                    dlt.append(e)
+                    su.append(u)
+                    sx.append(x)
+                    D += e
+                    fb = u + 2
+                    continue
+                if u < fb:
+                    continue
+                if u >= Vend:
+                    break
+                k = vmap[u - V0] - 1
+                if k >= 0:
+                    # Another span's candidate, or the unit of a carry
+                    # (whose half lies elsewhere): not this draw's half.
+                    if slot[k] != t or (
+                            u == first[k] and p & 1 and last != u):
+                        continue
+                    app.append(u)
+                    dlt.append(1)
+                    D += 1
+                    fb = last = u
+                    continue
+                k = cmap[u - V0] - 1
+                if k >= 0 and slot[k] == t and p & 1:
+                    app.append(first[k])
+                    dlt.append(1)
+                    pend = first[k]
+                    fb = u
+            else:  # the window end not reached yet: scan further
+                if 2 * top > Vend + D + 1:
+                    break
+                hi = top
+                continue
+            break
+        return (np.asarray(app, dtype=np.int64),
+                np.asarray(dlt, dtype=np.int64),
+                np.asarray(su, dtype=np.int64), np.asarray(sx))
 
     # ---------------------------------------------------------- exact paths
 
@@ -713,33 +749,23 @@ class _Kernel:
             if (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] < math.exp(-x):
                 return x, c
 
-    def _eval_exact(self, kind, n, bi, row0, out):
-        """Evaluate one event op (LEM or HOT) with full sequential
-        semantics (event repair)."""
+    def _eval_exact(self, n, bi, row0, out):
+        """Replay one hotspot op that cuts the window (degenerate, or
+        with a rejection) with full sequential semantics."""
         P = self.P
-        off = out[0]
-        if kind == _K_LEM:
-            L, thr = int(P.lem_L[bi]), int(P.lem_thr[bi])
-            vals = np.asarray([self._lem_scalar(L, thr) for _ in range(n)],
-                              dtype=np.int64)
-            off[row0:row0 + n] = (vals // P.ab) * P.ab
-        elif kind == _K_HOT:
-            w = self.tape.aslice(self.c, self.c + n)
-            self.c += n
-            in_hot = _doubles(w) < float(P.hot_w[bi])
-            n_hot = int(in_hot.sum())
-            offs = np.zeros(n, dtype=np.int64)
-            Lh, th = int(P.hot_L[bi]), int(P.hot_thr[bi])
-            Lc, tc = int(P.lem_L[bi]), int(P.lem_thr[bi])
-            if n_hot and Lh > 1:
-                offs[in_hot] = [self._lem_scalar(Lh, th)
-                                for _ in range(n_hot)]
-            if n - n_hot and Lc > 1:
-                offs[~in_hot] = [self._lem_scalar(Lc, tc)
-                                 for _ in range(n - n_hot)]
-            off[row0:row0 + n] = (offs // P.ab) * P.ab
-        else:  # pragma: no cover - only LEM/HOT ops carry events
-            raise AssertionError(f"unexpected event op kind {kind}")
+        w = self.tape.aslice(self.c, self.c + n)
+        self.c += n
+        in_hot = _doubles(w) < float(P.hot_w[bi])
+        n_hot = int(in_hot.sum())
+        offs = np.zeros(n, dtype=np.int64)
+        Lh, th = int(P.hot_L[bi]), int(P.hot_thr[bi])
+        Lc, tc = int(P.lem_L[bi]), int(P.lem_thr[bi])
+        if n_hot and Lh > 1:
+            offs[in_hot] = [self._lem_scalar(Lh, th) for _ in range(n_hot)]
+        if n - n_hot and Lc > 1:
+            offs[~in_hot] = [self._lem_scalar(Lc, tc)
+                             for _ in range(n - n_hot)]
+        out[0][row0:row0 + n] = (offs // P.ab) * P.ab
 
 
 def iter_kernel_blocks(builder, n_accesses: int, rng: np.random.Generator,

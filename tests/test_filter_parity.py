@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cpu import filter_kernel
 from repro.cpu.cache import SetAssocCache
-from repro.cpu.hierarchy import CacheHierarchy
+from repro.cpu.hierarchy import KIND_WRITEBACK, CacheHierarchy
 from repro.cpu.prefetch import StridePrefetcher
 from repro.trace.events import AccessTrace, VirtualLayout
 from repro.util.rng import stream
@@ -271,3 +271,39 @@ class TestFilteredStreamContract:
         trace = build_app_trace("stitch", "ref", 4001)
         s_r, c_r = _reference(CacheHierarchy(), trace)
         _assert_identical((s_k, c_k), (s_r, c_r))
+
+
+class TestKnownDeviations:
+    def test_l1_victims_reach_l2_clean(self):
+        """Known deviation: clean L1 victims (docs/modeling.md, Known
+        limits; EXPERIMENTS.md, Known deviations).
+
+        Neither engine writes an evicted L1 line back into the L2, so a
+        line that is loaded, then stored while it sits in the L1, stays
+        clean in the L2 and is later evicted from it without a
+        ``KIND_WRITEBACK`` record.  A full L1→L2 writeback model would
+        emit one here.  This pins today's behaviour in both engines: a
+        change that models the writeback has to update this test (and
+        every pinned figure row and stream digest) on purpose.
+        """
+        layout = VirtualLayout()
+        base = layout.place("obj", 4096, site=1).vbase
+        a, b, c = base, base + 64, base + 128
+        vaddr = np.asarray([a, a, b, c, b, c], dtype=np.int64)
+        inst = np.arange(1, 7, dtype=np.int64) * 10
+        trace = AccessTrace(
+            inst=inst, vaddr=vaddr,
+            is_write=np.asarray([False, True] + [False] * 4),
+            obj_id=layout.resolve(vaddr), dep=np.zeros(6, dtype=bool),
+            layout=layout, total_instructions=70)
+        # One-set caches: a 1-way 64 B L1 and a 2-way L2.
+        geometry = dict(l1_size=64, l1_assoc=1, l2_size=128, l2_assoc=2)
+        kernel_out = CacheHierarchy(**geometry).filter_trace(trace, 0.0)
+        ref_out = CacheHierarchy(**geometry)._filter_trace_reference(trace, 0)
+        _assert_identical(kernel_out, ref_out)
+        stream_, stats = kernel_out
+        # A (clean in L2) is the L2's LRU line when C misses: evicted
+        # without a writeback although the L1 held it dirty.
+        assert stats.n_writebacks == 0
+        assert stats.l2_misses == 3 and stats.l2_hits == 2
+        assert not np.any(stream_.kind == KIND_WRITEBACK)

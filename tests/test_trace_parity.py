@@ -30,13 +30,27 @@ _GAP_MEANS = st.one_of(
 )
 
 
+#: The largest object ``kernel.supported`` accepts: a Lemire span
+#: ``size - 8 + 1`` just under 2**32 (8-byte accesses).
+_MAX_SIZE = (1 << 32) + 6
+#: rand/chase sizes: small spans reject with probability below 2**-12
+#: per half, so half the draws take spans just above 2**31 (where about
+#: every other half rejects) up to the 2**32 limit.
+_LEM_SIZES = st.one_of(
+    st.integers(min_value=64, max_value=1 << 20),
+    st.integers(min_value=(1 << 31) + 8, max_value=_MAX_SIZE),
+)
+
+
 @st.composite
 def behaviors(draw, index=0):
     pattern = draw(st.sampled_from(
         ["seq", "strided", "rand", "chase", "hotspot"]))
+    sizes = _LEM_SIZES if pattern in ("rand", "chase") \
+        else st.integers(min_value=64, max_value=1 << 20)
     return ObjectBehavior(
         name=f"obj{index}",
-        size_bytes=draw(st.integers(min_value=64, max_value=1 << 20)),
+        size_bytes=draw(sizes),
         weight=draw(st.floats(min_value=0.05, max_value=10.0)),
         pattern=pattern,
         burst_mean=draw(st.floats(min_value=1.0, max_value=128.0)),
@@ -147,6 +161,27 @@ _MIXED = [
 ]
 
 
+#: Rejection stress: a rand span of 2**31 + 1 rejects about every other
+#: half (runs of rejections inside one op, rejected carries, odd
+#: rejection counts that flip the parity of every later op) and a chase
+#: span of 3 * 2**30 one half in three, in short bursts between
+#: ziggurat gaps whose slow paths shift the same reads; plus a hotspot
+#: and a search-method gap.
+_STRESS = [
+    ObjectBehavior("coin", (1 << 31) + 8, 1.0, pattern="rand",
+                   gap_mean=14.0, burst_mean=3.0, dep_prob=0.5),
+    ObjectBehavior("third", 3 << 30, 0.6, pattern="chase", gap_mean=25.0,
+                   burst_mean=2.0, write_frac=0.5),
+    ObjectBehavior("costs", 3 << 20, 0.3, pattern="rand", gap_mean=9.0,
+                   burst_mean=1.0),
+    ObjectBehavior("pyr", 2560 << 10, 0.3, pattern="hotspot",
+                   hot_fraction=0.06, hot_weight=0.9, gap_mean=6.0,
+                   burst_mean=4.0),
+    ObjectBehavior("buf", 192 << 10, 0.2, pattern="seq", gap_mean=2.0,
+                   burst_mean=12.0),
+]
+
+
 class TestBlockSizeInvariance:
     """Block boundaries and the walk's scan window are layout choices:
     no size may change a column, the instruction count or the RNG end
@@ -160,6 +195,40 @@ class TestBlockSizeInvariance:
             monkeypatch.setattr(kernel, "_WALK_SLACK", slack)
         fast, ref = _build_both(_MIXED, 30_000)
         _assert_identical(fast, ref)
+
+    @pytest.mark.parametrize("block", [1, 64, 2048, 8192, 1 << 17])
+    @pytest.mark.parametrize("slack", [None, 0.0])
+    def test_rejection_stress(self, monkeypatch, block, slack):
+        monkeypatch.setattr(kernel, "_BLOCK_ACCESSES", block)
+        if slack is not None:
+            monkeypatch.setattr(kernel, "_WALK_SLACK", slack)
+        fast, ref = _build_both(_STRESS, 20_000)
+        _assert_identical(fast, ref)
+
+
+class TestWindowCuts:
+    """Only hotspot ops may cut a layout window: rand/chase rejections
+    are walked.  A build without hotspots lays out one window per block
+    and never replays an op scalar."""
+
+    def test_no_hotspot_build_is_one_window_per_block(self, monkeypatch):
+        K = kernel._Kernel
+        real = K._layout_detect_decode
+        windows = []
+
+        def layout(self, *a, **k):
+            windows.append(1)
+            return real(self, *a, **k)
+
+        def exact(self, *a, **k):
+            raise AssertionError("a rand/chase rejection cut the window")
+        monkeypatch.setattr(K, "_layout_detect_decode", layout)
+        monkeypatch.setattr(K, "_eval_exact", exact)
+        monkeypatch.setattr(kernel, "_BLOCK_ACCESSES", 2048)
+        builder = TraceBuilder([b for b in _STRESS if b.pattern != "hotspot"])
+        blocks = list(builder.iter_blocks(20_000, stream("cuts", 1)))
+        assert len(windows) == len(blocks) > 1
+        assert sum(len(b[0]) for b in blocks) == 20_000
 
 
 class TestKernelDispatch:
