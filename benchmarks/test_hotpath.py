@@ -53,7 +53,7 @@ from repro.sim.single import filtered_stream
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import VirtualLayout
 from repro.util.rng import stream
-from repro.workloads.inputs import REF, build_app_trace
+from repro.workloads.inputs import REF, _perturbed, build_app_trace
 from repro.workloads.spec import app
 
 HERE = Path(__file__).parent
@@ -187,6 +187,67 @@ def test_filter_speedup_holds():
 
 SYN_APP = "sift"  # loudest win of the 10 stock apps; all are >= 1x
 SYN_ACCESSES = 1_000_000
+#: A Lemire-heavy build (rand/chase objects), as the ledger synthesizes
+#: it: sift has no rand/chase object, so its gate never reaches the
+#: rejection walk.
+LEMIRE_APP, LEMIRE_INPUT, LEMIRE_ACCESSES = "milc", REF, 120_000
+LEMIRE_RESULT_PATH = HERE / "BENCH_synthesis_lemire.json"
+
+
+def _synthesis_speedup(behaviors, make_rng, n_accesses: int) -> dict:
+    """Reference chunk loop vs kernel on one build: best-of-``REPEATS``
+    seconds of each (fresh builder and rng per run), bit-identity
+    checked."""
+    best: dict[bool, float] = {}
+    traces: dict[bool, object] = {}
+    for fast in (True, False):
+        times = []
+        for _ in range(REPEATS):
+            builder = TraceBuilder(list(behaviors))
+            rng = make_rng()
+            t0 = time.perf_counter()
+            if fast:
+                trace = builder.build(n_accesses, rng)
+            else:
+                layout = VirtualLayout()
+                trace = builder._concat(
+                    builder._iter_reference(n_accesses, rng,
+                                            *builder._place(layout)),
+                    n_accesses, layout)
+            times.append(time.perf_counter() - t0)
+        best[fast] = min(times)
+        traces[fast] = trace
+
+    # Identity smoke (the exhaustive check lives in test_trace_parity).
+    t_k, t_r = traces[True], traces[False]
+    for name in ("inst", "vaddr", "is_write", "obj_id", "dep"):
+        assert np.array_equal(getattr(t_k, name), getattr(t_r, name)), name
+    assert t_k.total_instructions == t_r.total_instructions
+
+    return {
+        "n_accesses": n_accesses,
+        "repeats": REPEATS,
+        "ref_seconds": round(best[False], 4),
+        "fast_seconds": round(best[True], 4),
+        "ref_accesses_per_sec": round(n_accesses / best[False]),
+        "fast_accesses_per_sec": round(n_accesses / best[True]),
+        "speedup": round(best[False] / best[True], 2),
+    }
+
+
+def _check_synthesis(doc: dict, baseline: dict, result_path: Path) -> None:
+    """Write ``doc`` and hold it to 15 % below ``baseline`` (>= 4x)."""
+    result_path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"\nsynthesis {doc['workload']}: "
+          f"ref {doc['ref_accesses_per_sec']} acc/s, "
+          f"fast {doc['fast_accesses_per_sec']} acc/s, "
+          f"speedup {doc['speedup']}x")
+    speedup = doc["speedup"]
+    floor = max(4.0, 0.85 * baseline["speedup"])
+    assert speedup >= floor, (
+        f"synthesis-kernel speedup regressed: measured {speedup:.2f}x, "
+        f"floor {floor:.2f}x (baseline {baseline['speedup']}x - 15%); "
+        f"see {result_path}")
 
 
 def test_synthesis_speedup_holds():
@@ -198,52 +259,25 @@ def test_synthesis_speedup_holds():
     so a regression here flags kernel rot before the quieter apps feel
     it.
     """
-    behaviors = list(app(SYN_APP).behaviors)
-    best: dict[bool, float] = {}
-    traces: dict[bool, object] = {}
-    for fast in (True, False):
-        times = []
-        for _ in range(REPEATS):
-            builder = TraceBuilder(behaviors)
-            rng = stream("bench-synthesis", SYN_APP, SYN_ACCESSES)
-            t0 = time.perf_counter()
-            if fast:
-                trace = builder.build(SYN_ACCESSES, rng)
-            else:
-                layout = VirtualLayout()
-                trace = builder._concat(
-                    builder._iter_reference(SYN_ACCESSES, rng,
-                                            *builder._place(layout)),
-                    SYN_ACCESSES, layout)
-            times.append(time.perf_counter() - t0)
-        best[fast] = min(times)
-        traces[fast] = trace
-
-    # Identity smoke (the exhaustive check lives in test_trace_parity).
-    t_k, t_r = traces[True], traces[False]
-    for name in ("inst", "vaddr", "is_write", "obj_id", "dep"):
-        assert np.array_equal(getattr(t_k, name), getattr(t_r, name)), name
-    assert t_k.total_instructions == t_r.total_instructions
-
-    speedup = best[False] / best[True]
-    doc = {
-        "workload": SYN_APP,
-        "n_accesses": SYN_ACCESSES,
-        "repeats": REPEATS,
-        "ref_seconds": round(best[False], 4),
-        "fast_seconds": round(best[True], 4),
-        "ref_accesses_per_sec": round(SYN_ACCESSES / best[False]),
-        "fast_accesses_per_sec": round(SYN_ACCESSES / best[True]),
-        "speedup": round(speedup, 2),
-    }
-    SYNTHESIS_RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nsynthesis: ref {doc['ref_accesses_per_sec']} acc/s, "
-          f"fast {doc['fast_accesses_per_sec']} acc/s, "
-          f"speedup {doc['speedup']}x")
-
+    doc = {"workload": SYN_APP, **_synthesis_speedup(
+        app(SYN_APP).behaviors,
+        lambda: stream("bench-synthesis", SYN_APP, SYN_ACCESSES),
+        SYN_ACCESSES)}
     baseline = json.loads(SYNTHESIS_BASELINE_PATH.read_text())
-    floor = max(4.0, 0.85 * baseline["speedup"])
-    assert speedup >= floor, (
-        f"synthesis-kernel speedup regressed: measured {speedup:.2f}x, "
-        f"floor {floor:.2f}x (baseline {baseline['speedup']}x - 15%); "
-        f"see {SYNTHESIS_RESULT_PATH}")
+    _check_synthesis(doc, baseline, SYNTHESIS_RESULT_PATH)
+
+
+def test_synthesis_lemire_speedup_holds():
+    """The same gate on a build whose rand/chase objects reject Lemire
+    draws: the kernel walks those rejections inside its layout window
+    (milc/ref at 120k lays out 15 windows; cutting at each rejection
+    took 315), a path sift never takes.
+    """
+    doc = {"workload": LEMIRE_APP, "input": LEMIRE_INPUT,
+           **_synthesis_speedup(
+               _perturbed(app(LEMIRE_APP), LEMIRE_INPUT),
+               lambda: stream("trace", LEMIRE_APP, LEMIRE_INPUT,
+                              LEMIRE_ACCESSES),
+               LEMIRE_ACCESSES)}
+    baseline = json.loads(SYNTHESIS_BASELINE_PATH.read_text())["lemire"]
+    _check_synthesis(doc, baseline, LEMIRE_RESULT_PATH)

@@ -210,7 +210,12 @@ def _sums_by_first_occurrence(objs: np.ndarray,
     ``np.add.reduceat`` sums the groups in int64 (exact); ``bincount``
     with float weights would not be.
     """
-    order = np.argsort(objs, kind="stable")
+    keys = objs
+    lo = int(objs.min())
+    if int(objs.max()) - lo < 1 << 16:
+        # 16-bit keys take numpy's radix sort: same stable order.
+        keys = (objs - lo).astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
     ordered = objs[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     first = np.argsort(order[starts], kind="stable")

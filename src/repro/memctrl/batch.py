@@ -21,7 +21,10 @@ multicore driver uses, with integer entries ``t * n_lanes + lane``.
 Channels with equal timing share one constants tuple, and the loop
 re-binds the constants only when that tuple changes.  The state goes
 back into the ``BankState`` and ``MemoryModule`` objects when the call
-returns.
+returns.  A single-record episode (a dependent pointer-chase miss: the
+latency-bound records MOCA looks for, and most episodes) takes its own
+lane — no key, no sort, the record issues at the episode head, and the
+core cycle is closed form.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
 
@@ -53,9 +56,12 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   mid-replay, so the deferral is observation-equivalent.
 
 The routing/decode arithmetic below mirrors ``GroupAddressMap.route``
-and ``MemoryModule.decode``; the device arithmetic in :func:`replay` is
-the fast path's only inline of ``MemoryModule.access``,
-``BankState.service`` and ``BankState.refresh``.  Keep them in lockstep.
+and ``MemoryModule.decode``.  :func:`replay` inlines
+``MemoryModule.access`` and ``BankState.service`` twice, in the
+single-record lane and in the multi-record loop (one shared copy
+measured slower), and :meth:`_FlatDevices.refresh_to` is the only copy
+of ``MemoryModule._do_refresh`` and ``BankState.refresh``.  Keep all of
+them in lockstep.
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ import numpy as np
 from repro.cpu.hierarchy import KIND_STORE, KIND_WRITEBACK
 from repro.memctrl.addrmap import LINE_BITS, LINE_BYTES
 from repro.memctrl.scheduler import SCHEDULERS, fcfs_order
-from repro.memctrl.system import MemorySystem
+from repro.memctrl.stats import N_BUCKETS, LatencyHistogram, bucket_of
+from repro.memctrl.system import MemorySystem, batch_size_counter
 from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
 
@@ -81,13 +88,14 @@ class ReplayTables:
     Built lazily by :class:`~repro.cpu.core.InOrderWindowCore` on the
     first kernel call (the memory system is not known at construction)
     and keyed on the system's identity, one instance per (core, memsys).
-    The kernel reads five per-record lists: the flat bank index
+    The kernel reads six per-record lists: the flat bank index
     ``gbank_l`` (into the per-system lists of :func:`replay`: controller
     layout order, ``sub * n_banks + bank`` within a module; the bank's
     channel and subchannel are per-bank lists there), the row, the
     miss-stream kind (0 demand load, 1 demand store, 2 writeback,
-    3 prefetch — the FR-FCFS class is ``min(kind, 2)``) and the two
-    integer scheduler keys of :func:`_scheduler_keys`.
+    3 prefetch — the FR-FCFS class is ``min(kind, 2)``), the bus
+    direction ``write_l`` (store or writeback) and the two integer
+    scheduler keys of :func:`_scheduler_keys`.
 
     The kernel writes two per-record output columns: ``done_l`` (the
     completion cycle) and ``code_l``, the row outcome and bank-busy
@@ -125,18 +133,20 @@ class ReplayTables:
         self.gbank_l = gbank.tolist()
         self.row_l = row.tolist()
         self.kind_l = kind.tolist()
+        self.write_l = ((kind == KIND_STORE)
+                        | (kind == KIND_WRITEBACK)).tolist()
         hit, miss, self.mask = _scheduler_keys(
             ctrl, np.minimum(kind, 2), fcfs, ep_of, off, gaddrs)
         self.hit_key_l = hit.tolist()
         self.miss_key_l = miss.tolist()
-        # Flat (controller, outcome) tables, outcome = sign(code) mod 3
-        # (0 hit, 1 miss, 2 conflict): service cycles, and bank-busy
+        # Flat (controller, outcome) tables, outcome = sign(code) + 1
+        # (0 conflict, 1 hit, 2 miss): service cycles, and bank-busy
         # cycles minus ``|code|``.
         out = np.array([_timing_consts(c.module.timing, c.line_bytes)[2]
                         for c in self.controllers], dtype=np.int64)
-        self._service_np = out[:, 1:].ravel()
+        self._service_np = out[:, [3, 1, 2]].ravel()
         busy = np.full((len(out), 3), -1, dtype=np.int64)
-        busy[:, 0] = out[:, 0]
+        busy[:, 1] = out[:, 0]
         self._busy_np = busy.ravel()
         # Per-record outputs, filled by replay(), read at finalize.  A
         # row hit leaves its code at 0 (every record drains once).
@@ -193,10 +203,15 @@ class ReplayTables:
         The stepping API's one-episode call into :func:`replay`; [s, e)
         is one of the episodes the tables were built with.  Returns
         ``(max done over demand loads, max done over all records)`` —
-        the two quantities the core's cycle update needs.
+        the two quantities the core's cycle update needs — read from
+        the done column; an episode without a load returns ``_NEG`` as
+        its load maximum.
         """
-        return replay([Lane(self, (s,), (e,), (issue0,), off, (0,), [0],
-                            backlog=0, k=0, cycle=0, stop=1)])
+        replay([Lane(self, (s,), (e,), (issue0,), off, (0,), [0],
+                     backlog=0, k=0, cycle=0, stop=1)])
+        done = self.done_l[s:e]
+        loads = [d for d, kd in zip(done, self.kind_l[s:e]) if kd == 0]
+        return max(loads, default=_NEG), max(done)
 
     # ---- deferred statistics ----------------------------------------------------
 
@@ -209,55 +224,77 @@ class ReplayTables:
         completion cycles.  Exactly the values the device arithmetic
         produced record by record.
         """
-        code = np.asarray(self.code_l[lo:hi], dtype=np.int64)
-        at = self._ctrl_np[lo:hi] * 3 + np.sign(code) % 3
-        hit = code == 0
+        code_l = self.code_l
+        if lo or hi != len(code_l):
+            code_l = code_l[lo:hi]
+        code = np.asarray(code_l, dtype=np.int64)
+        at = self._ctrl_np[lo:hi] * 3 + 1 + np.sign(code)
         service = self._service_np[at]
-        busy = np.abs(code) + self._busy_np[at]
         queue = done - issue - service
         np.maximum(queue, 0, out=queue)
-        return hit, service, queue, busy
+        return code == 0, service, queue, np.abs(code) + self._busy_np[at]
 
     def flush_stats(self, issue: np.ndarray, done: np.ndarray) -> None:
         """Fold the per-record outputs into module/controller counters.
 
         Called once, at end of replay, per (core, memsys) table, with
-        every record's issue and completion cycle.  Exact integer
-        aggregation throughout (int64 sums, no float weights).  Assumes
-        device timing did not change mid-replay (fault derating happens
-        before replay starts).
+        every record's issue and completion cycle.  One grouped pass
+        over all controllers, exact in integers throughout (``bincount``
+        counts, int64 ``ufunc.at`` sums and maxima, no float weights).
+        Assumes device timing did not change mid-replay (fault derating
+        happens before replay starts).
         """
         if self._flushed:
             return
         self._flushed = True
-        hit, service, queue, bb = self.outcomes(0, len(done), issue, done)
+        hit, service, queue, busy = self.outcomes(0, len(done), issue, done)
         ctrl = self._ctrl_np
+        nc = len(self.controllers)
+
+        def by_ctrl(ufunc, values, where=ctrl, initial=0):
+            out = np.full(nc, initial, dtype=np.int64)
+            ufunc.at(out, where, values)
+            return out.tolist()
+
         kind = self._kind_np
         write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
-        demand = kind <= KIND_STORE
+        count = np.bincount(ctrl, minlength=nc).tolist()
+        hits = np.bincount(ctrl[hit], minlength=nc).tolist()
+        writes = np.bincount(ctrl[write], minlength=nc).tolist()
+        busy_sum = by_ctrl(np.add, busy)
+        service_sum = by_ctrl(np.add, service)
+        queue_sum = by_ctrl(np.add, queue)
+        done_max = by_ctrl(np.maximum, done, initial=_NEG)
+        # Demand latency histograms of every controller, in one pass.
+        dsel = np.flatnonzero(kind <= KIND_STORE)
+        dctrl = ctrl[dsel]
+        lat = queue[dsel] + service[dsel]
+        buckets = np.bincount(dctrl * N_BUCKETS + bucket_of(lat),
+                              minlength=nc * N_BUCKETS).tolist()
+        dcount = np.bincount(dctrl, minlength=nc).tolist()
+        lat_sum = by_ctrl(np.add, lat, dctrl)
+        lat_max = by_ctrl(np.maximum, lat, dctrl)
         for ci, c in enumerate(self.controllers):
-            sel = np.flatnonzero(ctrl == ci)
-            cnt = len(sel)
+            cnt = count[ci]
             if not cnt:
                 continue
             m = c.module
-            n_writes = int(write[sel].sum())
             m.n_accesses += cnt
-            m.n_row_hits += int(hit[sel].sum())
-            m.n_writes += n_writes
-            m.n_reads += cnt - n_writes
+            m.n_row_hits += hits[ci]
+            m.n_writes += writes[ci]
+            m.n_reads += cnt - writes[ci]
             m.bus_busy_cycles += m.timing.transfer_cycles(c.line_bytes) * cnt
-            m.bank_busy_cycles += int(bb[sel].sum())
+            m.bank_busy_cycles += busy_sum[ci]
             m.bytes_transferred += c.line_bytes * cnt
-            done_max = int(done[sel].max())
-            if done_max > m.last_done_cycle:
-                m.last_done_cycle = done_max
+            if done_max[ci] > m.last_done_cycle:
+                m.last_done_cycle = done_max[ci]
             c.n_served += cnt
-            c.total_queue_cycles += int(queue[sel].sum())
-            c.total_service_cycles += int(service[sel].sum())
-            dsel = sel[demand[sel]]
-            if len(dsel):
-                c.latency_hist.record_many(queue[dsel] + service[dsel])
+            c.total_queue_cycles += queue_sum[ci]
+            c.total_service_cycles += service_sum[ci]
+            if dcount[ci]:
+                c.latency_hist.merge(LatencyHistogram(
+                    buckets[ci * N_BUCKETS:(ci + 1) * N_BUCKETS],
+                    dcount[ci], lat_sum[ci], lat_max[ci]))
 
 
 def _scheduler_keys(ctrl: np.ndarray, klass: np.ndarray, fcfs: np.ndarray,
@@ -339,8 +376,9 @@ class Lane:
         self.stop = stop
         tb = tables
         #: Everything the kernel rebinds when it switches to this lane.
-        self.cols = (tb.gbank_l, tb.row_l, tb.kind_l, tb.hit_key_l,
-                     tb.miss_key_l, tb.mask, tb.done_l, tb.code_l,
+        self.cols = (tb.gbank_l, tb.row_l, tb.kind_l, tb.write_l,
+                     tb.hit_key_l, tb.miss_key_l, tb.mask, tb.done_l,
+                     tb.code_l,
                      ep_start, ep_end, headgap, off, off_last, issue0,
                      backlog)
 
@@ -417,6 +455,25 @@ class _FlatDevices:
         self.ring_next = [q + 1 if q % 4 < 3 else q - 3
                           for q in range(len(self.ring))]
 
+    def refresh_to(self, c: int, t: int) -> int:
+        """Run controller ``c``'s refreshes due by cycle ``t``
+        (``MemoryModule._do_refresh`` + ``BankState.refresh``); returns
+        its next refresh cycle."""
+        open_l, ready_l, lact_l = self.open_l, self.ready_l, self.lact_l
+        refi, rfc = self.refresh[c]
+        lo, hi = self.bank_lo[c], self.bank_lo[c + 1]
+        nref = self.nref_l[c]
+        while t >= nref:
+            for y in range(lo, hi):
+                r = ready_l[y]
+                r = (nref if nref > r else r) + rfc
+                open_l[y] = None
+                ready_l[y] = r
+                lact_l[y] = r
+            nref += refi
+        self.nref_l[c] = nref
+        return nref
+
     def store(self) -> None:
         open_l, ready_l, lact_l = self.open_l, self.ready_l, self.lact_l
         ring = self.ring
@@ -438,19 +495,17 @@ class _FlatDevices:
             m._next_refresh = self.nref_l[ci]
 
 
-def replay(lanes: list[Lane]) -> tuple[int, int]:
+def replay(lanes: list[Lane]) -> None:
     """Drain ``lanes`` (cores sharing one memory system) to their stops.
 
     Cores advance in global issue order, ties to the earlier lane.
-    Returns the last drained episode's ``(max done over demand loads,
-    max done over all records)``.
     """
     dev = _FlatDevices(lanes[0].tables.controllers)
     open_l, ready_l, lact_l = dev.open_l, dev.ready_l, dev.lact_l
     bank_ctrl, bank_sub = dev.bank_ctrl, dev.bank_sub
     bus_l, lastw_l = dev.bus_l, dev.lastw_l
     ring, faw_q, ring_next = dev.ring, dev.faw_q, dev.ring_next
-    nref_l, bank_lo, consts = dev.nref_l, dev.bank_lo, dev.consts
+    nref_l, consts, refresh = dev.nref_l, dev.consts, dev.refresh_to
     begins = [ln.k for ln in lanes]
     # Heap entries ``t * n_lanes + lane`` order exactly as ``(t, lane)``.
     nl = len(lanes)
@@ -461,39 +516,28 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
     cur_i = cur_c = -1
     cur_hot = None
     nref = 0
-    lm = dm = _NEG
     x = heappop(heap) if heap else None
     while x is not None:
         i = x % nl
         ln = lanes[i]
         if i != cur_i:
             cur_i = i
-            (gbank_l, row_l, kind_l, hit_l, miss_l, mask, done_l, code_l,
-             ep_start, ep_end, headgap, off, off_last, ep_issue0,
+            (gbank_l, row_l, kind_l, write_l, hit_l, miss_l, mask, done_l,
+             code_l, ep_start, ep_end, headgap, off, off_last, ep_issue0,
              backlog) = ln.cols
         k = ln.k
         stop = ln.stop
         cycle = ln.cycle
         while True:
             s = ep_start[k]
-            e = ep_end[k]
             issue0 = cycle + headgap[k]
             ep_issue0[k] = issue0
-            if e - s == 1:
-                # Singletons skip the sort, like the reference skips the
-                # scheduler for len-1 batches.
-                keyed = (s,)
-            else:
-                # Row-hit bits against bank state at episode entry.
-                keyed = [hit_l[j] if open_l[gbank_l[j]] == row_l[j]
-                         else miss_l[j] for j in range(s, e)]
-                keyed.sort()
-            lm = dm = _NEG
-            for j in keyed:
-                j &= mask
-                b = gbank_l[j]
+            if ep_end[k] - s == 1:
+                # Single-record lane: no scheduler (the reference skips
+                # it for len-1 batches), the record issues at ``issue0``,
+                # and its completion alone moves the core.
+                b = gbank_l[s]
                 c = bank_ctrl[b]
-                issue = issue0 + off[j]
                 if c != cur_c:
                     cur_c = c
                     nref = nref_l[c]
@@ -501,23 +545,12 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                         cur_hot = consts[c]
                         (tCL, tCCD, tRP, tRAS, tRC, tRCD_CL, tFAW,
                          turnaround, transfer) = cur_hot
-                if issue >= nref:
-                    # MemoryModule._do_refresh + BankState.refresh.
-                    refi, rfc = dev.refresh[c]
-                    lo, hi = bank_lo[c], bank_lo[c + 1]
-                    while issue >= nref:
-                        for y in range(lo, hi):
-                            r = ready_l[y]
-                            r = (nref if nref > r else r) + rfc
-                            open_l[y] = None
-                            ready_l[y] = r
-                            lact_l[y] = r
-                        nref += refi
-                    nref_l[c] = nref
+                if issue0 >= nref:
+                    nref = refresh(c, issue0)
                 sub = bank_sub[b]
-                row = row_l[j]
+                row = row_l[s]
                 ready = ready_l[b]
-                start = issue if issue > ready else ready
+                start = issue0 if issue0 > ready else ready
                 open_row = open_l[b]
                 if open_row == row:
                     data_ready = start + tCL
@@ -537,13 +570,13 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                         if la + tRC > act:
                             act = la + tRC
                         data_ready = act + tRCD_CL
-                        code_l[j] = start - data_ready - 1
+                        code_l[s] = start - data_ready - 1
                     else:
                         act = la + tRC
                         if start > act:
                             act = start
                         data_ready = act + tRCD_CL
-                        code_l[j] = data_ready - start + 1
+                        code_l[s] = data_ready - start + 1
                     lact_l[b] = act
                     open_l[b] = row
                     ready_l[b] = data_ready
@@ -552,28 +585,100 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
                 bus_start = bus_l[sub]
                 if data_ready > bus_start:
                     bus_start = data_ready
-                kd = kind_l[j]
-                is_write = 0 < kd < 3
+                is_write = write_l[s]
                 prev_write = lastw_l[sub]
-                if prev_write is not None and prev_write != is_write:
-                    bus_start += turnaround
-                lastw_l[sub] = is_write
+                if prev_write != is_write:
+                    if prev_write is not None:
+                        bus_start += turnaround
+                    lastw_l[sub] = is_write
                 done = bus_start + transfer
                 bus_l[sub] = done
-                done_l[j] = done
-                if done > dm:
-                    dm = done
-                if kd == 0 and done > lm:
-                    lm = done
-            # Core-cycle update: the ROB head waits for the episode's
-            # loads, retirement reaches its last record, and background
-            # completions run at most ``backlog`` cycles ahead.
-            t = lm if lm > issue0 else issue0
-            c2 = issue0 + off_last[k]
-            if c2 > t:
-                t = c2
-            c3 = dm - backlog
-            cycle = c3 if c3 > t else t
+                done_l[s] = done
+                # The core-cycle update below with ``off_last == 0``.
+                t = done if kind_l[s] == 0 else issue0
+                c3 = done - backlog
+                cycle = c3 if c3 > t else t
+            else:
+                # Row-hit bits against bank state at episode entry.
+                keyed = [hit_l[j] if open_l[gbank_l[j]] == row_l[j]
+                         else miss_l[j] for j in range(s, ep_end[k])]
+                keyed.sort()
+                lm = dm = _NEG
+                for j in keyed:
+                    j &= mask
+                    b = gbank_l[j]
+                    c = bank_ctrl[b]
+                    issue = issue0 + off[j]
+                    if c != cur_c:
+                        cur_c = c
+                        nref = nref_l[c]
+                        if consts[c] is not cur_hot:
+                            cur_hot = consts[c]
+                            (tCL, tCCD, tRP, tRAS, tRC, tRCD_CL, tFAW,
+                             turnaround, transfer) = cur_hot
+                    if issue >= nref:
+                        nref = refresh(c, issue)
+                    sub = bank_sub[b]
+                    row = row_l[j]
+                    ready = ready_l[b]
+                    start = issue if issue > ready else ready
+                    open_row = open_l[b]
+                    if open_row == row:
+                        data_ready = start + tCL
+                        ready_l[b] = start + tCCD
+                    else:
+                        q = faw_q[sub]
+                        if tFAW > 0:
+                            faw = ring[q] + tFAW
+                            if faw > start:
+                                start = faw
+                        la = lact_l[b]
+                        if open_row is not None:
+                            pre = la + tRAS
+                            if start > pre:
+                                pre = start
+                            act = pre + tRP
+                            if la + tRC > act:
+                                act = la + tRC
+                            data_ready = act + tRCD_CL
+                            code_l[j] = start - data_ready - 1
+                        else:
+                            act = la + tRC
+                            if start > act:
+                                act = start
+                            data_ready = act + tRCD_CL
+                            code_l[j] = data_ready - start + 1
+                        lact_l[b] = act
+                        open_l[b] = row
+                        ready_l[b] = data_ready
+                        ring[q] = act
+                        faw_q[sub] = ring_next[q]
+                    bus_start = bus_l[sub]
+                    if data_ready > bus_start:
+                        bus_start = data_ready
+                    is_write = write_l[j]
+                    prev_write = lastw_l[sub]
+                    if prev_write != is_write:
+                        if prev_write is not None:
+                            bus_start += turnaround
+                        lastw_l[sub] = is_write
+                    done = bus_start + transfer
+                    bus_l[sub] = done
+                    done_l[j] = done
+                    if done > dm:
+                        dm = done
+                    if done > lm and kind_l[j] == 0:
+                        lm = done
+                # Core-cycle update: the ROB head waits for the episode's
+                # loads, retirement reaches its last record, and
+                # background completions run at most ``backlog`` cycles
+                # ahead.
+                t = lm if lm > issue0 else issue0
+                c2 = issue0 + off_last[k]
+                if c2 > t:
+                    t = c2
+                c3 = dm - backlog
+                cycle = c3 if c3 > t else t
             k += 1
             if k == stop:
                 nxt = None
@@ -591,7 +696,6 @@ def replay(lanes: list[Lane]) -> tuple[int, int]:
     dev.store()
     if OBS.enabled:
         _publish_obs(dev, lanes, begins)
-    return lm, dm
 
 
 def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
@@ -599,9 +703,12 @@ def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
     """OBS counters and gauges for the episodes one kernel call drained.
 
     Equal to the reference engine's per-batch publication: one
-    ``memsys.batches`` per episode, per-group and per-channel request
-    sums, and each channel's ``queue_occupancy`` gauge left at its size
-    in the last episode (in drain order) that touched it.
+    ``memsys.batches`` per episode, episode shapes (``memsys.batches.
+    single`` and ``memsys.batches.le<2**k>`` for larger episodes, see
+    :func:`repro.memctrl.system.batch_size_counter`), per-group and
+    per-channel request sums, and each channel's ``queue_occupancy``
+    gauge left at its size in the last episode (in drain order) that
+    touched it.
     """
     tables = lanes[0].tables
     memsys = tables.memsys
@@ -610,6 +717,8 @@ def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
     row_hits = np.zeros(nc, dtype=np.int64)
     queue_cycles = np.zeros(nc, dtype=np.int64)
     batches = 0
+    # Episodes per size bucket: bucket k holds sizes (2**(k-1), 2**k].
+    shapes = np.zeros(64, dtype=np.int64)
     #: channel -> (drain-order key of its last episode, records in it)
     last: dict[int, tuple] = {}
     for i, (ln, k0) in enumerate(zip(lanes, begins)):
@@ -622,6 +731,7 @@ def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
         ctrl = tb._ctrl_np[lo:hi]
         sizes = (np.asarray(ln.ep_end[k0:k1], dtype=np.int64)
                  - np.asarray(ln.ep_start[k0:k1], dtype=np.int64))
+        shapes += np.bincount(np.frexp(sizes - 1)[1], minlength=64)
         ep = np.repeat(np.arange(k0, k1), sizes)
         issue = (np.asarray(ln.issue0[k0:k1], dtype=np.int64)[ep - k0]
                  + np.asarray(ln.off[lo:hi], dtype=np.int64))
@@ -639,6 +749,8 @@ def _publish_obs(dev: _FlatDevices, lanes: list[Lane],
     if not batches:
         return
     OBS.add("memsys.batches", batches)
+    for k in np.flatnonzero(shapes).tolist():
+        OBS.add(batch_size_counter(1 << k), int(shapes[k]))
     OBS.add("memsys.requests", int(requests.sum()))
     lo = 0
     for name, g in zip(memsys.group_names, memsys.groups):

@@ -18,9 +18,16 @@ import numpy as np
 
 N_BUCKETS = 40  # covers latencies up to 2^39 cycles — effectively all
 
-#: Powers of two for exact vectorized bucketing: ``searchsorted(_POW2,
-#: v, "right") == v.bit_length()`` for any int64 v >= 0.
-_POW2 = np.array([1 << i for i in range(63)], dtype=np.int64)
+
+def bucket_of(latencies: np.ndarray) -> np.ndarray:
+    """Vectorized bucket index of :meth:`LatencyHistogram.record`.
+
+    Bucketing must be *exactly* ``bit_length()`` — a float ``log2``
+    would mis-bucket values adjacent to powers of two.  ``frexp``'s
+    exponent is the bit length of any integer below 2**53 (exact in a
+    double), and every larger one lands in the last bucket either way.
+    """
+    return np.minimum(np.frexp(latencies)[1], N_BUCKETS - 1)
 
 
 @dataclass
@@ -40,29 +47,6 @@ class LatencyHistogram:
         self.sum_cycles += latency
         if latency > self.max_cycles:
             self.max_cycles = latency
-
-    def record_many(self, latencies) -> None:
-        """Vectorized :meth:`record` over an integer array.
-
-        Bucketing must be *exactly* ``bit_length()`` — a float ``log2``
-        would mis-bucket values adjacent to powers of two — so buckets
-        come from ``searchsorted`` against the power-of-two table.
-        """
-        arr = np.asarray(latencies, dtype=np.int64)
-        if arr.size == 0:
-            return
-        if int(arr.min()) < 0:
-            raise ValueError("latency cannot be negative")
-        buckets = np.minimum(np.searchsorted(_POW2, arr, side="right"),
-                             N_BUCKETS - 1)
-        counts = self.counts
-        for b, c in zip(*np.unique(buckets, return_counts=True)):
-            counts[int(b)] += int(c)
-        self.total += int(arr.size)
-        self.sum_cycles += int(arr.sum())
-        top = int(arr.max())
-        if top > self.max_cycles:
-            self.max_cycles = top
 
     def merge(self, other: "LatencyHistogram") -> None:
         for i, c in enumerate(other.counts):

@@ -28,6 +28,14 @@ from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
 
 
+def batch_size_counter(n: int) -> str:
+    """OBS counter of a batch of ``n`` requests: ``memsys.batches.single``
+    or ``memsys.batches.le<m>``, ``m`` the least power of two >= ``n``."""
+    if n == 1:
+        return "memsys.batches.single"
+    return f"memsys.batches.le{1 << (n - 1).bit_length()}"
+
+
 class ChannelGroup:
     """A set of identical channels acting as one allocation region."""
 
@@ -137,6 +145,7 @@ class MemorySystem:
             self.groups[gi].service_batch(reqs)
         if OBS.enabled:
             OBS.add("memsys.batches")
+            OBS.add(batch_size_counter(len(batch)))
             OBS.add("memsys.requests", len(batch))
             for gi, reqs in per_group.items():
                 OBS.add(f"memsys.group.{self.group_names[gi]}.requests",

@@ -16,7 +16,8 @@ This file pins that contract four ways:
   systems, derated timings that exercise the tRAS precharge guard,
   FCFS and FR-FCFS scheduling, single-core and multicore heap
   interleave through both the fused kernel and the stepping API, with
-  the oracle's multicore driver being :func:`_step`);
+  the oracle's multicore driver being :func:`_step`), plus streams made
+  only of single-record episodes, which take the kernel's own lane;
 * hypothesis property tests (fewer examples, but shrinkable — a failure
   here minimizes itself), including parts with a short refresh interval
   and a wide tFAW window run through the fused one- and four-core loops;
@@ -47,6 +48,7 @@ from repro.cpu.hierarchy import (
     KIND_WRITEBACK,
     MissStream,
 )
+from repro.memctrl.batch import _NEG
 from repro.memctrl.scheduler import fcfs_order, frfcfs_order
 from repro.memctrl.system import ChannelGroup, MemorySystem
 from repro.memdev.presets import DDR3, HBM, LPDDR2, RLDRAM3
@@ -140,6 +142,21 @@ def _records_trace(records, caps, group_seed=0):
     gaddrs = np.asarray(
         [(lines[i] * 64) % caps[groups[i]] for i in range(n)],
         dtype=np.int64)
+    return stream, groups, gaddrs
+
+
+def _singles_trace(rng, caps):
+    """A random trace whose MLP episodes are all single-record.
+
+    A non-demand record (writeback, prefetch) rides along with the
+    episode before it, so only a stream's first record can be one: it
+    takes any of the four kinds, and every later record is a dependent
+    demand load or store, which always starts a new episode.
+    """
+    stream, groups, gaddrs = _random_trace(rng, caps)
+    n = len(stream)
+    stream.kind[1:] = _KINDS[rng.integers(0, 2, size=n - 1)]
+    stream.dep[1:] = True
     return stream, groups, gaddrs
 
 
@@ -303,6 +320,67 @@ class TestBulkParity:
         idle = (stream, empty.astype(np.int32), empty)
         fused, ref = _fused_and_reference([idle, busy], _PARAMS[0], recipe)
         assert fused == ref
+
+
+class TestSingleRecordLane:
+    """Single-record episodes take the kernel's own lane: no scheduler
+    sort, a closed-form core-cycle update, and a load maximum that only
+    a demand load sets.  Pinned here on streams made only of them, with
+    and without a non-demand backlog (a zero backlog lets any
+    completion move the core, hiding a non-load that did)."""
+
+    _PARAMS = [CoreParams(backlog=0), CoreParams(), CoreParams(ipc=0.3)]
+
+    def _traces(self, seed, n_cores):
+        rng = np.random.default_rng(seed)
+        for rep in range(60):
+            recipe, caps = _RECIPES[rep % len(_RECIPES)]
+            params = self._PARAMS[rep % len(self._PARAMS)]
+            traces = [_singles_trace(rng, caps) for _ in range(n_cores)]
+            for core in _cores(traces, params, True):
+                assert all(e - b == 1 for b, e in
+                           zip(core._ep_start, core._ep_end))
+            yield rep, recipe, params, traces
+
+    def test_fused_one_core(self):
+        for rep, recipe, params, traces in self._traces(0x51, 1):
+            fused, ref = _fused_and_reference(traces, params, recipe)
+            assert fused == ref, f"rep {rep}"
+
+    def test_fused_four_cores(self):
+        for rep, recipe, params, traces in self._traces(0x54, 4):
+            fused, ref = _fused_and_reference(traces, params, recipe)
+            assert fused == ref, f"rep {rep}"
+
+    def test_stepping_api(self):
+        for rep, recipe, params, traces in self._traces(0x55, 4):
+            outcome = []
+            for fast in (True, False):
+                memsys = recipe()
+                results, order = _step(_cores(traces, params, fast), memsys)
+                outcome.append(([r.to_dict() for r in results], order,
+                                _memsys_doc(memsys)))
+            assert outcome[0] == outcome[1], f"rep {rep}"
+
+    def test_store_episode_has_no_load_maximum(self):
+        """``drain_episode`` returns ``(max load done, max done)``; a
+        store-only episode has no load, so its first element stays at
+        the ``_NEG`` floor rather than the store's completion."""
+        recipe = _RECIPES[0][0]
+        for kind in (KIND_STORE, KIND_WRITEBACK, KIND_PREFETCH, KIND_LOAD):
+            stream = MissStream(
+                inst=np.array([5], dtype=np.int64),
+                vline=np.array([64], dtype=np.int64),
+                obj_id=np.zeros(1, dtype=np.int32),
+                dep=np.zeros(1, dtype=bool),
+                kind=np.array([kind], dtype=np.int8),
+                total_instructions=10)
+            core = InOrderWindowCore(stream, np.zeros(1, dtype=np.int32),
+                                     np.array([64], dtype=np.int64))
+            tables = core._tables(recipe())
+            lm, dm = tables.drain_episode(0, 1, 7, core._off)
+            assert dm == tables.done_l[0] > 7
+            assert lm == (dm if kind == KIND_LOAD else _NEG), kind
 
 
 # ---- hypothesis: same contract, shrinkable ---------------------------------

@@ -1,5 +1,7 @@
-"""Chunked traces: byte-identity with the monolithic path, store
-robustness, windowed-filter parity, and the RunSpec knob.
+"""Chunked traces: byte-identity with the monolithic path, the trace
+store's round trip and rebuild-on-corruption, windowed-filter parity,
+and the RunSpec knob.  Damaged, stale and garbled entries of every
+store are cases of ``tests/test_castore.py``.
 
 The contract under test everywhere: chunking is a *layout* choice, not
 a semantic one.  Shard content, filter output, and run metrics must be
@@ -174,32 +176,6 @@ class TestTraceStore:
 
     def test_miss_on_absent_key(self, trace_store):
         assert trace_store.get(chunked.trace_key("gcc", "ref", 5, 5)) is None
-
-    def test_corrupt_shard_deletes_entry(self, tiny_behaviors,
-                                         trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        built.shard_path(1).write_bytes(b"not an npz")
-        reopened = trace_store.get(key)
-        with pytest.raises(chunked.CorruptTraceError):
-            list(reopened.windows())
-        assert not reopened.directory.exists()
-        assert trace_store.get(key) is None  # reads as a miss → rebuild
-
-    def test_version_stale_entry_dropped(self, tiny_behaviors,
-                                         trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        mpath = built.directory / chunked.MANIFEST_NAME
-        doc = json.loads(mpath.read_text())
-        doc["version"] = chunked.TRACE_STORE_VERSION + 1
-        mpath.write_text(json.dumps(doc))
-        assert trace_store.get(key) is None
-        assert not built.directory.exists()
-
-    def test_garbled_manifest_dropped(self, tiny_behaviors, trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        (built.directory / chunked.MANIFEST_NAME).write_text("{oops")
-        assert trace_store.get(key) is None
-        assert not built.directory.exists()
 
     def test_filtered_stream_chunked_retries_corruption(self, trace_store):
         """The runner-facing wrapper recovers from a corrupt entry by
