@@ -240,12 +240,12 @@ class _Episodes:
         parameters — never on memory timing — so every boundary the
         reference loop would discover record-by-record is derivable up
         front: for each candidate head ``h`` the earliest break position
-        among (a) the batch cap, (b) the next dependent demand miss,
-        (c) the first demand outside the ROB window, and (d) the demand
-        that would exceed the MSHR overlap, all via ``searchsorted``.
-        Those searches (and the replay kernel's scheduler keys) need
-        ``inst`` nondecreasing, so a decreasing stream raises
-        ``ValueError`` instead of replaying to a wrong result.
+        among (a) the batch cap, (b) the next dependent demand miss (a
+        suffix minimum), (c) the first demand outside the ROB window (a
+        ``searchsorted``) and (d) the demand that would exceed the MSHR
+        overlap (a running demand count).  (c) and the replay kernel's
+        scheduler keys need ``inst`` nondecreasing, so a decreasing
+        stream raises ``ValueError`` instead of a wrong result.
         """
         num, den = p.ipc_ratio
         n = len(stream)
@@ -262,17 +262,17 @@ class _Episodes:
         idx = np.arange(n, dtype=np.int64)
         break_at = np.minimum(idx + max(cap, 1), n)
         dd = np.flatnonzero(demand)
-        pp = np.flatnonzero(demand & dep)
-        if len(pp):
-            pos = np.searchsorted(pp, idx, side="right")
-            b2 = np.where(pos < len(pp), pp[np.minimum(pos, len(pp) - 1)], n)
-            np.minimum(break_at, b2, out=break_at)
+        if n > 1:
+            # b2[i]: the first dependent demand after record i, else n.
+            b2 = np.minimum.accumulate(
+                np.where(demand & dep, idx, n)[:0:-1])[::-1]
+            np.minimum(break_at[:-1], b2, out=break_at[:-1])
         if len(dd):
             inst_dd = inst[dd]
             pos = np.searchsorted(inst_dd, inst + p.rob_size, side="right")
             b3 = np.where(pos < len(dd), dd[np.minimum(pos, len(dd) - 1)], n)
             np.minimum(break_at, b3, out=break_at)
-            pos4 = np.searchsorted(dd, idx, side="left") + mo
+            pos4 = np.cumsum(demand) - demand + mo  # demands before i, + mo
             safe = np.minimum(pos4, len(dd) - 1)
             b4 = np.where(pos4 < len(dd), dd[safe], n)
             # mo == 0 degenerates: a demand head would name itself; the

@@ -71,6 +71,25 @@ class MissStream:
             total_instructions=total,
         )
 
+    def page_split(self, return_index: bool = False) -> tuple:
+        """``(pages, inverse)``: sorted distinct vpages and each record's
+        index into them (``uint16`` below 2**16 pages), memoized on the
+        stream like its episode tables (never persisted).  ``return_index``
+        appends each page's first record, from the same ``np.unique``."""
+        split = vars(self).get("_page_split")
+        if split is None or return_index:
+            from repro.trace.events import PAGE_SHIFT
+
+            pages, *rest = np.unique(self.vline >> PAGE_SHIFT,
+                                     return_index=return_index,
+                                     return_inverse=True)
+            inverse = rest[-1].astype(np.uint16 if len(pages) < 1 << 16
+                                      else np.intp, copy=False)
+            split = self._page_split = (pages, inverse)
+            if return_index:
+                return pages, inverse, rest[0]
+        return split
+
     @property
     def demand_mask(self) -> np.ndarray:
         return self.kind <= KIND_STORE

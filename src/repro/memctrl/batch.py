@@ -60,8 +60,8 @@ and ``MemoryModule.decode``.  :func:`replay` inlines
 ``MemoryModule.access`` and ``BankState.service`` twice, in the
 single-record lane and in the multi-record loop (one shared copy
 measured slower), and :meth:`_FlatDevices.refresh_to` is the only copy
-of ``MemoryModule._do_refresh`` and ``BankState.refresh``.  Keep all of
-them in lockstep.
+of ``MemoryModule._do_refresh`` and ``BankState.refresh`` (all due
+intervals in closed form).  Keep all of them in lockstep.
 """
 
 from __future__ import annotations
@@ -157,14 +157,16 @@ class ReplayTables:
     @staticmethod
     def _decode(memsys: MemorySystem, bases, groups: np.ndarray,
                 gaddrs: np.ndarray) -> tuple:
-        """Vectorized routing/decode: ``(controller, flat bank, row)``."""
+        """Vectorized routing/decode: ``(controller, flat bank, row)``
+        (a one-group system skips the per-group select and scatter)."""
         n = len(gaddrs)
+        single = len(memsys.groups) == 1
         ctrl = np.zeros(n, dtype=np.int64)
         fbank = np.zeros(n, dtype=np.int64)
         row = np.zeros(n, dtype=np.int64)
         for gi, g in enumerate(memsys.groups):
-            sel = np.flatnonzero(groups == gi)
-            if not len(sel):
+            sel = slice(None) if single else np.flatnonzero(groups == gi)
+            if not single and not len(sel):
                 continue
             ga = gaddrs[sel]
             line = ga >> LINE_BITS
@@ -458,19 +460,23 @@ class _FlatDevices:
     def refresh_to(self, c: int, t: int) -> int:
         """Run controller ``c``'s refreshes due by cycle ``t``
         (``MemoryModule._do_refresh`` + ``BankState.refresh``); returns
-        its next refresh cycle."""
+        its next refresh cycle.  The ``m`` due refreshes (each ``ready =
+        max(nref_j, ready) + tRFC``) unroll to ``max(ready + m*tRFC,
+        nref_j + (m-j)*tRFC)``, linear in ``j``: one pass over the banks
+        however long the idle gap (an epoch billed for page copies)."""
+        nref = self.nref_l[c]
+        if t < nref:
+            return nref
         open_l, ready_l, lact_l = self.open_l, self.ready_l, self.lact_l
         refi, rfc = self.refresh[c]
-        lo, hi = self.bank_lo[c], self.bank_lo[c + 1]
-        nref = self.nref_l[c]
-        while t >= nref:
-            for y in range(lo, hi):
-                r = ready_l[y]
-                r = (nref if nref > r else r) + rfc
-                open_l[y] = None
-                ready_l[y] = r
-                lact_l[y] = r
-            nref += refi
+        m = (t - nref) // refi + 1
+        step = m * rfc
+        floor = nref + (m - 1) * refi + rfc if refi > rfc else nref + step
+        for y in range(self.bank_lo[c], self.bank_lo[c + 1]):
+            r = ready_l[y] + step
+            open_l[y] = None
+            ready_l[y] = lact_l[y] = r if r > floor else floor
+        nref += m * refi
         self.nref_l[c] = nref
         return nref
 

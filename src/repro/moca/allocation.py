@@ -170,8 +170,7 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
         for core, stream in enumerate(streams):
             if len(stream) == 0:
                 continue
-            vpages = stream.vline // PAGE_BYTES
-            uniq, first_idx = np.unique(vpages, return_index=True)
+            uniq, _, first_idx = stream.page_split(return_index=True)
             owners = stream.obj_id[first_idx]
             # Group pages by owner, each object's in first-touch order.
             order = np.lexsort((first_idx, owners))
@@ -201,7 +200,7 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
             OBS.warn(
                 f"placement: all frame pools exhausted placing "
                 f"{typ.name} pages; overcommitting (degraded run)")
-    # Translate every stream against the finished page table.
+    # Translate every stream's distinct pages, keyed per core.
     groups: list[np.ndarray] = []
     gaddrs: list[np.ndarray] = []
     for core, stream in enumerate(streams):
@@ -209,8 +208,10 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
             groups.append(np.empty(0, dtype=np.int32))
             gaddrs.append(np.empty(0, dtype=np.int64))
             continue
-        keyed = stream.vline + core * CORE_STRIDE
-        g, a = allocator.page_table.translate_lines(keyed)
+        pages, inverse = stream.page_split()
+        g, a = allocator.page_table.translate_lines(
+            stream.vline, (pages + core * (CORE_STRIDE // PAGE_BYTES),
+                           inverse))
         groups.append(g)
         gaddrs.append(a)
     return PlacementPlan(groups=groups, gaddrs=gaddrs, stats=allocator.stats)

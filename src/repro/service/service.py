@@ -21,7 +21,7 @@ report an :class:`~repro.service.samples.EpochSample` and receive an
 5. **move** — released moves drain through a per-epoch page+cycle
    budget, spill into the deferred queue, and are charged through the
    same :func:`~repro.vm.migration.charge_page_copy` accounting as the
-   hot-page migrator.
+   hot-page migrator (batched per object; pages still decide in turn).
 
 A capacity :class:`~repro.faults.plan.FaultPlan` firing mid-run calls
 :meth:`GuidanceService.on_capacity_fault`: every object with pages
@@ -33,6 +33,8 @@ path — when every pool is full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.moca.lut import ObjectProfile, ProfileLUT
 from repro.moca.naming import ObjectName, name_from_site
@@ -118,7 +120,6 @@ class Tenant:
                  budget: CapacityBudget = UNLIMITED,
                  core: int = 0, spec: OnlineSpec | None = None):
         from repro.moca.allocation import CORE_STRIDE
-        from repro.trace.events import PAGE_BYTES
 
         spec = spec or OnlineSpec()
         self.name = name
@@ -150,13 +151,16 @@ class Tenant:
         page_base = core * (CORE_STRIDE // PAGE_BYTES)
         self._name_of: dict[int, ObjectName] = {}
         self._objs_of_name: dict[ObjectName, list[int]] = {}
-        self._pages_of: dict[int, list[int]] = {}
+        self._pages_of: dict[int, np.ndarray] = {}
         self._size_of: dict[int, int] = {}
         for obj in layout.objects:
             name = name_from_site(obj.site)
             self._name_of[obj.obj_id] = name
             self._objs_of_name.setdefault(name, []).append(obj.obj_id)
-            self._pages_of[obj.obj_id] = [page_base + p for p in obj.pages()]
+            pages = obj.pages()
+            self._pages_of[obj.obj_id] = np.arange(
+                page_base + pages.start, page_base + pages.stop,
+                dtype=np.int64)
             self._size_of[obj.obj_id] = obj.size_bytes
         self.detector.known = set(self._name_of)
         # Prime the detector with each profiled object's offline baseline.
@@ -167,7 +171,8 @@ class Tenant:
                                     prof.stall_per_load_miss, prof.write_frac)
 
     def object_pages(self, obj_id: int) -> list[int]:
-        return list(self._pages_of.get(obj_id, ()))
+        pages = self._pages_of.get(obj_id)
+        return [] if pages is None else pages.tolist()
 
     def placements(self) -> dict[int, ObjectType]:
         """Current per-object placement classes (copy)."""
@@ -248,8 +253,8 @@ class GuidanceService:
         pools = tenant.allocator.pools
         forced = 0
         for obj_id, pages in tenant._pages_of.items():
-            stranded = any(pools[pt.lookup(key)[0]].is_offline
-                           for key in pages)
+            groups = np.unique(pt.lookup_pages(pages)[0]).tolist()
+            stranded = any(pools[g].is_offline for g in groups)
             if not stranded:
                 continue
             target = tenant.current_types.get(obj_id, ObjectType.POW)
@@ -430,6 +435,10 @@ class GuidanceService:
         reaction) never settle for an offline group and fall back to
         overcommit — the allocator's degraded no-crash path — when every
         pool is exhausted.
+
+        Those decisions run page by page, since later pages depend on
+        them; lookups, remap and copy accounting (one
+        :func:`charge_page_copy` per source/destination pair) are batched.
         """
         allocator = tenant.allocator
         pt = allocator.page_table
@@ -438,10 +447,14 @@ class GuidanceService:
         shoot = self.spec.shootdown_cycles
         copy = [g.timing.transfer_cycles(PAGE_BYTES)
                 for g in tenant.memsys.groups]
+        keys = tenant._pages_of.get(req.obj_id, np.empty(0, np.int64))
+        cur_groups, cur_frames = pt.lookup_pages(keys)
         overhead = 0
-        pages_moved = 0
-        for key in tenant._pages_of.get(req.obj_id, ()):
-            cur_group, cur_frame = pt.lookup(key)
+        moved: list[tuple[int, int, int]] = []  # (page index, dst, frame)
+        pairs: dict[tuple[int, int], int] = {}  # (src, dst) -> pages
+        ran_out = False
+        for i, (cur_group, cur_frame) in enumerate(
+                zip(cur_groups.tolist(), cur_frames.tolist())):
             cur_offline = pools[cur_group].is_offline
             if req.forced and not cur_offline:
                 # Fault reaction only evacuates stranded pages; healthy
@@ -472,13 +485,18 @@ class GuidanceService:
             cost = copy[cur_group] + copy[dst] + shoot
             if not budget.can_move_page(cost):
                 pools[dst].free(frame)  # return the speculative frame
-                return (overhead, pages_moved), True
-            charge_page_copy(tenant.memsys, tenant.migration,
-                             cur_group, dst, shoot)
+                ran_out = True
+                break
             budget.charge_page(cost)
-            pt.remap(key, dst, frame)
             pools[cur_group].free(cur_frame)
             overhead += cost
-            pages_moved += 1
-            tenant.migration.n_migrations += 1
-        return (overhead, pages_moved), False
+            moved.append((i, dst, frame))
+            pairs[cur_group, dst] = pairs.get((cur_group, dst), 0) + 1
+        if moved:
+            idx, dsts, frames = zip(*moved)
+            pt.remap_pages(keys[list(idx)], dsts, frames)
+            for (src, dst), n in pairs.items():
+                charge_page_copy(tenant.memsys, tenant.migration, src, dst,
+                                 shoot, n)
+            tenant.migration.n_migrations += len(moved)
+        return (overhead, len(moved)), ran_out

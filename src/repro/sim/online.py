@@ -93,6 +93,8 @@ def _run_online(spec: "RunSpec",
         with OBS.span("placement", policy=label):
             plan = plan_placement([stream], MocaPolicy([types], [heat]),
                                   allocator, layouts=[layout])
+        pt = allocator.page_table
+        version = pt.version  # the state plan.groups/gaddrs translate
 
         # ---- register with the guidance service ------------------------
         service = GuidanceService(ospec)
@@ -106,7 +108,9 @@ def _run_online(spec: "RunSpec",
             service.on_capacity_fault(tenant)
 
         # ---- epoch replay ----------------------------------------------
-        pt = allocator.page_table
+        # Epochs slice one translation (of records from ``tr_start`` on);
+        # the rest is re-translated only after the page table changed.
+        groups, gaddrs, tr_start = plan.groups[0], plan.gaddrs[0], 0
         n = len(stream)
         epoch_len = max(1, ospec.epoch_misses)
         cycle = 0
@@ -126,10 +130,15 @@ def _run_online(spec: "RunSpec",
                         service.on_capacity_fault(tenant)
                 stop = min(n, start + epoch_len)
                 sl = stream.slice(start, stop)
-                groups, gaddrs = pt.translate_lines(sl.vline)
-                core = InOrderWindowCore(sl, groups, gaddrs, core_params,
-                                         start_cycle=cycle,
-                                         inst_prev=inst_prev)
+                if pt.version != version:
+                    pages, inverse = stream.page_split()
+                    groups, gaddrs = pt.translate_lines(
+                        stream.vline[start:], (pages, inverse[start:]))
+                    version, tr_start = pt.version, start
+                core = InOrderWindowCore(
+                    sl, groups[start - tr_start:stop - tr_start],
+                    gaddrs[start - tr_start:stop - tr_start], core_params,
+                    start_cycle=cycle, inst_prev=inst_prev)
                 res = core.run_to_completion(memsys)
                 results.append(res)
                 cycle = res.cycles

@@ -15,6 +15,7 @@ HEAP_BASE = 0x6000_0000
 STACK_TOP = 0x7FF0_0000_0000
 
 PAGE_BYTES = 4096
+PAGE_SHIFT = PAGE_BYTES.bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -103,26 +103,28 @@ class MigrationStats:
 
 def charge_page_copy(memsys: MemorySystem, stats: MigrationStats,
                      src_group: int, dst_group: int,
-                     shootdown_cycles: int) -> int:
-    """Account one page's migration: copy bus time both ways, the TLB
-    shootdown, and both groups' bus occupancy/energy.
+                     shootdown_cycles: int, n_pages: int = 1) -> int:
+    """Account ``n_pages`` page migrations from one group to another:
+    copy bus time both ways, the TLB shootdowns, and both groups' bus
+    occupancy/energy.
 
-    Shared by :class:`HotPageMigrator` and the online guidance service
-    (:mod:`repro.service`) so both charge migrations identically.
+    Shared by :class:`HotPageMigrator` (a page at a time) and the online
+    guidance service (:mod:`repro.service`, once per source/destination
+    pair of an object's move) so both charge migrations identically.
     Returns the cycles to bill the core (copy + shootdown).
     """
-    copy = [memsys.groups[g].timing.transfer_cycles(PAGE_BYTES)
+    copy = [memsys.groups[g].timing.transfer_cycles(PAGE_BYTES) * n_pages
             for g in (src_group, dst_group)]
     cycles = copy[0] + copy[1]
     stats.copy_cycles += cycles
-    stats.shootdown_cycles += shootdown_cycles
-    stats.bytes_copied += 2 * PAGE_BYTES
+    stats.shootdown_cycles += shootdown_cycles * n_pages
+    stats.bytes_copied += 2 * PAGE_BYTES * n_pages
     # The copy occupies both groups' buses (power + later queueing).
     for g, c in zip((src_group, dst_group), copy):
         mod = memsys.groups[g].modules[0]
         mod.bus_busy_cycles += c
-        mod.bytes_transferred += PAGE_BYTES
-    return cycles + shootdown_cycles
+        mod.bytes_transferred += PAGE_BYTES * n_pages
+    return cycles + shootdown_cycles * n_pages
 
 
 class HotPageMigrator:
@@ -145,13 +147,6 @@ class HotPageMigrator:
         self.stats = MigrationStats()
         #: vpage → epoch miss count for pages currently in the target group.
         self._resident_heat: dict[int, int] = {}
-
-    def _copy_cost_cycles(self, src_group: int, dst_group: int) -> int:
-        """Bus time to read a page from src and write it to dst."""
-        src = self.memsys.groups[src_group].timing
-        dst = self.memsys.groups[dst_group].timing
-        return (src.transfer_cycles(PAGE_BYTES)
-                + dst.transfer_cycles(PAGE_BYTES))
 
     def _charge_copy(self, src_group: int, dst_group: int) -> int:
         return charge_page_copy(self.memsys, self.stats, src_group,

@@ -2,11 +2,13 @@
 
 The page table maps virtual page numbers to ``(channel group, frame)``
 pairs.  It is three parallel numpy columns sorted by vpage — ``keys``,
-``groups``, ``frames`` — so translating a whole miss stream is one
-``searchsorted`` with nothing to rebuild.  Mappings are created a run at
-a time by the OS allocator (:meth:`PageTable.map_pages`); scalar lookups
-and page migrations (:meth:`PageTable.remap`) go through a lazily built
-vpage → row index and write the columns in place.
+``groups``, ``frames``.  The OS allocator maps a run at a time
+(:meth:`PageTable.map_pages`); migrations rewrite the columns in place,
+a page (:meth:`PageTable.remap`) or an object (``remap_pages``) at a
+time, and every map or remap bumps :attr:`PageTable.version`.  A miss
+stream touches far fewer pages than it has records, so
+:meth:`PageTable.translate_lines` looks up only its distinct pages
+(:meth:`~repro.cpu.hierarchy.MissStream.page_split`).
 
 The TLB model mirrors the paper's Sec. IV-D narrative (TLB hit → PTE,
 miss → page walk) and is used for statistics; its latency contribution is
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.events import PAGE_BYTES
+from repro.trace.events import PAGE_BYTES, PAGE_SHIFT
 
 
 class PageTable:
@@ -30,6 +32,9 @@ class PageTable:
         self._frames = np.empty(0, dtype=np.int64)
         #: vpage → row of the columns; rebuilt lazily after a map.
         self._rows: dict[int, int] | None = None
+        #: Bumped by every map and remap: a translation taken at one
+        #: version holds until the next bump.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -82,6 +87,7 @@ class PageTable:
             self._groups = np.insert(self._groups, pos, groups)
             self._frames = np.insert(self._frames, pos, frames)
         self._rows = None
+        self.version += 1
 
     def map_page(self, vpage: int, group: int, frame: int) -> None:
         self.map_pages((vpage,), group, (frame,))
@@ -103,32 +109,66 @@ class PageTable:
         old = self._groups.item(row), self._frames.item(row)
         self._groups[row] = group
         self._frames[row] = frame
+        self.version += 1
         return old
+
+    def _rows_of(self, vpages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column rows of ``vpages`` and a mask of the unmapped ones."""
+        keys = self._keys
+        rows = np.searchsorted(keys, vpages)
+        if not len(keys):
+            return rows, np.ones(len(vpages), dtype=bool)
+        # A vpage past the last key lands on len(keys); clipping makes
+        # it compare against the largest key, which it cannot equal.
+        return rows, keys[np.minimum(rows, len(keys) - 1)] != vpages
+
+    def _mapped_rows(self, vpages) -> np.ndarray:
+        vpages = np.asarray(vpages, dtype=np.int64)
+        rows, miss = self._rows_of(vpages)
+        if miss.any():
+            self._row(int(vpages[miss][0]))  # raises the page fault
+        return rows
+
+    def lookup_pages(self, vpages) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`lookup`: ``(groups, frames)`` arrays."""
+        rows = self._mapped_rows(vpages)
+        return self._groups[rows], self._frames[rows]
+
+    def remap_pages(self, vpages, groups, frames) -> None:
+        """Vectorized :meth:`remap` (one version bump, nothing returned)."""
+        rows = self._mapped_rows(vpages)
+        self._groups[rows] = groups
+        self._frames[rows] = frames
+        self.version += 1
 
     def snapshot(self) -> list[tuple[int, int, int]]:
         """Every mapping as ``(vpage, group, frame)``, in vpage order."""
         return list(zip(self._keys.tolist(), self._groups.tolist(),
                         self._frames.tolist()))
 
-    def translate_lines(self, vlines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def translate_lines(self, vlines: np.ndarray, pages=None
+                        ) -> tuple[np.ndarray, np.ndarray]:
         """Translate line addresses to (group, group-local physical address).
 
-        Every page must already be mapped (the planner touches them first).
+        Every page must be mapped, else ``KeyError`` names how many
+        records fault and the page of the first.  Each distinct page is
+        looked up once.  ``pages`` is a precomputed split of ``vlines``
+        into sorted distinct page keys and a record index into them
+        (:meth:`~repro.cpu.hierarchy.MissStream.page_split` plus a core's
+        key base); ``vlines`` then gives only the in-page offsets.
         """
-        keys = self._keys
-        vpages = vlines // PAGE_BYTES
-        idx = np.searchsorted(keys, vpages)
-        # A vpage past the last key lands on len(keys); clipping makes
-        # it compare against the largest key, which it cannot equal.
-        miss = keys[np.minimum(idx, len(keys) - 1)] != vpages if len(keys) \
-            else np.ones(len(vpages), dtype=bool)
+        vpages, inverse = pages if pages is not None else np.unique(
+            vlines >> PAGE_SHIFT, return_inverse=True)
+        rows, miss = self._rows_of(vpages)
         if miss.any():
-            missing = vpages[miss]
-            raise KeyError(f"page fault on {len(missing)} pages, first "
-                           f"{missing[0]:#x}")
-        groups = self._groups[idx]
-        gaddr = self._frames[idx] * PAGE_BYTES + (vlines % PAGE_BYTES)
-        return groups, gaddr
+            miss = miss[inverse]
+            raise KeyError(f"page fault on {np.count_nonzero(miss)} pages, "
+                           f"first {vpages[inverse[np.argmax(miss)]]:#x}")
+        # One widening beats two gathers through a narrow index.
+        inverse = inverse.astype(np.intp, copy=False)
+        return (self._groups[rows][inverse],
+                (self._frames[rows] << PAGE_SHIFT)[inverse]
+                + (vlines & (PAGE_BYTES - 1)))
 
     def pages_in_group(self, group: int) -> int:
         """How many mapped pages landed in a channel group."""

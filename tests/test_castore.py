@@ -201,7 +201,7 @@ def _assert_clean_miss(store, capsys, *, warned: bool) -> str:
     assert not store.entry.exists()
     assert len(store.store) == 0
     err = capsys.readouterr().err
-    assert ("corrupt entry" in err) == warned, err
+    assert err.count("corrupt entry") == warned, err  # at most once
     # Trace shards load lazily, outside ``get``: count via OBS.
     assert OBS.counters.get(f"{store.store.counter}.corrupt", 0) == warned
     return err
@@ -243,12 +243,26 @@ class TestDamagedManifest:
         err = _assert_clean_miss(store, capsys, warned=True)
         if raw in (b"[]", b"null", b'"text"'):
             assert "not a JSON object" in err
+        store.put()  # the slot refills and serves normally
+        store.check(store.fetch())
 
     def test_missing_fields_are_corrupt(self, store, capsys):
         store.put()
         path = store.entry / castore.MANIFEST_NAME
         path.write_text(json.dumps({"version": store.store.version}))
         _assert_clean_miss(store, capsys, warned=True)
+
+    def test_result_metrics_validated_on_read(self, tmp_path, capsys):
+        """The result cache checks the stored metrics document itself,
+        not only its presence: one missing field is a corrupt entry."""
+        store = ResultAdapter(tmp_path / "store")
+        store.put()
+        path = store.entry / castore.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        del doc["metrics"]["exec_cycles"]
+        path.write_text(json.dumps(doc))
+        _assert_clean_miss(store, capsys, warned=True)
+        assert store.store.stats.corrupt == 1
 
     def test_stale_version_dropped_quietly(self, store, capsys):
         store.put()

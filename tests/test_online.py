@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.cpu.core import InOrderWindowCore
 from repro.faults.plan import FaultPlan
-from repro.service import OnlineSpec
+from repro.service import GuidanceService, OnlineSpec
 from repro.sim.online import run_online
 from repro.sim.spec import RunSpec, run
 
@@ -103,3 +105,45 @@ class TestRunOnline:
         svc = m.meta["service"]
         assert svc["forced_moves"] > 0
         assert math.isfinite(m.mem_access_cycles)
+
+
+class TestEpochTranslation:
+    """Epochs reuse one translation until the page table changes; every
+    epoch core must still see exactly the live table's translation."""
+
+    @pytest.mark.parametrize("spec", [
+        RunSpec("milc", CFG, "moca", 30_000, input_name="drift2",
+                online=OnlineSpec()),
+        RunSpec("milc", CFG, "moca", 30_000,
+                faults=FaultPlan(offline_role="bw", trigger_page=0),
+                online=OnlineSpec(fault_epoch=3)),
+    ], ids=["drift2", "midrun-fault"])
+    def test_epoch_cores_get_the_live_translation(self, spec, monkeypatch):
+        live = {}
+        checked = []
+        register = GuidanceService.register
+        init = InOrderWindowCore.__init__
+
+        def spy_register(self, name, **kwargs):
+            live["pt"] = kwargs["allocator"].page_table
+            return register(self, name, **kwargs)
+
+        def spy_init(self, stream, groups, gaddrs, *args, **kwargs):
+            pt = live.get("pt")
+            if pt is not None:  # an epoch core (profiling runs earlier)
+                want = pt.translate_lines(stream.vline)
+                for got, ref in zip((groups, gaddrs), want):
+                    assert got.dtype == ref.dtype
+                    assert np.array_equal(got, ref)
+                checked.append(pt.version)
+            init(self, stream, groups, gaddrs, *args, **kwargs)
+
+        monkeypatch.setattr(GuidanceService, "register", spy_register)
+        monkeypatch.setattr(InOrderWindowCore, "__init__", spy_init)
+        m = run(spec)
+        svc = m.meta["service"]
+        assert len(checked) == svc["epochs"]
+        # Pages moved mid-run, so later epochs replayed a newer table.
+        assert svc["pages_moved"] > 0 and len(set(checked)) > 1
+        if spec.faults is not None:
+            assert svc["forced_moves"] > 0

@@ -48,7 +48,7 @@ from repro.cpu.hierarchy import (
     KIND_WRITEBACK,
     MissStream,
 )
-from repro.memctrl.batch import _NEG
+from repro.memctrl.batch import _NEG, _FlatDevices
 from repro.memctrl.scheduler import fcfs_order, frfcfs_order
 from repro.memctrl.system import ChannelGroup, MemorySystem
 from repro.memdev.presets import DDR3, HBM, LPDDR2, RLDRAM3
@@ -472,6 +472,39 @@ class TestRefreshAndFawParity:
         hits = [replay(reread, refi, 0)[1]["a/ch0"]["n_row_hits"]
                 for refi in (100, 100_000)]
         assert hits[0] < hits[1]
+
+    @given(refresh=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 90)),
+                            min_size=3, max_size=3),
+           ready=st.lists(st.integers(-5, 500), min_size=1, max_size=200),
+           calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 900)),
+                          max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_catch_up_matches_interval_loop(self, refresh, ready, calls):
+        """One-pass refresh catch-up over any number of due intervals
+        equals refreshing interval by interval (``BankState.refresh``:
+        ``ready = max(at, ready) + tRFC``), tRFC above tREFI included."""
+        ctrls, _ = _stressed(100, 0).controller_layout()
+        dev = _FlatDevices(ctrls)
+        dev.refresh = refresh
+        n = len(dev.ready_l)
+        dev.ready_l[:] = (ready * n)[:n]
+        want = list(dev.ready_l)
+        nref = list(dev.nref_l)
+        t = 0
+        for c, gap in calls:
+            t += gap
+            lo, hi = dev.bank_lo[c], dev.bank_lo[c + 1]
+            refi, rfc = refresh[c]
+            due = t >= nref[c]
+            while t >= nref[c]:
+                for y in range(lo, hi):
+                    want[y] = max(nref[c], want[y]) + rfc
+                nref[c] += refi
+            assert dev.refresh_to(c, t) == nref[c]
+            assert dev.ready_l == want and dev.nref_l == nref
+            if due:
+                assert all(dev.open_l[y] is None and dev.lact_l[y] == want[y]
+                           for y in range(lo, hi))
 
 
 # ---- observability ----------------------------------------------------------

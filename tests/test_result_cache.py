@@ -1,6 +1,7 @@
 """Tests for the persistent result cache and the sweep engine.
 
-Covers the on-disk entry lifecycle (hit/miss/corrupt/stale/refresh),
+Covers the on-disk entry lifecycle (hit/miss; the corrupt, stale and
+refresh paths are ``tests/test_castore.py``'s, shared by all stores),
 the engine's cache wiring and precedence rules, lossless
 ``RunMetrics`` round-trips (including a hypothesis property test),
 cross-process reuse through the CLI, and the cold-vs-warm campaign
@@ -73,49 +74,6 @@ class TestResultCache:
 
     def test_cross_instance_reuse(self, tmp_path, metrics):
         ResultCache(tmp_path).put(SPEC, metrics)
-        assert ResultCache(tmp_path).get(SPEC) == metrics
-
-    def test_corrupt_entry_warns_once_and_resimulates(self, tmp_path,
-                                                      metrics, capsys):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        path.write_text(path.read_text()[:40])  # truncated JSON
-        assert cache.get(SPEC) is None
-        assert not path.exists()  # corrupt entries are deleted
-        assert cache.stats.corrupt == 1
-        err = capsys.readouterr().err
-        assert err.count("corrupt entry") == 1
-        # The slot re-fills and serves normally afterwards.
-        cache.put(SPEC, metrics)
-        assert cache.get(SPEC) == metrics
-
-    def test_missing_field_is_corrupt_not_crash(self, tmp_path, metrics):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        doc = json.loads(path.read_text())
-        del doc["metrics"]["exec_cycles"]
-        path.write_text(json.dumps(doc))
-        assert cache.get(SPEC) is None
-        assert cache.stats.corrupt == 1
-
-    def test_stale_version_dropped_silently(self, tmp_path, metrics,
-                                            capsys):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        doc = json.loads(path.read_text())
-        doc["version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(doc))
-        assert cache.get(SPEC) is None
-        assert not path.exists()
-        assert cache.stats.corrupt == 0  # stale, not corrupt
-        assert "corrupt" not in capsys.readouterr().err
-
-    def test_refresh_bypasses_read_but_overwrites(self, tmp_path, metrics):
-        ResultCache(tmp_path).put(SPEC, metrics)
-        cache = ResultCache(tmp_path, refresh=True)
-        assert cache.get(SPEC) is None  # hit on disk, still a miss
-        cache.put(SPEC, metrics)
-        assert cache.stats.misses == 1 and cache.stats.stores == 1
         assert ResultCache(tmp_path).get(SPEC) == metrics
 
     def test_hit_ratio(self):

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cpu.hierarchy import MissStream
+from repro.moca.allocation import CORE_STRIDE, HomogeneousPolicy, \
+    plan_placement
 from repro.trace.events import PAGE_BYTES
 from repro.vm.allocator import OSPageAllocator
 from repro.vm.heap import FALLBACK_CHAINS, ObjectType, TypedHeap
@@ -170,6 +175,166 @@ class TestPageTable:
         pt.map_page(1, 1, 0)
         pt.map_page(2, 1, 1)
         assert pt.pages_in_group(1) == 2
+
+
+def _oracle_translate(pt, vlines):
+    """Per-record translation: one ``searchsorted`` per record over the
+    page table's snapshot (the path the page split replaced)."""
+    snap = pt.snapshot()
+    keys = np.asarray([k for k, _, _ in snap], dtype=np.int64)
+    groups = np.asarray([g for _, g, _ in snap], dtype=np.int32)
+    frames = np.asarray([f for _, _, f in snap], dtype=np.int64)
+    vpages = vlines // PAGE_BYTES
+    idx = np.searchsorted(keys, vpages)
+    miss = keys[np.minimum(idx, len(keys) - 1)] != vpages if len(keys) \
+        else np.ones(len(vpages), dtype=bool)
+    if miss.any():
+        missing = vpages[miss]
+        raise KeyError(f"page fault on {len(missing)} pages, first "
+                       f"{missing[0]:#x}")
+    return groups[idx], frames[idx] * PAGE_BYTES + vlines % PAGE_BYTES
+
+
+def _stream(records):
+    n = len(records)
+    return MissStream(
+        inst=np.arange(n, dtype=np.int64),
+        vline=np.asarray([p * PAGE_BYTES + 64 * line for p, line in records],
+                         dtype=np.int64).reshape(-1),
+        obj_id=np.zeros(n, dtype=np.int32), dep=np.zeros(n, dtype=bool),
+        kind=np.zeros(n, dtype=np.int8), total_instructions=n)
+
+
+@st.composite
+def split_worlds(draw):
+    """A page table built by ``map_pages`` runs and ``remap``s in one
+    core's key space, and a stream over its pages with repeats (and,
+    sometimes, pages it never mapped)."""
+    core = draw(st.sampled_from([0, 1, 3]))
+    base = core * (CORE_STRIDE // PAGE_BYTES)
+    pages = draw(st.lists(st.integers(0, 200), unique=True, min_size=1,
+                          max_size=60))
+    pt = PageTable()
+    n_mapped = draw(st.integers(0, len(pages)))
+    i = 0
+    while i < n_mapped:
+        run = pages[i:min(n_mapped, i + draw(st.integers(1, 8)))]
+        per_page = draw(st.booleans())
+        group = [draw(st.integers(0, 2)) for _ in run] if per_page \
+            else draw(st.integers(0, 2))
+        frames = [draw(st.integers(0, 10_000)) for _ in run]
+        pt.map_pages([base + p for p in run], group, frames)
+        i += len(run)
+    mapped = pages[:i]
+    for _ in range(draw(st.integers(0, 6))):
+        if mapped:
+            pt.remap(base + draw(st.sampled_from(mapped)),
+                     draw(st.integers(0, 2)), draw(st.integers(0, 10_000)))
+    touch = mapped or pages
+    if draw(st.booleans()):
+        touch = touch + draw(st.lists(st.integers(201, 260), max_size=3))
+    records = draw(st.lists(st.tuples(st.sampled_from(touch),
+                                      st.integers(0, 63)), max_size=120))
+    return pt, core, _stream(records), pages[i:]
+
+
+def _translate_both(pt, core, stream):
+    """(split result or KeyError text, oracle result or KeyError text)."""
+    out = []
+    for fn in (lambda: pt.translate_lines(
+                   stream.vline,
+                   (stream.page_split()[0] + core * (CORE_STRIDE // PAGE_BYTES),
+                    stream.page_split()[1])),
+               lambda: _oracle_translate(pt, stream.vline + core * CORE_STRIDE)):
+        try:
+            out.append(fn())
+        except KeyError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestSplitTranslation:
+    """Translation through a stream's distinct pages equals a per-record
+    ``searchsorted`` in values, dtypes and page-fault text."""
+
+    def _assert_same(self, got, want):
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @given(split_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_split_matches_per_record_oracle(self, world):
+        pt, core, stream, _ = world
+        got, want = _translate_both(pt, core, stream)
+        self._assert_same(got, want)
+        # The plain path (no split) is the same translation.
+        try:
+            plain = pt.translate_lines(stream.vline + core * CORE_STRIDE)
+        except KeyError as exc:
+            plain = str(exc)
+        self._assert_same(plain, want)
+
+    @given(split_worlds(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_map_or_remap_after_memoized_split_shows(self, world, data):
+        pt, core, stream, unmapped = world
+        base = core * (CORE_STRIDE // PAGE_BYTES)
+        stream.page_split()  # memoize before the table changes
+        _translate_both(pt, core, stream)
+        version = pt.version
+        snap = pt.snapshot()
+        if unmapped and (not snap or data.draw(st.booleans())):
+            pt.map_pages([base + p for p in unmapped], 1, range(len(unmapped)))
+        else:
+            key = data.draw(st.sampled_from(snap))[0]
+            pt.remap(key, data.draw(st.integers(0, 2)),
+                     data.draw(st.integers(0, 10_000)))
+        assert pt.version > version
+        got, want = _translate_both(pt, core, stream)
+        self._assert_same(got, want)
+
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 40),
+                                       st.integers(0, 63)), max_size=80),
+                    min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_plan_placement_keys_each_core(self, cores):
+        """Each core's split is shifted into that core's key space."""
+        streams = [_stream(records) for records in cores]
+        alloc = OSPageAllocator(_pools([MIB]), roles={"main": 0})
+        plan = plan_placement(streams, HomogeneousPolicy(), alloc)
+        for core, stream in enumerate(streams):
+            want = _oracle_translate(alloc.page_table,
+                                     stream.vline + core * CORE_STRIDE)
+            self._assert_same((plan.groups[core], plan.gaddrs[core]), want)
+
+    def test_split_dtype_and_memo(self):
+        small = _stream([(p % 7, p % 64) for p in range(50)])
+        pages, inverse = small.page_split()
+        assert inverse.dtype == np.uint16 and pages.tolist() == list(range(7))
+        assert small.page_split()[1] is inverse
+        wide = _stream([(p, 0) for p in range(70_000)])
+        assert wide.page_split()[1].dtype != np.uint16
+        sl = small.slice(0, 10)
+        assert "_page_split" not in vars(sl)  # never shared with slices
+
+    def test_bulk_lookup_and_remap(self):
+        pt = PageTable()
+        pt.map_pages(range(10), 0, range(10))
+        version = pt.version
+        groups, frames = pt.lookup_pages([3, 7])
+        assert groups.tolist() == [0, 0] and frames.tolist() == [3, 7]
+        pt.remap_pages([7, 3], [1, 2], [70, 30])
+        assert pt.version == version + 1
+        assert pt.lookup(3) == (2, 30) and pt.lookup(7) == (1, 70)
+        with pytest.raises(KeyError, match="page fault"):
+            pt.lookup_pages([3, 11])
+        with pytest.raises(KeyError, match="page fault"):
+            pt.remap_pages([11], [0], [0])
 
 
 class TestTLB:
