@@ -8,7 +8,9 @@ and the final L1 and L2 tag state (``resident_arrays()``: contents,
 dirty bits and recency order).  Every stock application is filtered on
 the ``train``, ``ref``, ``ref2``, ``drift1`` and ``drift2`` inputs at
 30k accesses through ``filter_trace``, plus the two 1M-access ``scale``
-ledger builds through ``filter_chunked`` in 250k-access windows.  A
+ledger builds through ``filter_chunked`` in 250k-access windows and
+three ``online`` ledger builds at 120k whose L2 sets are skewed (a few
+sets take most accesses, so the stack-distance tail carries them).  A
 filter change that alters a record, a counter, a tally's order or a
 resident line changes a digest.
 
@@ -48,6 +50,8 @@ from repro.workloads.spec import APPS, app  # noqa: E402
 INPUTS = ("train", "ref", "ref2", "drift1", "drift2")
 SHORT = 30_000
 LONG = (("sift", "ref", 1_000_000), ("gcc", "ref", 1_000_000))
+SKEWED = (("milc", "drift1", 120_000), ("milc", "drift2", 120_000),
+          ("tracking", "ref", 120_000))
 WINDOW = 250_000
 COLUMNS = ("inst", "vline", "obj_id", "dep", "kind")
 COUNTERS = ("total_instructions", "l1_hits", "l1_misses", "l2_hits",
@@ -56,7 +60,8 @@ COUNTERS = ("total_instructions", "l1_hits", "l1_misses", "l2_hits",
 
 def builds() -> list[tuple[str, str, int]]:
     """Every pinned ``(app, input, n_accesses)``, in file order."""
-    return [(a, i, SHORT) for a in APPS for i in INPUTS] + list(LONG)
+    return [(a, i, SHORT) for a in APPS for i in INPUTS] + list(LONG) \
+        + list(SKEWED)
 
 
 def _hash_array(h, name: str, col: np.ndarray) -> None:
@@ -68,12 +73,13 @@ def _hash_array(h, name: str, col: np.ndarray) -> None:
 def digest(app_name: str, input_name: str, n_accesses: int) -> str:
     """SHA-256 of one filter pass: stream, stats and final tag state.
 
-    Short builds are synthesized in memory (as ``build_app_trace`` does,
-    minus its memo) and go through ``filter_trace``; long builds go
-    through the active chunked-trace store and ``filter_chunked``.
+    Long builds go through the active chunked-trace store and
+    ``filter_chunked``; the others are synthesized in memory (as
+    ``build_app_trace`` does, minus its memo) and go through
+    ``filter_trace``.
     """
     hierarchy = CacheHierarchy()
-    if n_accesses > SHORT:
+    if (app_name, input_name, n_accesses) in LONG:
         trace = build_app_trace_chunked(app_name, input_name, n_accesses,
                                         WINDOW)
         miss, stats = hierarchy.filter_chunked(trace)

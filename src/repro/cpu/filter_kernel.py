@@ -5,9 +5,10 @@ The reference loop in :meth:`~repro.cpu.hierarchy.CacheHierarchy
 Python iteration per access.  This module replays the *same* hierarchy
 with numpy and produces byte-identical results (``tests/
 test_filter_parity.py`` pins this over randomized traces and
-geometries).  The reference loop stays as the executable specification
-and as the engine for the inputs the kernel cannot take (see the end of
-this docstring).
+geometries, and every per-level engine against the dict automaton).
+The reference loop stays as the executable specification and as the
+engine for the inputs the kernel cannot take (see the end of this
+docstring).
 
 Algorithm — per-set LRU without a per-access loop
 -------------------------------------------------
@@ -38,14 +39,33 @@ Each level then takes one of two engines:
   per active set.  Sets are ranked by access count, so each round's
   active rows are a prefix; one sort of each row by stamp gives the
   final MRU→LRU order.  Cost is ``O(rounds x active_sets x assoc)``,
-  where ``rounds`` is the most accesses landing in one set.  Once fewer
-  than ``_ACTIVE_CUTOVER`` sets remain, the dict automaton finishes the
-  tail; a trace that hammers one set from the start (``rounds`` ~ ``n``)
-  takes the automaton outright (``"scalar"``).
+  where ``rounds`` is the most accesses landing in one set, plus about
+  18 µs of numpy-call overhead per round however few sets are active.
+  So once fewer than ``_ACTIVE_CUTOVER`` sets remain, the
+  stack-distance engine below finishes the skewed tail from the rounds'
+  state; a trace that hammers a few sets from the start runs no round
+  at all.
 
-Both are exact: hit mask, victim identity and dirty bits, and the final
-tag state with its recency order.  Mattson stack distances would give
-hit/miss only, not the victim sequence.
+The **stack-distance engine** (:func:`_stack_lru`) resolves a whole
+access sequence at once.  *Hits:* an access hits iff fewer than
+``assoc`` distinct lines of its set were used since its line's previous
+access (LRU's stack property).  One sort by (line, position) gives each
+access's previous one; a gap of fewer than ``assoc`` accesses is a hit.
+A difference-array count of the distinct lines among the last W
+accesses, at a few sizes W (``_WINDOWS``), settles most of the rest: at
+least ``assoc`` of them with W ≤ gap is a miss, fewer with W ≥ gap a
+hit.  What stays open is counted exactly over its gap.  *Victims:* a
+residency is a miss plus the hits on its line that follow it, and an
+LRU set evicts residencies in the order of their last use (the victim
+is always the resident used longest ago).  So the k-th miss that finds
+its set full — its set's ``assoc + k``-th miss — evicts the set's k-th
+residency in last-use order, dirty iff a write touched the residency;
+the ``assoc`` residencies used last survive as the final state, MRU
+first.  Stack distances thus give the victim sequence as well as
+hit/miss.
+
+All engines are exact: hit mask, victim identity and dirty bits, and
+the final tag state with its recency order.
 
 Prefetcher-enabled hierarchies always take the reference loop: runahead
 fills inject state transitions between demand accesses that per-set
@@ -60,6 +80,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.obs.registry import OBS
+
 __all__ = [
     "FilterAccumulator",
     "LevelResult",
@@ -70,15 +92,16 @@ __all__ = [
 ]
 
 
-#: Above this many rounds per trace access the stamp rounds lose to the
-#: scalar automaton (rounds ~ n means one set ate the trace).
-_SKEW_LIMIT_DIVISOR = 16
-#: ...but never fall back for tiny traces where either path is instant.
-_SKEW_MIN_ROUNDS = 64
 #: Mid-simulation cutover: once fewer sets than this are still active,
 #: the long skewed tail of rounds (each a handful of rows but a fixed
-#: dozen numpy calls) is cheaper on the scalar automaton.
+#: dozen numpy calls) is cheaper on the stack-distance engine.
 _ACTIVE_CUTOVER = 48
+#: Window sizes, in multiples of the associativity, at which the
+#: stack-distance engine counts distinct lines to settle reuses whose
+#: gap alone decides nothing; what they leave open is counted exactly.
+_WINDOWS = (4, 16, 64)
+#: Positions scanned per batch of the engine's exact distinct counts.
+_EXACT_BATCH = 1 << 20
 
 
 @dataclass
@@ -103,6 +126,9 @@ class LevelResult:
     #: Each access's victim as ``line << 1 | dirty``, negative where it
     #: evicted nothing — or a function that computes it.
     venc: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    #: Stamp rounds run, and accesses the stack-distance tail resolved.
+    rounds: int = 0
+    tail: int = 0
 
     def _victims(self) -> np.ndarray:
         if callable(self.venc):
@@ -122,10 +148,12 @@ class LevelResult:
         return (self._victims() & 1) != 0
 
 
-def _result(hit, venc, sets, stack, dirty, engine: str) -> LevelResult:
+def _result(hit, venc, sets, stack, dirty, engine: str, rounds: int = 0,
+            tail: int = 0) -> LevelResult:
     """Package outcomes (``venc`` as in :class:`LevelResult`)."""
     return LevelResult(hit=hit, state_sets=sets, state_stack=stack,
-                       state_dirty=dirty, engine=engine, venc=venc)
+                       state_dirty=dirty, engine=engine, venc=venc,
+                       rounds=rounds, tail=tail)
 
 
 def _residents(cache, sets: np.ndarray) -> tuple[list, list, list, list]:
@@ -145,59 +173,6 @@ def _residents(cache, sets: np.ndarray) -> tuple[list, list, list, list]:
             tags += resident.keys()
             dirty += resident.values()
     return rows, ways, tags, dirty
-
-
-def _automaton(sets: dict[int, dict], set_mask: int, assoc: int,
-               lines: list, writes: list,
-               ) -> tuple[list, list, list, list]:
-    """The dict-based LRU automaton over a (sub)sequence of accesses.
-
-    Byte-identical to :meth:`SetAssocCache.access` minus the stat
-    counters; ``sets`` maps set index → tag→dirty dict and is mutated in
-    place.  Returns per-access ``(hit, victim_mask, victim_line,
-    victim_dirty)`` as plain lists for bulk array assignment.
-    """
-    hit = [False] * len(lines)
-    victim_mask = [False] * len(lines)
-    victim_line = [0] * len(lines)
-    victim_dirty = [False] * len(lines)
-    for i, (ln, wr) in enumerate(zip(lines, writes)):
-        s = sets[ln & set_mask]
-        if ln in s:
-            prev = s.pop(ln)
-            s[ln] = prev or wr
-            hit[i] = True
-            continue
-        if len(s) >= assoc:
-            victim_tag = next(iter(s))
-            victim_mask[i] = True
-            victim_line[i] = victim_tag
-            victim_dirty[i] = s.pop(victim_tag)
-        s[ln] = wr
-    return hit, victim_mask, victim_line, victim_dirty
-
-
-def _rows_to_dicts(stack: np.ndarray, dirty: np.ndarray, rows: range,
-                   sets: np.ndarray) -> dict[int, dict]:
-    """State rows (MRU→LRU) → per-set tag→dirty dicts (LRU→MRU order)."""
-    out: dict[int, dict] = {}
-    tags_l, dirty_l = stack.tolist(), dirty.tolist()
-    for row in rows:
-        out[int(sets[row])] = {t: d for t, d in zip(reversed(tags_l[row]),
-                                                     reversed(dirty_l[row]))
-                               if t != -1}
-    return out
-
-
-def _dicts_to_rows(sets_map: dict[int, dict], stack: np.ndarray,
-                   dirty: np.ndarray, rows: range, sets: np.ndarray) -> None:
-    """Write per-set dicts back into their state rows (MRU→LRU)."""
-    for row in rows:
-        resident = sets_map[int(sets[row])]
-        stack[row] = -1
-        dirty[row] = False
-        stack[row, :len(resident)] = list(reversed(resident.keys()))
-        dirty[row, :len(resident)] = list(reversed(resident.values()))
 
 
 def _simulate_runs(cache, line: np.ndarray, is_write: np.ndarray,
@@ -271,6 +246,125 @@ def _simulate_runs(cache, line: np.ndarray, is_write: np.ndarray,
     return _result(hit_all[n_seed:], victims, sets, stack, sdirty, "runs")
 
 
+def _stack_lru(assoc: int, row: np.ndarray, line: np.ndarray,
+               is_write: np.ndarray, stack: np.ndarray, dirty: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact LRU over independent sets from stack distances and
+    residencies (see module docstring).
+
+    ``row`` names each access's set as a row of ``stack``/``dirty``
+    (its ``assoc`` ways, MRU→LRU, ``-1`` empty), which hold the sets'
+    starting state; each set's accesses are in time order.  Returns
+    ``(hit, venc, stack, dirty)``: per-access hits and victims as in
+    :class:`LevelResult`, and the final state in the same row layout.
+    """
+    n_rows = stack.shape[0]
+    n_in = line.size
+    # Residents enter ahead of their set's accesses, LRU first.
+    seed_rows, seed_ways = np.nonzero(stack[:, ::-1] >= 0)
+    n_seed = seed_rows.size
+    all_row = np.concatenate((seed_rows, row))
+    key = all_row.astype(np.uint16) if n_rows <= 0xFFFF else all_row
+    order = np.argsort(key, kind="stable")
+    ln = np.concatenate((stack[:, ::-1][seed_rows, seed_ways], line))[order]
+    wr = np.concatenate((dirty[:, ::-1][seed_rows, seed_ways],
+                         is_write))[order]
+    n = ln.size
+    row_start = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_row, minlength=n_rows), out=row_start[1:])
+    rows = all_row[order]
+    pos = np.arange(n, dtype=np.int64)
+
+    # Previous access to the same line, from one sort by (line, position).
+    by_line = np.argsort(ln, kind="stable")
+    ln_sorted = ln[by_line]
+    same = ln_sorted[1:] == ln_sorted[:-1]
+    before, after = by_line[:-1][same], by_line[1:][same]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[after] = before
+    gap = pos - prev - 1
+    # A reuse hits iff fewer than ``assoc`` distinct lines of its set
+    # came between; fewer accesses than that settle it at once.
+    reuse = prev >= 0
+    hit = reuse & (gap < assoc)
+    open_ = np.flatnonzero(reuse & (gap >= assoc))
+    if open_.size:
+        # Position q counts toward the distinct lines of the W accesses
+        # before p while p <= min(q + W, next use of q's line, set end).
+        reach = row_start[rows + 1] - 1
+        reach[before] = after
+        for mult in _WINDOWS:
+            w = mult * assoc
+            ended = np.cumsum(np.bincount(np.minimum(reach, pos + w),
+                                          minlength=n))
+            g = gap[open_]
+            distinct = open_ - ended[open_ - 1]
+            hit[open_[(w >= g) & (distinct < assoc)]] = True
+            open_ = open_[((w > g) | (distinct < assoc))
+                          & ((w < g) | (distinct >= assoc))]
+            if not open_.size:
+                break
+        # Count the rest exactly over their gaps (the positions whose
+        # line was last used before the gap), a bounded batch at a time.
+        while open_.size:
+            g = gap[open_]
+            ends = np.cumsum(g)
+            take = max(1, int(np.searchsorted(ends, _EXACT_BATCH, "right")))
+            batch, g, open_ = open_[:take], g[:take], open_[take:]
+            first = prev[batch] + 1
+            offs = ends[:take] - g
+            inside = (np.arange(int(ends[take - 1]), dtype=np.int64)
+                      - np.repeat(offs - first, g))
+            fresh = prev[inside] < np.repeat(first, g)
+            hit[batch[np.add.reduceat(fresh, offs) < assoc]] = True
+
+    # Residencies: a miss plus the hits on its line up to the next miss,
+    # contiguous in line order.  Their victims follow last-use order.
+    miss_sorted = ~hit[by_line]
+    res_first = np.flatnonzero(miss_sorted)
+    n_res = res_first.size
+    res_end = np.empty(n_res, dtype=np.int64)
+    res_end[:-1] = res_first[1:] - 1
+    res_end[-1] = n - 1
+    last_use = by_line[res_end]
+    res_dirty = np.logical_or.reduceat(wr[by_line], res_first)
+    res_line = ln_sorted[res_first]
+    # Positions are set-major, so last-use order groups residencies by
+    # set; a scatter into positions sorts them.
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[last_use] = np.arange(n_res)
+    by_use = slot[slot >= 0]
+    use_row = rows[last_use[by_use]]
+    per_row = np.bincount(use_row, minlength=n_rows)
+    res_start = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(per_row, out=res_start[1:])
+    rank = np.arange(n_res) - res_start[use_row]
+    evicted = rank < per_row[use_row] - assoc
+    # Each set's k-th miss past its first ``assoc`` evicts the k-th
+    # residency to go (a set has as many misses as residencies).
+    miss_pos = np.flatnonzero(~hit)
+    evicting = miss_pos[pos[:n_res] - res_start[rows[miss_pos]] >= assoc]
+    gone = by_use[evicted]
+    venc = np.full(n, -1, dtype=np.int64)
+    venc[evicting] = (res_line[gone] << 1) | res_dirty[gone]
+    # Survivors are the final state, most recent use first.
+    kept = ~evicted
+    kept_row = use_row[kept]
+    way = per_row[kept_row] - 1 - rank[kept]
+    out_stack = np.full((n_rows, assoc), -1, dtype=np.int64)
+    out_dirty = np.zeros((n_rows, assoc), dtype=bool)
+    out_stack[kept_row, way] = res_line[by_use[kept]]
+    out_dirty[kept_row, way] = res_dirty[by_use[kept]]
+
+    access = order >= n_seed
+    dst = order[access] - n_seed
+    out_hit = np.empty(n_in, dtype=bool)
+    out_hit[dst] = hit[access]
+    out_venc = np.empty(n_in, dtype=np.int64)
+    out_venc[dst] = venc[access]
+    return out_hit, out_venc, out_stack, out_dirty
+
+
 def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
                      ) -> LevelResult:
     """Stamp-based round-parallel LRU (see module docstring)."""
@@ -339,13 +433,13 @@ def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
     vtag_rm = np.empty(n, dtype=np.int64)
     vdirty_rm = np.empty(n, dtype=bool)
     eq_b = np.empty((assoc, width), dtype=bool)
-    tail = None
-    for r in range(n_rounds):
+    # Rounds run while at least ``_ACTIVE_CUTOVER`` sets are active
+    # (active counts never grow); the tail engine takes the rest.
+    per_round = np.diff(bounds)
+    n_run = int(np.count_nonzero(per_round >= _ACTIVE_CUTOVER))
+    for r in range(n_run):
         b0, b1 = int(bounds[r]), int(bounds[r + 1])
         active = b1 - b0
-        if active < _ACTIVE_CUTOVER:
-            tail = b0, active
-            break
         ln = ln_rm[b0:b1]
         eq = np.equal(tags[:, :active], ln, out=eq_b[:, :active])
         s = np.where(eq, hit_key[:, :active], key[:, :active]).min(axis=0)
@@ -360,56 +454,31 @@ def _simulate_rounds(cache, line: np.ndarray, is_write: np.ndarray,
     order = np.argsort(-key[:, :n_rows].T, axis=1)
     stack = np.take_along_axis(tags[:, :n_rows].T, order, axis=1)
     sdirty = np.take_along_axis(dirty[:, :n_rows].T, order, axis=1)
-    if tail is not None:
+    b0 = int(bounds[n_run])
+    vtag_rm[:b0][hit_rm[:b0]] = -1
+    venc_rm = np.left_shift(vtag_rm, 1, out=vtag_rm)
+    venc_rm |= vdirty_rm
+    if b0 < n:
         # Skewed tail: few sets still have accesses left, but each
         # remaining round costs the same fixed stack of numpy calls.
-        # rm[b0:] preserves per-set access order (rounds ascend), and
-        # sets are independent, so the scalar automaton can finish the
-        # tail from the current state.
-        b0, active = tail
-        tail_sets = _rows_to_dicts(stack, sdirty, range(active), sel)
-        t_hit, t_vm, t_vl, t_vd = _automaton(
-            tail_sets, cache._set_mask, assoc, ln_rm[b0:].tolist(),
-            wr_rm[b0:].tolist())
-        hit_rm[b0:] = t_hit
-        vtag_rm[b0:] = np.where(t_vm, t_vl, -1)
-        vdirty_rm[b0:] = t_vd
-        _dicts_to_rows(tail_sets, stack, sdirty, range(active), sel)
-
-    vtag_rm[hit_rm] = -1
+        # rm[b0:] keeps each set's access order (rounds ascend) and the
+        # active sets are the rank prefix, so the stack-distance engine
+        # finishes them from the rounds' state.
+        active = int(per_round[n_run])
+        (hit_rm[b0:], venc_rm[b0:], stack[:active],
+         sdirty[:active]) = _stack_lru(
+            assoc, ranks[rm[b0:]], ln_rm[b0:], wr_rm[b0:], stack[:active],
+            sdirty[:active])
     hit = np.empty(n, dtype=bool)
     venc = np.empty(n, dtype=np.int64)
     hit[rm] = hit_rm
-    venc[rm] = (vtag_rm << 1) | vdirty_rm
+    venc[rm] = venc_rm
     by_set = np.argsort(sel)
     return _result(hit, venc, sel[by_set], stack[by_set], sdirty[by_set],
-                   "rounds")
+                   "rounds", n_run, n - b0)
 
 
-def _simulate_scalar(cache, line: np.ndarray, is_write: np.ndarray,
-                     ) -> LevelResult:
-    """Dict-based LRU automaton with the kernel's output contract.
-
-    The skew fallback, used when one set soaks up most of the trace and
-    the stamp rounds would run ~n rounds of tiny rows.
-    """
-    assoc = cache.assoc
-    set_mask = cache._set_mask
-    touched = np.unique(line & set_mask).astype(np.int64)
-    sets = {s: dict(cache._sets[s]) for s in touched.tolist()}
-    hit, vmask, vline, vdirty = _automaton(sets, set_mask, assoc,
-                                           line.tolist(), is_write.tolist())
-    venc = np.where(vmask, (np.asarray(vline, dtype=np.int64) << 1)
-                    | np.asarray(vdirty, dtype=bool), -1)
-    stack = np.full((len(touched), assoc), -1, dtype=np.int64)
-    dirty = np.zeros((len(touched), assoc), dtype=bool)
-    _dicts_to_rows(sets, stack, dirty, range(len(touched)), touched)
-    return _result(np.asarray(hit, dtype=bool), venc, touched, stack, dirty,
-                   "scalar")
-
-
-_ENGINES = {"runs": _simulate_runs, "rounds": _simulate_rounds,
-            "scalar": _simulate_scalar}
+_ENGINES = {"runs": _simulate_runs, "rounds": _simulate_rounds}
 
 
 def simulate_lru(cache, line: np.ndarray, is_write: np.ndarray, *,
@@ -419,21 +488,15 @@ def simulate_lru(cache, line: np.ndarray, is_write: np.ndarray, *,
     Continues from ``cache``'s current tag-store contents but does not
     mutate the cache — the caller decides whether to write the final
     state back (:func:`install_state`).  ``mode`` pins the engine for
-    the parity tests: ``"runs"`` (the closed form; assoc ≤ 2 only),
-    ``"rounds"`` or ``"scalar"``.  ``"auto"`` takes the closed form up
-    to two ways and the stamp rounds above, unless per-set skew makes
-    the scalar automaton cheaper.
+    the parity tests: ``"runs"`` (the closed form; assoc ≤ 2 only) or
+    ``"rounds"`` (the stamp rounds with the stack-distance tail).
+    ``"auto"`` takes the closed form up to two ways and the rounds
+    above.
     """
     n = line.shape[0]
     assoc = cache.assoc
-    if mode == "auto" and assoc <= 2:
-        mode = "runs"
-    elif mode == "auto":
-        max_per_set = int(np.bincount(line & cache._set_mask,
-                                      minlength=1).max())
-        scalar = (max_per_set > _SKEW_MIN_ROUNDS
-                  and max_per_set * _SKEW_LIMIT_DIVISOR > n)
-        mode = "scalar" if scalar else "rounds"
+    if mode == "auto":
+        mode = "runs" if assoc <= 2 else "rounds"
     if mode not in _ENGINES:
         raise ValueError(f"unknown simulate_lru mode {mode!r}")
     if mode == "runs" and assoc > 2:
@@ -453,11 +516,12 @@ def install_state(cache, result: LevelResult) -> None:
     residents), inserting LRU→MRU so dict order matches what the
     reference loop would have left behind.
     """
-    sets = result.state_sets
-    for set_idx, resident in _rows_to_dicts(
-            result.state_stack, result.state_dirty, range(len(sets)),
-            sets).items():
-        cache._sets[set_idx] = resident
+    for set_idx, tags, dirty in zip(result.state_sets.tolist(),
+                                    result.state_stack.tolist(),
+                                    result.state_dirty.tolist()):
+        cache._sets[set_idx] = {t: d for t, d in zip(reversed(tags),
+                                                     reversed(dirty))
+                                if t != -1}
 
 
 @dataclass
@@ -513,6 +577,9 @@ def run_filter_window(trace, hierarchy, warm_until: int,
     del r1  # frees what its victims (never read) would be built from
     r2 = simulate_lru(l2, vaddr[idx2] >> l2._line_shift, is_write[idx2])
     install_state(l2, r2)
+    if OBS.enabled:
+        OBS.add("filter.l2.rounds", r2.rounds)
+        OBS.add("filter.l2.tail_accesses", r2.tail)
 
     # Stat counters: the reference resets them at the warmup boundary,
     # so with a warmup window the final values are the measured-region

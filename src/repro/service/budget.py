@@ -45,8 +45,20 @@ class EpochBudget:
                 and self.cycles_used + page_cycles <= self.max_cycles)
 
     def charge_page(self, page_cycles: int) -> None:
-        self.pages_used += 1
-        self.cycles_used += int(page_cycles)
+        self.charge_pages(page_cycles, 1)
+
+    def pages_fitting(self, page_cycles: int) -> int:
+        """How many more pages of ``page_cycles`` each fit: the number
+        of :meth:`can_move_page` grants in a row at that cost."""
+        pages = self.max_pages - self.pages_used
+        cycles = self.max_cycles - self.cycles_used
+        if pages <= 0 or cycles < 0:
+            return 0
+        return min(pages, cycles // page_cycles) if page_cycles > 0 else pages
+
+    def charge_pages(self, page_cycles: int, n: int) -> None:
+        self.pages_used += n
+        self.cycles_used += int(page_cycles) * n
 
     @property
     def exhausted(self) -> bool:

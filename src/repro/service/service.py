@@ -21,7 +21,8 @@ report an :class:`~repro.service.samples.EpochSample` and receive an
 5. **move** — released moves drain through a per-epoch page+cycle
    budget, spill into the deferred queue, and are charged through the
    same :func:`~repro.vm.migration.charge_page_copy` accounting as the
-   hot-page migrator (batched per object; pages still decide in turn).
+   hot-page migrator (batched per object; pages decide a run of pages
+   that share a source group at a time).
 
 A capacity :class:`~repro.faults.plan.FaultPlan` firing mid-run calls
 :meth:`GuidanceService.on_capacity_fault`: every object with pages
@@ -429,16 +430,26 @@ class GuidanceService:
         """Relocate one object's pages toward its target chain.
 
         Returns ``((overhead_cycles, pages_moved), ran_out_of_budget)``.
-        Each page independently walks the target type's fallback chain:
-        reaching its current group first means it already sits in the
-        best available module and stays put.  Forced moves (fault
-        reaction) never settle for an offline group and fall back to
-        overcommit — the allocator's degraded no-crash path — when every
-        pool is exhausted.
+        Each page walks the target type's fallback chain: reaching its
+        current group first means it already sits in the best available
+        module and stays put.  Forced moves (fault reaction) only
+        evacuate pages stranded in an offline group; a stranded page
+        that finds every pool full overcommits the last online group of
+        the chain — the allocator's degraded no-crash path.
 
-        Those decisions run page by page, since later pages depend on
-        them; lookups, remap and copy accounting (one
-        :func:`charge_page_copy` per source/destination pair) are batched.
+        The result is the page-at-a-time loop's (``tests/
+        test_move_parity.py``), decided a run at a time.  Consecutive
+        pages that share a source group walk the chain together: a
+        page's frames come from groups before its source and its freed
+        frame goes to the source, so nothing a run frees changes where
+        the run's own pages land (a later run may take those frames).
+        Each group of the walk takes as many pages as it has frames and
+        the budget grants at that group's copy cost (one
+        :meth:`~repro.vm.physmem.FramePool.allocate_run`).  The page the
+        budget refuses still takes its frame first and hands it back,
+        as the page loop does.  Lookups, remap, frees and copy
+        accounting (one :func:`charge_page_copy` per
+        source/destination pair) are batched.
         """
         allocator = tenant.allocator
         pt = allocator.page_table
@@ -447,56 +458,86 @@ class GuidanceService:
         shoot = self.spec.shootdown_cycles
         copy = [g.timing.transfer_cycles(PAGE_BYTES)
                 for g in tenant.memsys.groups]
-        keys = tenant._pages_of.get(req.obj_id, np.empty(0, np.int64))
+        keys = tenant._pages_of.get(req.obj_id)
+        if keys is None or not keys.size:
+            return (0, 0), False
         cur_groups, cur_frames = pt.lookup_pages(keys)
-        overhead = 0
-        moved: list[tuple[int, int, int]] = []  # (page index, dst, frame)
+        cuts = (np.flatnonzero(cur_groups[1:] != cur_groups[:-1]) + 1
+                ).tolist()
+        moved: list[tuple[int, int, np.ndarray]] = []  # (first, dst, frames)
         pairs: dict[tuple[int, int], int] = {}  # (src, dst) -> pages
-        ran_out = False
-        for i, (cur_group, cur_frame) in enumerate(
-                zip(cur_groups.tolist(), cur_frames.tolist())):
-            cur_offline = pools[cur_group].is_offline
-            if req.forced and not cur_offline:
+        overhead = 0
+
+        def place(first: int, src: int, dst: int, frames: np.ndarray) -> int:
+            """Book pages ``first...`` moving to ``dst``; returns the next."""
+            nonlocal overhead
+            if not frames.size:
+                return first
+            cost = copy[src] + copy[dst] + shoot
+            budget.charge_pages(cost, frames.size)
+            overhead += cost * frames.size
+            pairs[src, dst] = pairs.get((src, dst), 0) + frames.size
+            moved.append((first, dst, frames))
+            return first + frames.size
+
+        refused = None  # the budget-refused page's pool and how it drew
+        for lo, hi in zip([0] + cuts, cuts + [len(keys)]):
+            src = int(cur_groups[lo])
+            stranded = pools[src].is_offline
+            if req.forced and not stranded:
                 # Fault reaction only evacuates stranded pages; healthy
                 # pages of the same object stay where they are.
                 continue
-            dst = None
-            frame = None
-            for g in chain:
-                if g == cur_group:
-                    if not cur_offline:
-                        break  # already in the best available module
-                    continue  # stranded: keep looking past the dead pool
-                f = pools[g].allocate()
-                if f is not None:
-                    dst, frame = g, f
+            if stranded or src not in chain:
+                walk = [g for g in chain if g != src]
+            else:
+                walk = chain[:chain.index(src)]
+            taken = lo
+            # Each group of the walk takes the run's pages in turn, until
+            # it fills or the budget stops it.
+            for g in walk:
+                fit = budget.pages_fitting(copy[src] + copy[g] + shoot)
+                taken = place(taken, src, g,
+                              pools[g].allocate_run(min(hi - taken, fit)))
+                if taken == hi:
                     break
-            if dst is None:
-                if not cur_offline:
-                    continue  # nowhere better — page stays
-                # Stranded with every pool full: overcommit the last
-                # online pool in the chain (graceful degradation).
-                dst = next((g for g in reversed(chain)
-                            if not pools[g].is_offline), chain[-1])
-                frame = pools[dst].allocate_overcommit()
-                allocator.stats.exhausted[req.target] += 1
-                if OBS.enabled:
-                    OBS.add(f"alloc.overcommit.{req.target.name}")
-            cost = copy[cur_group] + copy[dst] + shoot
-            if not budget.can_move_page(cost):
-                pools[dst].free(frame)  # return the speculative frame
-                ran_out = True
+                if not pools[g].full:
+                    # ``g`` has room left, so the budget stopped the run.
+                    refused = pools[g], pools[g].allocate
+                    break
+            else:
+                if stranded:
+                    # Stranded with every pool full: overcommit the last
+                    # online pool in the chain (graceful degradation).
+                    dst = next((g for g in reversed(chain)
+                                if not pools[g].is_offline), chain[-1])
+                    fit = budget.pages_fitting(copy[src] + copy[dst] + shoot)
+                    n = min(hi - taken, fit)
+                    taken = place(taken, src, dst,
+                                  pools[dst].allocate_overcommit_run(n))
+                    drawn = n + (taken < hi)
+                    allocator.stats.exhausted[req.target] += drawn
+                    if OBS.enabled and drawn:
+                        OBS.add(f"alloc.overcommit.{req.target.name}",
+                                drawn)
+                    if taken < hi:
+                        refused = pools[dst], pools[dst].allocate_overcommit
+            pools[src].free_run(cur_frames[lo:taken])
+            if refused is not None:
+                # The refused page hands its frame straight back.
+                pool, draw = refused
+                pool.free(draw())
                 break
-            budget.charge_page(cost)
-            pools[cur_group].free(cur_frame)
-            overhead += cost
-            moved.append((i, dst, frame))
-            pairs[cur_group, dst] = pairs.get((cur_group, dst), 0) + 1
-        if moved:
-            idx, dsts, frames = zip(*moved)
-            pt.remap_pages(keys[list(idx)], dsts, frames)
+        n_moved = sum(pairs.values())
+        if n_moved:
+            first, dst, frames = zip(*moved)
+            sizes = [f.size for f in frames]
+            pt.remap_pages(
+                keys[np.concatenate([np.arange(f, f + n)
+                                     for f, n in zip(first, sizes)])],
+                np.repeat(dst, sizes), np.concatenate(frames))
             for (src, dst), n in pairs.items():
                 charge_page_copy(tenant.memsys, tenant.migration, src, dst,
                                  shoot, n)
-            tenant.migration.n_migrations += len(moved)
-        return (overhead, len(moved)), ran_out
+            tenant.migration.n_migrations += n_moved
+        return (overhead, n_moved), refused is not None

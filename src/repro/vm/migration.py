@@ -189,9 +189,8 @@ class HotPageMigrator:
                 victim = self._coldest_resident()
                 if victim is None or self._resident_heat[victim] >= heat:
                     break  # nothing colder to evict — stop promoting
-                frame = self._demote(victim)
-                overhead_cycles = self._charge_copy(self.target_group, group)
-                overhead += overhead_cycles
+                frame, demoted_to = self._demote(victim)
+                overhead += self._charge_copy(self.target_group, demoted_to)
                 self.stats.n_swaps += 1
             old_group, old_frame = pt.remap(vp, self.target_group, frame)
             self.allocator.pools[old_group].free(old_frame)
@@ -206,9 +205,10 @@ class HotPageMigrator:
             return None
         return min(self._resident_heat, key=self._resident_heat.get)
 
-    def _demote(self, vpage: int) -> int:
-        """Move a promoted page back to its type's next-best pool;
-        returns the freed target-group frame."""
+    def _demote(self, vpage: int) -> tuple[int, int]:
+        """Move a promoted page to the first other pool with room;
+        returns the freed target-group frame and the group it went to
+        (the one its copy is charged to)."""
         pt = self.allocator.page_table
         _, frame = pt.lookup(vpage)
         for group in self.allocator.pools:
@@ -218,5 +218,5 @@ class HotPageMigrator:
             if new_frame is not None:
                 pt.remap(vpage, group, new_frame)
                 del self._resident_heat[vpage]
-                return frame
+                return frame, group
         raise RuntimeError("no pool has room to demote into")

@@ -3,8 +3,9 @@
 The OS "maintains the starting, ending, and the next available page number
 of each memory module" (paper Sec. IV-D); a :class:`FramePool` is exactly
 that bump allocator, with an optional free list so long-running scenarios
-can return frames.  Placement takes frames a run at a time
-(:meth:`FramePool.allocate_run`); the scalar :meth:`FramePool.allocate`
+can return frames.  Placement and the guidance service's page moves
+take frames a run at a time (:meth:`FramePool.allocate_run`,
+:meth:`FramePool.free_run`); the scalar :meth:`FramePool.allocate`
 serves page-by-page movers such as the migration engine.
 """
 
@@ -126,6 +127,18 @@ class FramePool:
             raise ValueError(f"frame {frame} was never allocated")
         self._free.append(frame)
         self.n_allocated -= 1
+
+    def free_run(self, frames: np.ndarray) -> None:
+        """Return frames in order, as that many :meth:`free` calls
+        would (the last one is the next :meth:`allocate`)."""
+        frames = np.asarray(frames, dtype=np.int64)
+        if not frames.size:
+            return
+        if frames.min() < 0 or frames.max() >= self._next:
+            bad = frames[(frames < 0) | (frames >= self._next)][0]
+            raise ValueError(f"frame {bad} was never allocated")
+        self._free += frames.tolist()
+        self.n_allocated -= frames.size
 
     @property
     def utilization(self) -> float:

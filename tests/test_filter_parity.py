@@ -6,7 +6,7 @@ The vectorized filter kernel (``repro.cpu.filter_kernel``) must be
 (values and dtypes), same ``CacheStats`` including per-object tallies
 and their first-touch ordering, same final tag-store state.  This suite
 pins that over randomized traces and geometries, plus the engineered
-corners (every per-level engine against the dict automaton, the
+corners (every per-level engine against the dict automaton below, the
 kernel's engine dispatch, the input-driven engine choice — the
 prefetcher fallback — and ``filtered_stream``'s shared-identity
 contract).
@@ -23,6 +23,7 @@ from repro.cpu import filter_kernel
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.hierarchy import KIND_WRITEBACK, CacheHierarchy
 from repro.cpu.prefetch import StridePrefetcher
+from repro.obs.registry import OBS
 from repro.trace.events import AccessTrace, VirtualLayout
 from repro.util.rng import stream
 
@@ -150,6 +151,46 @@ def _level_outputs(r):
             r.state_sets, r.state_stack, r.state_dirty)
 
 
+def _automaton(cache, line, is_write):
+    """The dict-based LRU automaton: :meth:`SetAssocCache.access` minus
+    the stat counters, one Python step per access, in
+    :func:`_level_outputs` form.  The oracle of every per-level engine.
+
+    Continues from ``cache``'s tag store and leaves its final state
+    there, as :meth:`SetAssocCache.access` would.
+    """
+    assoc, set_mask, sets = cache.assoc, cache._set_mask, cache._sets
+    touched = np.unique(line & set_mask).astype(np.int64)
+    hit, victim = [], []
+    for ln, wr in zip(line.tolist(), is_write.tolist()):
+        s = sets[ln & set_mask]
+        if ln in s:
+            prev = s.pop(ln)
+            s[ln] = prev or wr
+            hit.append(True)
+            continue
+        hit.append(False)
+        if len(s) >= assoc:
+            tag = next(iter(s))
+            victim.append((True, tag, s.pop(tag)))
+        else:
+            victim.append((False, 0, False))
+        s[ln] = wr
+    vm = np.zeros(len(hit), dtype=bool)
+    vm[~np.asarray(hit, dtype=bool)] = [v[0] for v in victim]
+    real = [v for v in victim if v[0]]
+    stack = np.full((len(touched), assoc), -1, dtype=np.int64)
+    dirty = np.zeros((len(touched), assoc), dtype=bool)
+    for row, set_idx in enumerate(touched.tolist()):
+        resident = sets[set_idx]
+        stack[row, :len(resident)] = list(reversed(resident.keys()))
+        dirty[row, :len(resident)] = list(reversed(resident.values()))
+    return (np.asarray(hit, dtype=bool), vm,
+            np.asarray([v[1] for v in real], dtype=np.int64),
+            np.asarray([v[2] for v in real], dtype=bool),
+            touched, stack, dirty)
+
+
 class TestKernelModes:
     @given(
         assoc=st.sampled_from([1, 2, 4, 16]),
@@ -159,41 +200,46 @@ class TestKernelModes:
                        min_size=3, max_size=3),
         span=st.sampled_from([1, 2, 4]),
         write_frac=st.sampled_from([0.0, 0.3, 1.0]),
-        cutover=st.sampled_from([0, 3, filter_kernel._ACTIVE_CUTOVER]),
+        cutover=st.sampled_from([0, 3, filter_kernel._ACTIVE_CUTOVER,
+                                 1 << 30]),
+        exact=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
     def test_engines_match_scalar(self, assoc, n_sets, seed, sizes, span,
-                                  write_frac, cutover):
+                                  write_frac, cutover, exact):
         """Each engine agrees with the dict automaton on every output —
         hits, victims with dirty bits, final state in recency order —
         over three consecutive calls, so later calls start from warm,
-        dirty and partly filled sets."""
+        dirty and partly filled sets.  A cutover of ``1 << 30`` runs the
+        stack-distance engine over whole levels; ``exact`` drops its
+        window counts and cuts its exact counts into tiny batches."""
         modes = ["rounds"] + (["runs"] if assoc <= 2 else [])
         size = n_sets * assoc * 64
         ref = SetAssocCache(size, assoc)
         caches = {m: SetAssocCache(size, assoc) for m in modes}
         rng = stream("tests", "filter_modes", seed)
-        with mock.patch.object(filter_kernel, "_ACTIVE_CUTOVER", cutover):
+        knobs = {"_ACTIVE_CUTOVER": cutover}
+        if exact:
+            knobs.update(_WINDOWS=(), _EXACT_BATCH=7)
+        with mock.patch.multiple(filter_kernel, **knobs):
             for n in sizes:
                 # A universe of ``span`` lines per way keeps hits common.
                 line = rng.integers(0, n_sets * assoc * span, size=n)
                 wr = rng.random(n) < write_frac
-                want = filter_kernel.simulate_lru(ref, line, wr,
-                                                  mode="scalar")
-                filter_kernel.install_state(ref, want)
+                want = _automaton(ref, line, wr)
                 for mode, cache in caches.items():
                     got = filter_kernel.simulate_lru(cache, line, wr,
                                                      mode=mode)
                     assert got.engine == mode
-                    for a, b in zip(_level_outputs(got),
-                                    _level_outputs(want)):
+                    for a, b in zip(_level_outputs(got), want):
                         assert a.dtype == b.dtype, mode
                         assert np.array_equal(a, b), mode
                     filter_kernel.install_state(cache, got)
 
     def test_auto_dispatch(self):
         """Two ways take the closed form even on a one-set hammer; 16
-        ways take the stamp rounds, or the automaton on such skew."""
+        ways take the stamp rounds, whose stack-distance tail finishes
+        such skew."""
         hammer = np.arange(4000, dtype=np.int64) % 5 * 512
         spread = np.arange(4000, dtype=np.int64) * 7
         wr = np.zeros(4000, dtype=bool)
@@ -202,7 +248,14 @@ class TestKernelModes:
         assert filter_kernel.simulate_lru(l1, hammer, wr).engine == "runs"
         assert filter_kernel.simulate_lru(l1, spread, wr).engine == "runs"
         assert filter_kernel.simulate_lru(l2, spread, wr).engine == "rounds"
-        assert filter_kernel.simulate_lru(l2, hammer, wr).engine == "scalar"
+        hammer_l2 = filter_kernel.simulate_lru(l2, hammer, wr)
+        assert hammer_l2.engine == "rounds"
+        # One active set: the tail takes all of it below any cutover > 1.
+        if filter_kernel._ACTIVE_CUTOVER > 1:
+            assert (hammer_l2.rounds, hammer_l2.tail) == (0, 4000)
+        for a, b in zip(_level_outputs(hammer_l2),
+                        _automaton(l2, hammer, wr)):
+            assert np.array_equal(a, b)
 
     def test_runs_rejects_wide_sets(self):
         c = SetAssocCache(4 * 1024, 4)
@@ -212,16 +265,58 @@ class TestKernelModes:
 
     def test_unknown_mode_rejected(self):
         c = SetAssocCache(4 * 1024, 2)
-        with pytest.raises(ValueError):
-            filter_kernel.simulate_lru(c, np.zeros(1, dtype=np.int64),
-                                       np.zeros(1, dtype=bool),
-                                       mode="bogus")
+        for mode in ("bogus", "scalar"):
+            with pytest.raises(ValueError):
+                filter_kernel.simulate_lru(c, np.zeros(1, dtype=np.int64),
+                                           np.zeros(1, dtype=bool),
+                                           mode=mode)
 
     def test_empty_input(self):
         c = SetAssocCache(4 * 1024, 2)
         r = filter_kernel.simulate_lru(c, np.zeros(0, dtype=np.int64),
                                        np.zeros(0, dtype=bool))
         assert len(r.hit) == 0 and len(r.victim_mask) == 0
+
+
+class TestTailCounters:
+    """With OBS on, every L2 call reports its stamp rounds and the
+    accesses its stack-distance tail resolved."""
+
+    def _filter(self, monkeypatch, trace, enabled):
+        calls = []
+        real = filter_kernel.simulate_lru
+
+        def spy(cache, line, is_write, **kw):
+            calls.append((cache, line))
+            return real(cache, line, is_write, **kw)
+        monkeypatch.setattr(filter_kernel, "simulate_lru", spy)
+        h = CacheHierarchy()
+        OBS.reset()
+        OBS.enabled = enabled
+        try:
+            h.filter_trace(trace, warmup_frac=0.0)
+            counters = dict(OBS.counters)
+        finally:
+            OBS.reset().disable()
+        (line2,) = [line for cache, line in calls if cache is h.l2]
+        return h, line2, counters
+
+    def test_rounds_plus_tail_cover_the_l2(self, monkeypatch):
+        h, line2, counters = self._filter(monkeypatch,
+                                          _make_trace(6000, 21), True)
+        rounds = counters["filter.l2.rounds"]
+        tail = counters["filter.l2.tail_accesses"]
+        # Round r resolves one access of every set with more than r (at
+        # the stock cutover this trace takes both paths).
+        per_set = np.bincount(line2 & h.l2._set_mask)
+        assert rounds <= per_set.max()
+        in_rounds = int(np.minimum(per_set, rounds).sum())
+        assert in_rounds + tail == line2.size == h.l2.n_hits + h.l2.n_misses
+
+    def test_nothing_published_with_obs_off(self, monkeypatch):
+        _, _, counters = self._filter(monkeypatch, _make_trace(600, 22),
+                                      False)
+        assert not any(k.startswith("filter.") for k in counters)
 
 
 class TestEngineSelection:

@@ -14,7 +14,7 @@ from repro.vm.migration import HotPageMigrator, MigrationConfig
 from repro.vm.pagetable import PageTable
 from repro.vm.physmem import FramePool
 from repro.memctrl.system import ChannelGroup, MemorySystem
-from repro.memdev.presets import LPDDR2, RLDRAM3
+from repro.memdev.presets import HBM, LPDDR2, RLDRAM3
 from repro.util.units import MIB
 
 
@@ -99,6 +99,41 @@ class TestHotPageMigrator:
         after = [g.modules[0].bus_busy_cycles for g in memsys.groups]
         assert after[0] > before[0] and after[1] > before[1]
         assert mig.stats.bytes_copied == 2 * PAGE_BYTES
+
+    def test_swap_charges_the_victims_destination(self):
+        """A swap demotes the victim to the first other pool with room,
+        which need not be where the promoted page came from: the
+        demotion copy is billed to the victim's destination."""
+        memsys = MemorySystem({
+            "lat": ChannelGroup(RLDRAM3, 1, 1 * MIB, name="RL"),
+            "bw": ChannelGroup(HBM, 1, 64 * MIB, name="HBM"),
+            "pow": ChannelGroup(LPDDR2, 1, 64 * MIB, name="LP"),
+        })
+        pools = {0: FramePool(2 * PAGE_BYTES, 0),
+                 1: FramePool(64 * MIB, 1), 2: FramePool(64 * MIB, 2)}
+        alloc = OSPageAllocator(pools, {"lat": 0, "bw": 1, "pow": 2},
+                                PageTable())
+        self._populate(alloc, 4)
+        assert {alloc.page_table.lookup(vp)[0] for vp in range(4)} == {2}
+        mig = HotPageMigrator(alloc, memsys)
+        mig.end_epoch(np.asarray([0, 1, 1]))  # fills the two RL frames
+        assert pools[0].full
+        buses = [g.modules[0] for g in memsys.groups]
+        before = [(m.bus_busy_cycles, m.bytes_transferred) for m in buses]
+        # Page 2 (in LP) is hotter than both residents: page 0, the
+        # coldest, goes to HBM, the first non-RL pool with room, and page
+        # 2 takes its frame.
+        mig.end_epoch(np.asarray([2] * 5))
+        assert mig.stats.n_swaps == 1
+        assert alloc.page_table.lookup(0)[0] == 1
+        assert alloc.page_table.lookup(2)[0] == 0
+        copy = [g.timing.transfer_cycles(PAGE_BYTES) for g in memsys.groups]
+        # RL carries both copies; HBM the demotion; LP the promotion.
+        want = [(2 * copy[0], 2 * PAGE_BYTES), (copy[1], PAGE_BYTES),
+                (copy[2], PAGE_BYTES)]
+        got = [(m.bus_busy_cycles - c, m.bytes_transferred - b)
+               for m, (c, b) in zip(buses, before)]
+        assert got == want
 
 
 class TestMigrationRunner:

@@ -392,6 +392,23 @@ class TestEpochBudget:
         b.charge_page(40)
         assert b.exhausted
 
+    @pytest.mark.parametrize("cost", [0, 1, 7, 60, 150])
+    def test_pages_fitting_counts_grants_in_a_row(self, cost):
+        for used_pages, used_cycles in ((0, 0), (3, 45), (5, 100)):
+            batch = EpochBudget(max_pages=5, max_cycles=100)
+            single = EpochBudget(max_pages=5, max_cycles=100)
+            for b in (batch, single):
+                b.pages_used, b.cycles_used = used_pages, used_cycles
+            n = batch.pages_fitting(cost)
+            batch.charge_pages(cost, n)
+            grants = 0
+            while single.can_move_page(cost):
+                single.charge_page(cost)
+                grants += 1
+            assert n == grants
+            assert (batch.pages_used, batch.cycles_used) == \
+                (single.pages_used, single.cycles_used)
+
 
 class TestSampleGuard:
     def test_reasons(self):

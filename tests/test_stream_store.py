@@ -113,36 +113,6 @@ class TestStoreRoundTrip:
         assert store.stats.stores == 1
         assert stream_store.StreamStore(tmp_path).get(key) is not None
 
-    def test_corrupt_meta_recovered(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        store.put(key, *_filtered())
-        store.path_for(key).write_text("{not json")
-        assert store.get(key) is None          # warns, deletes, misses
-        assert store.stats.corrupt == 1
-        assert not store.path_for(key).exists()
-        assert len(store) == 0                 # columns removed too
-
-    def test_corrupt_column_recovered(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        store.put(key, *_filtered())
-        digest = stream_store.key_digest(key)
-        store.column_path(digest, "vline").write_bytes(b"not an npy")
-        assert store.get(key) is None
-        assert store.stats.corrupt == 1
-        assert len(store) == 0
-
-    def test_missing_column_is_corrupt(self, tmp_path):
-        store = stream_store.StreamStore(tmp_path)
-        key = stream_store.filter_key("mcf", "ref", 6000)
-        store.put(key, *_filtered())
-        digest = stream_store.key_digest(key)
-        store.column_path(digest, "kind").unlink()
-        assert store.get(key) is None
-        assert store.stats.corrupt == 1
-        assert len(store) == 0
-
     def test_stale_version_dropped_silently(self, tmp_path):
         store = stream_store.StreamStore(tmp_path)
         key = stream_store.filter_key("mcf", "ref", 6000)

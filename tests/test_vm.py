@@ -82,6 +82,20 @@ class TestFramePool:
             (scalar._next, scalar._free, scalar.n_allocated)
         assert len(run.allocate_run(3)) == 0
 
+    def test_free_run_matches_scalar_frees(self):
+        scalar, run = (FramePool(8 * PAGE_BYTES, group=0) for _ in "ab")
+        scalar.allocate_run(6)
+        run.allocate_run(6)
+        for f in (4, 1, 5):
+            scalar.free(f)
+        run.free_run([4, 1, 5])
+        run.free_run([])
+        assert (run._free, run.n_allocated) == (scalar._free,
+                                                scalar.n_allocated)
+        assert run.allocate() == 5
+        with pytest.raises(ValueError, match="never allocated"):
+            run.free_run([0, 6])
+
     def test_overcommit_run(self):
         p = FramePool(2 * PAGE_BYTES, group=0)
         p.allocate_run(2)
