@@ -16,8 +16,7 @@ units/sec throughput must clear the committed
 ``campaign_baseline.json`` floor (generous 4x slack — absolute
 throughput varies across machines far more than the self-relative
 speedups the other benchmarks gate on).  Measurements land in
-``BENCH_campaign.json`` for CI to archive and ``bench-report
---record-hotpath`` to ingest.
+``BENCH_campaign.json`` for CI to archive.
 
 Run with::
 
@@ -49,8 +48,7 @@ SPECS = [RunSpec(app, cfg, pol, N_ACCESSES)
                           ("Heter-config1", "moca"))]
 WARM_REPEATS = 3  # best-of, to shrug off scheduler noise
 
-#: Absolute units/sec only transfers loosely across machines; mirror
-#: repro.obs.bench.CAMPAIGN_SLACK.
+#: Absolute units/sec only transfers loosely across machines.
 SLACK = 0.25
 
 def _pin_env() -> dict[str, str]:

@@ -39,8 +39,7 @@ span histograms, and resource usage, folded into the manifest's
 plus a merged multi-lane Chrome ``trace.json`` (``--no-telemetry`` opts
 out).  ``--dashboard`` attaches a live stderr status line and heartbeat
 file; ``--profile`` wraps each unit in cProfile and writes merged
-hotspots to ``profile.json``; ``--bench-history`` appends a perf-trend
-record (see ``python -m repro.experiments bench-report``).
+hotspots to ``profile.json``.
 """
 
 from __future__ import annotations
@@ -106,13 +105,6 @@ EXTRAS_SET = tuple(sorted(set(EXPERIMENTS) - set(PAPER_SET)))
 
 
 def main(argv: list[str] | None = None) -> int:
-    # "bench-report" is its own sub-CLI with unrelated flags; dispatch
-    # before the campaign argparse sees (and rejects) them.
-    argv_list = sys.argv[1:] if argv is None else list(argv)
-    if argv_list and argv_list[0] == "bench-report":
-        from repro.obs import bench
-        return bench.report_main(argv_list[1:])
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the MOCA paper's tables and figures.")
@@ -173,12 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="wrap each simulation unit in cProfile and "
                              "write merged hotspots to <save>/profile.json")
-    parser.add_argument("--bench-history", metavar="PATH", nargs="?",
-                        const="", default=None,
-                        help="append a perf-trend record for this campaign "
-                             "(default path results/bench_history.jsonl or "
-                             "$REPRO_BENCH_HISTORY; see bench-report)")
-    args = parser.parse_args(argv_list)
+    args = parser.parse_args(argv)
 
     if args.trace or args.obs_dump or args.progress:
         OBS.enable()
@@ -307,16 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"profile hotspots written to "
                       f"{Path(args.save) / 'profile.json'}", file=sys.stderr)
             print(f"artefacts written to {args.save}/")
-        if args.bench_history is not None:
-            from repro.obs import bench
-            record = bench.campaign_record(
-                fidelity.name, engine.campaign_telemetry(),
-                sweep_seconds=engine.sweep_seconds(),
-                cache=engine.cache_stats())
-            path = bench.append_record(record,
-                                       args.bench_history or None)
-            print(f"bench-history record appended to {path}",
-                  file=sys.stderr)
         telem = engine.telemetry_stats()
         if telem is not None and (telem["units"] or telem["cached_units"]):
             print(f"[telemetry: {telem['units']} units simulated "

@@ -25,6 +25,7 @@ tolerate exactly these at runtime):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["FaultPlan", "SCENARIOS"]
@@ -84,10 +85,15 @@ class FaultPlan:
                             "lut_scramble_fraction")):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{what}={frac} outside [0, 1]")
-        if self.degrade_factor < 1.0:
+        if not (math.isfinite(self.degrade_factor)
+                and self.degrade_factor >= 1.0):
             raise ValueError(
-                f"degrade_factor={self.degrade_factor} must be >= 1 "
-                f"(a faster-than-spec device is not a fault)")
+                f"degrade_factor={self.degrade_factor} must be finite "
+                f"and >= 1 (a faster-than-spec device is not a fault)")
+        if (not isinstance(self.trigger_page, int)
+                or isinstance(self.trigger_page, bool)):
+            raise ValueError(
+                f"trigger_page={self.trigger_page!r} is not an int")
         if self.trigger_page < 0:
             raise ValueError(f"trigger_page={self.trigger_page} negative")
         if self.shrink_role is not None and self.shrink_fraction == 0.0:
@@ -136,8 +142,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__
-                      if k in data})
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown FaultPlan field(s) {unknown}")
+        return cls(**data)
 
     def describe(self) -> str:
         """Short label for log lines and figure rows."""

@@ -27,6 +27,7 @@ Stock policies (registered below): ``homogen``, ``heter-app`` and
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, \
@@ -109,13 +110,20 @@ def _coerce(text: str) -> bool | int | float | str:
         return text
 
 
-def _check_param(key: str, value: object) -> None:
+def _check_param(policy: str, key: str, value: object) -> None:
     if not _PARAM_RE.match(key):
         raise ValueError(f"bad policy parameter name {key!r}")
     if not isinstance(value, (bool, int, float, str)):
         raise ValueError(
             f"policy parameter {key}={value!r} must be a bool/int/float/str "
             f"scalar (specs are hashable cache keys)")
+    # The fast-tier budget every policy may carry (see
+    # repro.sim.single.policy_context): a size in MB.
+    if key == "fast_mb" and (isinstance(value, (bool, str))
+                             or not math.isfinite(value) or value < 0):
+        raise ValueError(
+            f"policy {policy!r}: fast_mb={value!r} must be a finite "
+            f"number of MB >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,7 @@ class PolicySpec:
         if len(keys) != len(set(keys)):
             raise ValueError(f"duplicate policy parameter in {self.params!r}")
         for key, value in self.params:
-            _check_param(key, value)
+            _check_param(self.name, key, value)
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     # -- constructors ---------------------------------------------------------
@@ -159,15 +167,15 @@ class PolicySpec:
         name, sep, rest = policy.partition(":")
         if not sep:
             return cls(name)
-        params = {}
+        params = []
         for part in rest.split(","):
             key, eq, value = part.partition("=")
             if not eq:
                 raise ValueError(
                     f"bad policy parameter {part!r} in {policy!r} "
                     f"(expected name:key=value,...)")
-            params[key.strip()] = _coerce(value.strip())
-        return cls(name, tuple(params.items()))
+            params.append((key.strip(), _coerce(value.strip())))
+        return cls(name, tuple(params))
 
     @classmethod
     def from_canonical(cls, data: "str | Mapping") -> "PolicySpec":

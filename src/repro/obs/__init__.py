@@ -15,8 +15,6 @@ Public surface:
   multi-lane Chrome trace;
 * :class:`Dashboard` — the ``--dashboard`` live campaign reporter and
   its machine-readable heartbeat file;
-* :mod:`repro.obs.bench` — append-only perf-trend history and the
-  ``bench-report`` regression CLI;
 * :func:`run_meta` / :func:`config_hash` — provenance ``meta`` blocks.
 """
 

@@ -165,7 +165,7 @@ def policy_context(policy: str | PolicySpec, app_names: list[str],
     spec = PolicySpec.parse(policy)
     fast_mb = spec.params_dict().get("fast_mb")
     if fast_mb is not None:
-        fast_bytes = int(float(fast_mb) * MIB) // CAPACITY_SCALE
+        fast_bytes = int(fast_mb * MIB) // CAPACITY_SCALE
     else:
         fast_bytes = config.fast_tier_bytes()
     context = PolicyContext(

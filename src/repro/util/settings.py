@@ -43,7 +43,6 @@ ENV = {
     "REPRO_UNIT_TIMEOUT": "retry",
     "REPRO_MAX_ATTEMPTS": "retry",
     "REPRO_CHAOS_DIR": "chaos_dir",
-    "REPRO_BENCH_HISTORY": "bench_history",
 }
 
 
@@ -100,7 +99,6 @@ class Settings:
     batch_units: int | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     chaos_dir: str | None = None
-    bench_history: str | None = None
     refresh: bool = False
     telemetry: bool = False
     profile: bool = False
@@ -120,7 +118,6 @@ class Settings:
             batch_units=_batch_units(env.get("REPRO_BATCH_UNITS")),
             retry=_retry_policy(env),
             chaos_dir=env.get("REPRO_CHAOS_DIR") or None,
-            bench_history=env.get("REPRO_BENCH_HISTORY") or None,
         )
 
 

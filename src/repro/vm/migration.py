@@ -132,7 +132,9 @@ class HotPageMigrator:
 
     When the target module is full, the migrator *swaps*: the coldest
     currently-promoted page is demoted to make room (both copies are
-    charged).  Hotness is the page's demand-miss count in the last epoch.
+    charged), back to the group it was promoted from when that pool has
+    a free frame.  Hotness is the page's demand-miss count in the last
+    epoch.
     """
 
     def __init__(self, allocator: OSPageAllocator, memsys: MemorySystem,
@@ -147,6 +149,8 @@ class HotPageMigrator:
         self.stats = MigrationStats()
         #: vpage → epoch miss count for pages currently in the target group.
         self._resident_heat: dict[int, int] = {}
+        #: vpage → the group a promoted page came from.
+        self._origin: dict[int, int] = {}
 
     def _charge_copy(self, src_group: int, dst_group: int) -> int:
         return charge_page_copy(self.memsys, self.stats, src_group,
@@ -196,6 +200,7 @@ class HotPageMigrator:
             self.allocator.pools[old_group].free(old_frame)
             overhead += self._charge_copy(old_group, self.target_group)
             self._resident_heat[vp] = heat
+            self._origin[vp] = old_group
             self.stats.n_migrations += 1
             moved += 1
         return overhead
@@ -206,17 +211,19 @@ class HotPageMigrator:
         return min(self._resident_heat, key=self._resident_heat.get)
 
     def _demote(self, vpage: int) -> tuple[int, int]:
-        """Move a promoted page to the first other pool with room;
-        returns the freed target-group frame and the group it went to
-        (the one its copy is charged to)."""
+        """Move a promoted page back to the group it came from, or to
+        the first other pool with room when that one is full; returns
+        the freed target-group frame and the group the page went to (the
+        one its copy is charged to)."""
         pt = self.allocator.page_table
         _, frame = pt.lookup(vpage)
-        for group in self.allocator.pools:
+        for group in (self._origin[vpage], *self.allocator.pools):
             if group == self.target_group:
                 continue
             new_frame = self.allocator.pools[group].allocate()
             if new_frame is not None:
                 pt.remap(vpage, group, new_frame)
                 del self._resident_heat[vpage]
+                del self._origin[vpage]
                 return frame, group
         raise RuntimeError("no pool has room to demote into")

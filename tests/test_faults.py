@@ -8,6 +8,8 @@ gracefully instead of crashing.
 """
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -47,6 +49,28 @@ class TestFaultPlan:
             FaultPlan(degrade_role="bw", degrade_factor=0.5)
         with pytest.raises(ValueError):
             FaultPlan(trigger_page=-1)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"degrade_role": "lat", "degrade_factor": math.nan},
+         "degrade_factor=nan must be finite"),
+        ({"degrade_role": "lat", "degrade_factor": math.inf},
+         "degrade_factor=inf must be finite"),
+        ({"shrink_role": "pow", "shrink_fraction": math.nan},
+         "shrink_fraction=nan"),
+        ({"lut_drop_fraction": math.inf}, "lut_drop_fraction=inf"),
+        ({"lut_scramble_fraction": math.nan}, "lut_scramble_fraction=nan"),
+        ({"offline_role": "lat", "trigger_page": 1.5},
+         "trigger_page=1.5 is not an int"),
+        ({"offline_role": "lat", "trigger_page": True},
+         "trigger_page=True is not an int"),
+    ])
+    def test_rejects_non_finite_and_non_integral(self, kwargs, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            FaultPlan(**kwargs)
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"\['offline_rol'\]"):
+            FaultPlan.from_dict({"offline_rol": "lat"})
 
     def test_roundtrip(self):
         for plan in SCENARIOS.values():

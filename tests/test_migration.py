@@ -100,29 +100,71 @@ class TestHotPageMigrator:
         assert after[0] > before[0] and after[1] > before[1]
         assert mig.stats.bytes_copied == 2 * PAGE_BYTES
 
-    def test_swap_charges_the_victims_destination(self):
-        """A swap demotes the victim to the first other pool with room,
-        which need not be where the promoted page came from: the
-        demotion copy is billed to the victim's destination."""
+    @staticmethod
+    def _three_pools(lp_pages):
+        """RL (2 frames), HBM and an LP pool of ``lp_pages`` frames."""
         memsys = MemorySystem({
             "lat": ChannelGroup(RLDRAM3, 1, 1 * MIB, name="RL"),
             "bw": ChannelGroup(HBM, 1, 64 * MIB, name="HBM"),
             "pow": ChannelGroup(LPDDR2, 1, 64 * MIB, name="LP"),
         })
         pools = {0: FramePool(2 * PAGE_BYTES, 0),
-                 1: FramePool(64 * MIB, 1), 2: FramePool(64 * MIB, 2)}
+                 1: FramePool(64 * MIB, 1),
+                 2: FramePool(lp_pages * PAGE_BYTES, 2)}
         alloc = OSPageAllocator(pools, {"lat": 0, "bw": 1, "pow": 2},
                                 PageTable())
+        return memsys, pools, alloc
+
+    @staticmethod
+    def _bus_state(memsys):
+        """(busy cycles, bytes moved) on each group's bus."""
+        return [(g.modules[0].bus_busy_cycles,
+                 g.modules[0].bytes_transferred) for g in memsys.groups]
+
+    def _bus_delta(self, memsys, before):
+        return [(c - c0, b - b0) for (c, b), (c0, b0)
+                in zip(self._bus_state(memsys), before)]
+
+    def test_swap_demotes_to_the_victims_origin(self):
+        """A swap victim goes back to the pool it was promoted from, even
+        when an earlier pool (HBM) has room."""
+        memsys, pools, alloc = self._three_pools(64 * MIB // PAGE_BYTES)
         self._populate(alloc, 4)
         assert {alloc.page_table.lookup(vp)[0] for vp in range(4)} == {2}
         mig = HotPageMigrator(alloc, memsys)
         mig.end_epoch(np.asarray([0, 1, 1]))  # fills the two RL frames
         assert pools[0].full
-        buses = [g.modules[0] for g in memsys.groups]
-        before = [(m.bus_busy_cycles, m.bytes_transferred) for m in buses]
+        before = self._bus_state(memsys)
         # Page 2 (in LP) is hotter than both residents: page 0, the
-        # coldest, goes to HBM, the first non-RL pool with room, and page
-        # 2 takes its frame.
+        # coldest, returns to LP and page 2 takes its RL frame.
+        mig.end_epoch(np.asarray([2] * 5))
+        assert mig.stats.n_swaps == 1
+        assert alloc.page_table.lookup(0)[0] == 2
+        assert alloc.page_table.lookup(2)[0] == 0
+        assert pools[1].n_allocated == 0
+        copy = [g.timing.transfer_cycles(PAGE_BYTES) for g in memsys.groups]
+        # RL carries both copies; LP the demotion and the promotion.
+        want = [(2 * copy[0], 2 * PAGE_BYTES), (0, 0),
+                (2 * copy[2], 2 * PAGE_BYTES)]
+        assert self._bus_delta(memsys, before) == want
+
+    def test_swap_charges_the_victims_destination(self):
+        """When the victim's origin is full it falls back to the first
+        other pool with room, which need not be where the promoted page
+        came from: the demotion copy is billed to the victim's
+        destination."""
+        memsys, pools, alloc = self._three_pools(3)
+        self._populate(alloc, 3)
+        mig = HotPageMigrator(alloc, memsys)
+        mig.end_epoch(np.asarray([0, 1, 1]))  # fills the two RL frames
+        assert pools[0].full
+        for vp in (3, 4):  # refill the LP frames pages 0 and 1 left
+            alloc.allocate_page(vp, ObjectType.POW)
+        assert pools[2].full
+        before = self._bus_state(memsys)
+        # Page 2 (in LP) is hotter than both residents: page 0, the
+        # coldest, cannot return to the full LP and goes to HBM, the
+        # first non-RL pool with room; page 2 takes its frame.
         mig.end_epoch(np.asarray([2] * 5))
         assert mig.stats.n_swaps == 1
         assert alloc.page_table.lookup(0)[0] == 1
@@ -131,9 +173,7 @@ class TestHotPageMigrator:
         # RL carries both copies; HBM the demotion; LP the promotion.
         want = [(2 * copy[0], 2 * PAGE_BYTES), (copy[1], PAGE_BYTES),
                 (copy[2], PAGE_BYTES)]
-        got = [(m.bus_busy_cycles - c, m.bytes_transferred - b)
-               for m, (c, b) in zip(buses, before)]
-        assert got == want
+        assert self._bus_delta(memsys, before) == want
 
 
 class TestMigrationRunner:

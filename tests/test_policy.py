@@ -5,6 +5,8 @@ byte-identical to the pre-API era, the registry is the single source of
 policy names, and the capacity-aware classifiers respect their budget.
 """
 
+import re
+
 import pytest
 
 from repro.moca.classify import Thresholds, classify_object
@@ -124,6 +126,24 @@ class TestPolicySpec:
             PolicySpec.parse("moca:oops")
         with pytest.raises(ValueError, match="scalar"):
             PolicySpec("moca", (("k", [1, 2]),))
+
+    @pytest.mark.parametrize("text, match", [
+        ("knapsack:fast_mb=1,fast_mb=2", "duplicate policy parameter"),
+        ("knapsack:fast_mb=-5", "policy 'knapsack': fast_mb=-5"),
+        ("knapsack:fast_mb=true", "policy 'knapsack': fast_mb=True"),
+        ("knapsack:fast_mb=nan", "policy 'knapsack': fast_mb=nan"),
+        ("knapsack:fast_mb=inf", "policy 'knapsack': fast_mb=inf"),
+        ("ranker:fast_mb=abc", "policy 'ranker': fast_mb='abc'"),
+    ])
+    def test_parse_rejects_bad_params(self, text, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            PolicySpec.parse(text)
+
+    def test_zero_and_fractional_budgets_accepted(self):
+        assert PolicySpec.parse("knapsack:fast_mb=0").params_dict() == {
+            "fast_mb": 0}
+        assert PolicySpec.of("knapsack", fast_mb=0.5).params_dict() == {
+            "fast_mb": 0.5}
 
     def test_runspec_normalizes_to_bare_string(self):
         # A parameterless PolicySpec collapses to the bare name so equal

@@ -81,10 +81,8 @@ class TestParse:
     def test_empty_directories(self):
         s = Settings.from_env({"REPRO_CACHE_DIR": "",
                                "REPRO_STREAM_STORE_DIR": "",
-                               "REPRO_CHAOS_DIR": "",
-                               "REPRO_BENCH_HISTORY": ""})
+                               "REPRO_CHAOS_DIR": ""})
         assert s.cache_dir is None and s.chaos_dir is None
-        assert s.bench_history is None
         assert s.stream_store_dir == ""  # explicitly no stream store
         assert s.trace_store_dir is None  # unset: follows cache_dir
 

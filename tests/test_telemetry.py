@@ -1,4 +1,4 @@
-"""Campaign telemetry: merge laws, capture, dashboard, bench, CLI.
+"""Campaign telemetry: merge laws, capture, dashboard, CLI.
 
 Three layers of coverage:
 
@@ -33,7 +33,6 @@ from repro.experiments import engine
 from repro.experiments import runner as _runner
 from repro.experiments.__main__ import main as exp_main
 from repro.faults.plan import FaultPlan
-from repro.obs import bench
 from repro.obs import telemetry as obstel
 from repro.obs.dashboard import HEARTBEAT_NAME, Dashboard, supports_repaint
 from repro.obs.registry import OBS, Registry
@@ -213,6 +212,20 @@ class TestCampaignMerge:
             pid=1, spans={"slow": _stats_from([100, 100]),
                           "fast": _stats_from([10])})])
         assert [n for n, _ in ct.hot_spans(2)] == ["slow", "fast"]
+
+    def test_acc_per_s_over_span_time(self):
+        """Headline throughputs divide accesses by their span's seconds."""
+        ct = _fold([UnitTelemetry(
+            pid=1, wall_ns=2 * 10**9, accesses=1000, filter_accesses=500,
+            spans={"core_replay": _stats_from([10**9]),
+                   "cache_filter": _stats_from([10**9])})])
+        assert ct.replay_acc_per_s() == pytest.approx(1000.0)
+        assert ct.filter_acc_per_s() == pytest.approx(500.0)
+        block = ct.to_dict()
+        assert block["replay_acc_per_s"] == pytest.approx(1000.0)
+        assert block["filter_acc_per_s"] == pytest.approx(500.0)
+        assert CampaignTelemetry().replay_acc_per_s() == 0.0
+        assert CampaignTelemetry().filter_acc_per_s() == 0.0
 
 
 # ---- capture protocol -------------------------------------------------------
@@ -437,105 +450,6 @@ class TestDashboard:
         dash = Dashboard(stream=io.StringIO(), clock=_FakeClock(),
                          stats_provider=boom)
         dash.campaign_begin(["x"], "tiny")  # must not raise
-
-
-# ---- bench history ----------------------------------------------------------
-
-
-class TestBench:
-    def test_append_and_read(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        bench.append_record({"kind": "campaign", "fidelity": "tiny",
-                             "replay_acc_per_s": 100.0}, path)
-        bench.append_record({"kind": "campaign", "fidelity": "tiny",
-                             "replay_acc_per_s": 110.0}, path)
-        records = bench.read_history(path)
-        assert len(records) == 2
-        assert all(r["schema"] == bench.BENCH_SCHEMA for r in records)
-        assert all("host" in r for r in records)
-
-    def test_campaign_record_fields(self):
-        ct = CampaignTelemetry()
-        ct.add_unit(UnitTelemetry(
-            pid=1, wall_ns=2 * 10**9, accesses=1000, filter_accesses=500,
-            spans={"core_replay": _stats_from([10**9]),
-                   "cache_filter": _stats_from([10**9])}))
-        rec = bench.campaign_record("tiny", ct,
-                                    cache={"hit_ratio": 0.25})
-        assert rec["kind"] == "campaign"
-        assert rec["units"] == 1
-        assert rec["replay_acc_per_s"] == pytest.approx(1000.0)
-        assert rec["filter_acc_per_s"] == pytest.approx(500.0)
-        assert rec["cache_hit_ratio"] == 0.25
-        assert rec["phase_seconds"]["core_replay"] == pytest.approx(1.0)
-
-    def test_trend_regression_flagged(self, tmp_path):
-        host = bench.host_fingerprint()
-        history = [
-            {"kind": "campaign", "host": host, "fidelity": "tiny",
-             "replay_acc_per_s": 1000.0, "filter_acc_per_s": 900.0}
-            for _ in range(3)
-        ] + [{"kind": "campaign", "host": host, "fidelity": "tiny",
-              "replay_acc_per_s": 100.0, "filter_acc_per_s": 900.0}]
-        flags = bench.check_regressions(history, baseline_dir=tmp_path)
-        assert len(flags) == 1
-        assert "replay_acc_per_s" in flags[0]
-
-    def test_hotpath_floor_regression(self, tmp_path):
-        (tmp_path / "hotpath_baseline.json").write_text(
-            json.dumps({"speedup": 10.0}))
-        history = [{"kind": "hotpath", "replay_speedup": 2.0}]
-        flags = bench.check_regressions(history, baseline_dir=tmp_path)
-        assert flags and "replay_speedup" in flags[0]
-        ok = [{"kind": "hotpath", "replay_speedup": 9.0}]
-        assert bench.check_regressions(ok, baseline_dir=tmp_path) == []
-
-    def test_cross_host_records_not_compared(self, tmp_path):
-        other = {**bench.host_fingerprint(), "node": "elsewhere"}
-        history = [
-            {"kind": "campaign", "host": other, "fidelity": "tiny",
-             "replay_acc_per_s": 10000.0},
-            {"kind": "campaign", "host": bench.host_fingerprint(),
-             "fidelity": "tiny", "replay_acc_per_s": 100.0},
-        ]
-        assert bench.check_regressions(history, baseline_dir=tmp_path) == []
-
-    def test_report_main_round_trip(self, tmp_path, capsys,
-                                    isolated_settings):
-        hist = tmp_path / "hist.jsonl"
-        bench.append_record({"kind": "campaign", "fidelity": "tiny",
-                             "replay_acc_per_s": 123.0}, hist)
-        out_path = tmp_path / "summary.json"
-        rc = exp_main(["bench-report", "--history", str(hist),
-                       "--out", str(out_path)])
-        assert rc == 0
-        assert "bench history: 1 records" in capsys.readouterr().out
-        summary = json.loads(out_path.read_text())
-        assert summary["history_records"] == 1
-        assert summary["regressions"] == []
-        assert summary["latest_campaign"]["replay_acc_per_s"] == 123.0
-
-    def test_report_main_missing_hotpath_dir(self, tmp_path,
-                                             isolated_settings):
-        rc = exp_main(["bench-report", "--history",
-                       str(tmp_path / "h.jsonl"),
-                       "--record-hotpath", str(tmp_path / "empty")])
-        assert rc == 2
-
-    def test_report_main_records_hotpath(self, tmp_path,
-                                         isolated_settings):
-        bdir = tmp_path / "bench"
-        bdir.mkdir()
-        (bdir / "BENCH_hotpath.json").write_text(json.dumps(
-            {"speedup": 8.0, "fast_records_per_sec": 1e6}))
-        hist = tmp_path / "h.jsonl"
-        rc = exp_main(["bench-report", "--history", str(hist),
-                       "--record-hotpath", str(bdir),
-                       "--baseline-dir", str(tmp_path)])
-        assert rc == 0
-        records = bench.read_history(hist)
-        assert records[-1]["kind"] == "hotpath"
-        assert records[-1]["replay_speedup"] == 8.0
 
 
 # ---- acceptance: real campaign through the CLI ------------------------------
