@@ -19,8 +19,8 @@ from repro.moca.framework import MocaFramework
 from repro.moca.profiler import profile_app
 from repro.sim.config import HETER_CONFIG1, HOMOGEN_DDR3
 from repro.sim.metrics import collect_metrics
-from repro.sim.single import _run_single as run_single
 from repro.sim.single import filtered_stream
+from repro.sim.spec import RunSpec, run as run_spec
 from repro.workloads.inputs import build_app_trace
 
 
@@ -83,11 +83,11 @@ def test_ablation_classification_off(benchmark, fidelity):
     """Thr_Lat = inf sends everything to LPDDR: classification earns its
     keep when MOCA-with-paper-thresholds is much faster."""
     paper = benchmark(
-        run_single, "mcf", HETER_CONFIG1, "moca",
-        n_accesses=fidelity.n_single)
-    off = run_single("mcf", HETER_CONFIG1, "moca",
-                     n_accesses=fidelity.n_single,
-                     thresholds=Thresholds(thr_lat=1e9, thr_bw=20.0))
+        run_spec, RunSpec("mcf", HETER_CONFIG1.name, "moca",
+                          fidelity.n_single))
+    off = run_spec(RunSpec("mcf", HETER_CONFIG1.name, "moca",
+                           fidelity.n_single,
+                           thresholds=Thresholds(thr_lat=1e9, thr_bw=20.0)))
     print(f"\npaper thresholds: {paper.mem_access_cycles}, "
           f"classification off: {off.mem_access_cycles}")
     assert paper.mem_access_cycles < off.mem_access_cycles * 0.8

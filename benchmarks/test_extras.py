@@ -48,18 +48,18 @@ def test_obs_disabled_overhead():
     from repro.experiments.runner import TINY
     from repro.obs.registry import OBS
     from repro.sim.config import HOMOGEN_DDR3
-    from repro.sim.single import _run_single as run_single
+    from repro.sim.spec import RunSpec, run
 
     assert not OBS.enabled
-    n = TINY.n_single
-    run_single("mcf", HOMOGEN_DDR3, "homogen", n_accesses=n)  # warm caches
+    spec = RunSpec("mcf", HOMOGEN_DDR3.name, "homogen", TINY.n_single)
+    run(spec)  # warm caches
     t0 = time.perf_counter()
-    run_single("mcf", HOMOGEN_DDR3, "homogen", n_accesses=n)
+    run(spec)
     run_wall = time.perf_counter() - t0
 
     OBS.reset().enable()
     try:
-        run_single("mcf", HOMOGEN_DDR3, "homogen", n_accesses=n)
+        run(spec)
         # Each enabled-mode registry touch corresponds to one disabled
         # guard evaluation: two per memory batch (controller + system),
         # one per page placement, one per span/instant event, plus a

@@ -6,8 +6,8 @@ scrambled profiling-LUT entries.  Plans serialize into
 :class:`~repro.sim.spec.RunSpec`, so fault runs are first-class citizens
 of the sweep engine and the persistent result cache.  The injection
 helpers in :mod:`repro.faults.inject` apply a plan to live simulation
-state; the run drivers (:mod:`repro.sim.single` / :mod:`repro.sim.multi`)
-call them when a spec carries a plan.
+state; the shared run boot (:func:`repro.sim.single.boot`) and the
+online driver's mid-run firing call them when a spec carries a plan.
 """
 
 from repro.faults.inject import (

@@ -8,8 +8,15 @@
 * :mod:`repro.sim.spec` — :class:`RunSpec` (the canonical identity of a
   run: API surface, scheduling unit, cache key) and the :func:`run`
   facade;
-* :mod:`repro.sim.single` — single-core runs (Figs. 8–9);
-* :mod:`repro.sim.multi` — 4-core multi-programmed runs (Figs. 10–15).
+* :mod:`repro.sim.single` — what every run shares: cache filtering,
+  policy resolution, the boot (machine, faults, placement) and the
+  metrics/provenance finish;
+* :mod:`repro.sim.multi` — static placement on 1..N cores: single-core
+  runs (Figs. 8–9) and 4-core multi-programmed mixes (Figs. 10–15);
+* :mod:`repro.sim.migration` — the one epoch-replay loop, and the
+  hot-page migration driver (the paper's Sec. IV-E alternative);
+* :mod:`repro.sim.online` — epoch replay under the online guidance
+  service.
 
 Every run goes through ``run(RunSpec(...))``; the policy registry
 (:mod:`repro.moca.policy`) names the placement policies.
@@ -32,7 +39,6 @@ from repro.sim.config import (
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
 from repro.sim.single import filtered_stream, filter_provenance
-from repro.sim.migration import run_single_migration
 
 
 __all__ = [
@@ -53,5 +59,4 @@ __all__ = [
     "RunMetrics",
     "filtered_stream",
     "filter_provenance",
-    "run_single_migration",
 ]

@@ -1,128 +1,106 @@
-"""Single-core runner with runtime page migration (the MOCA alternative).
+"""Epoch replay, and the hot-page migration driver (the MOCA alternative).
 
-Replays the miss stream in epochs: each epoch runs with the current page
-table, then the migrator promotes the epoch's hottest pages and its
-overhead (page copies + TLB shootdowns) is charged to the core before
-the next epoch starts.  Pages start wherever first-touch demand paging
-puts them under the power-first chain (a migration system has no
-profile, so everything begins in the cheap module).
+:func:`run_epochs` is the one epoch loop of the sim layer: it replays a
+booted single-core run's miss stream in fixed-length epochs and lets a
+hook act between them — the hot-page migrator here, the online guidance
+service in :mod:`repro.sim.online`.  Whatever overhead the hook reports
+(page copies, TLB shootdowns) is charged to the core before the next
+epoch starts.
 
-Migration runs are full :class:`~repro.sim.spec.RunSpec` citizens:
+The migration run itself: pages start wherever first-touch demand
+paging puts them under the power-first chain (a migration system has no
+profile, so everything begins in the cheap module); after each epoch
+the migrator promotes the epoch's hottest pages.  Migration runs are
+full :class:`~repro.sim.spec.RunSpec` citizens —
 ``RunSpec(..., policy="homogen", migration=MigrationConfig(...))``
 dispatches here through :func:`repro.sim.run`, so they get result-cache
 entries, ``run_meta`` provenance, and unit telemetry like every other
-run.  :func:`run_single_migration` remains as the historical entry point
-and routes through the engine (cached) whenever the arguments are
-spec-expressible.
+run.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.cpu.core import CoreParams, CoreResult, InOrderWindowCore
-from repro.moca.allocation import HomogeneousPolicy, plan_placement
-from repro.obs.provenance import run_meta
-from repro.sim.config import ALL_SYSTEMS, SystemConfig
-from repro.sim.metrics import RunMetrics, collect_metrics
-from repro.sim.single import filtered_stream
+from repro.cpu.hierarchy import MissStream
+from repro.moca.allocation import HomogeneousPolicy
+from repro.obs.registry import OBS
+from repro.sim.metrics import RunMetrics
+from repro.sim.single import Booted, boot, finish
 from repro.trace.events import PAGE_BYTES
-from repro.vm.migration import HotPageMigrator, MigrationConfig, MigrationStats
-from repro.workloads.inputs import REF, app_layout
+from repro.vm.migration import HotPageMigrator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.spec import RunSpec
 
+def run_epochs(booted: Booted, epoch_misses: int,
+               after: Callable[[int, MissStream, CoreResult, int], int], *,
+               before: Callable[[int], None] | None = None) -> CoreResult:
+    """Replay ``booted``'s one stream in epochs of ``epoch_misses``
+    records; return the whole run as one result.
 
-def _run_migration(spec: "RunSpec",
-                   core_params: CoreParams | None = None) -> RunMetrics:
-    """Spec-driven migration run (the ``RunSpec.migration`` path)."""
-    migration = spec.migration or MigrationConfig()
-    config = spec.system_config
-    app_name = spec.workload
-    stream, _ = filtered_stream(app_name, spec.input_name, spec.n_accesses)
-    layout = app_layout(app_name, spec.input_name)
-    memsys = config.build()
-    allocator = config.make_allocator(memsys)
-    # No profile: everything demand-pages through the POW chain first.
-    plan_placement([stream], HomogeneousPolicy(), allocator,
-                   layouts=[layout])
-    migrator = HotPageMigrator(allocator, memsys, migration)
-
-    pt = allocator.page_table
+    ``before(epoch)`` runs ahead of each epoch; ``after(epoch, slice,
+    result, instructions)`` runs behind it and returns the cycles its
+    work costs the core.  Epochs slice one translation (of records from
+    ``tr_start`` on); the rest of the stream is re-translated only after
+    the page table changed.
+    """
+    stream, memsys, plan = booted.streams[0], booted.memsys, booted.plan
+    pt = booted.allocator.page_table
+    version = pt.version  # the state plan.groups/gaddrs translate
+    groups, gaddrs, tr_start = plan.groups[0], plan.gaddrs[0], 0
     n = len(stream)
-    epoch = max(1, migration.epoch_misses)
+    epoch_len = max(1, epoch_misses)
     cycle = 0
     inst_prev = 0
     results: list[CoreResult] = []
     start = 0
+    epoch = 0
     while start < n:
-        stop = min(n, start + epoch)
+        if before is not None:
+            before(epoch)
+        stop = min(n, start + epoch_len)
         sl = stream.slice(start, stop)
-        groups, gaddrs = pt.translate_lines(sl.vline)
-        core = InOrderWindowCore(sl, groups, gaddrs, core_params,
-                                 start_cycle=cycle, inst_prev=inst_prev)
+        if pt.version != version:
+            pages, inverse = stream.page_split()
+            groups, gaddrs = pt.translate_lines(
+                stream.vline[start:], (pages, inverse[start:]))
+            version, tr_start = pt.version, start
+        core = InOrderWindowCore(
+            sl, groups[start - tr_start:stop - tr_start],
+            gaddrs[start - tr_start:stop - tr_start],
+            start_cycle=cycle, inst_prev=inst_prev)
         res = core.run_to_completion(memsys)
         results.append(res)
-        cycle = res.cycles
-        inst_prev = int(sl.inst[-1])
-        demand = sl.demand_mask
-        cycle += migrator.end_epoch((sl.vline[demand] // PAGE_BYTES))
+        inst_now = int(sl.inst[-1])
+        cycle = res.cycles + after(epoch, sl, res, inst_now - inst_prev)
+        inst_prev = inst_now
         start = stop
-
+        epoch += 1
     # Compute tail after the last miss (the per-slice replays add none).
-    params = core_params or CoreParams()
-    cycle += params.cycles_for(stream.total_instructions - inst_prev)
-    total = _merge_results(results, cycle, stream.total_instructions)
-    meta = run_meta(config=config, policy="migration", workload=app_name,
-                    thresholds=spec.thresholds, faults=spec.faults)
-    meta["migration"] = migrator.stats.to_dict()
-    meta["migration_config"] = migration.to_dict()
-    meta["accesses"] = spec.n_accesses
-    return collect_metrics(config.name, "migration", app_name,
-                           [total], memsys, meta=meta)
+    cycle += CoreParams().cycles_for(stream.total_instructions - inst_prev)
+    return _merge_results(results, cycle, stream.total_instructions)
 
 
-def run_single_migration(app_name: str, config: SystemConfig,
-                         migration: MigrationConfig | None = None,
-                         input_name: str = REF, n_accesses: int = 120_000,
-                         core_params: CoreParams | None = None,
-                         ) -> tuple[RunMetrics, MigrationStats]:
-    """Run one application under hotness-driven migration.
+def _run_migration(spec: "RunSpec") -> RunMetrics:
+    """Migration driver behind :func:`repro.sim.run`."""
+    migration = spec.migration
+    with OBS.span(f"run.{spec.workload}.migration", system=spec.config):
+        # No profile: everything demand-pages through the POW chain first.
+        booted = boot(spec, "migration", HomogeneousPolicy, faults=None)
+        migrator = HotPageMigrator(booted.allocator, booted.memsys,
+                                   migration)
 
-    Returns the usual metrics plus the migrator's cost accounting.  When
-    the arguments are expressible as a :class:`~repro.sim.spec.RunSpec`
-    (a registered config, default core), the run goes through the sweep
-    engine — result-cached, telemetered — and the stats are rebuilt from
-    the metrics' ``meta["migration"]`` block; custom core parameters
-    fall back to the direct driver.
-    """
-    migration = migration or MigrationConfig()
-    if core_params is None and ALL_SYSTEMS.get(config.name) is config:
-        from repro.experiments.engine import run_cached
-        from repro.sim.spec import RunSpec
+        def after(epoch: int, sl: MissStream, res: CoreResult,
+                  instructions: int) -> int:
+            return migrator.end_epoch(sl.vline[sl.demand_mask] // PAGE_BYTES)
 
-        spec = RunSpec(app_name, config.name, "homogen", n_accesses,
-                       input_name=input_name, migration=migration)
-        metrics = run_cached(spec)
-        return metrics, MigrationStats.from_dict(metrics.meta["migration"])
-
-    # Unregistered config or custom core: run the driver directly (no
-    # RunSpec identity exists for it, so no caching either).
-    class _SpecView:
-        """Duck-typed spec substituting the caller's config object."""
-
-        workload = app_name
-        system_config = config
-        thresholds = None
-        faults = None
-
-    view = _SpecView()
-    view.input_name = input_name
-    view.n_accesses = n_accesses
-    view.migration = migration
-    metrics = _run_migration(view, core_params)
-    return metrics, MigrationStats.from_dict(metrics.meta["migration"])
+        total = run_epochs(booted, migration.epoch_misses, after)
+        return finish(spec, "migration", [total], booted.memsys,
+                      migration=migrator.stats.to_dict(),
+                      migration_config=migration.to_dict(),
+                      accesses=spec.n_accesses)
 
 
 def _merge_results(results: list[CoreResult], final_cycle: int,

@@ -1,36 +1,46 @@
-"""Single-core experiment runner (paper Sec. VI-A, Figs. 8–9).
+"""The front half every run shares (paper Sec. VI-A).
 
-One application on one core against one memory system under one
-allocation policy.  Cache filtering is memoized per (app, input, length)
-— the miss stream is identical across memory systems, so the expensive
-pass runs once.
+Every driver — static placement on 1..N cores (:mod:`repro.sim.multi`),
+the hot-page migrator (:mod:`repro.sim.migration`) and the online
+guidance service (:mod:`repro.sim.online`) — starts here:
+
+* cache filtering, memoized per (app, input, length) — the miss stream
+  is identical across memory systems, so the expensive pass runs once;
+* :func:`policy_context`, which resolves a spec's policy against its
+  system configuration;
+* :func:`boot`, which builds the machine, applies boot-time faults and
+  places the streams, and :func:`finish`, which turns replay results
+  into :class:`~repro.sim.metrics.RunMetrics` with provenance.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING, Callable
 
-from repro.cpu.core import CoreParams, InOrderWindowCore
+from repro.cpu.core import CoreResult
 from repro.cpu.hierarchy import CacheHierarchy, CacheStats, MissStream
 from repro.faults.inject import apply_system_faults, arm_allocator
 from repro.faults.plan import FaultPlan
-from repro.moca.allocation import plan_placement
+from repro.memctrl.system import MemorySystem
+from repro.moca.allocation import PlacementPlan, PlacementPolicy, \
+    plan_placement
 from repro.moca.classify import Thresholds
-from repro.moca.policy import (
-    CapacityBudget,
-    PolicyContext,
-    PolicySpec,
-    build_policy,
-)
+from repro.moca.policy import CapacityBudget, PolicyContext, PolicySpec
 from repro.obs.provenance import run_meta
 from repro.obs.registry import OBS
 from repro.sim import stream_store
 from repro.sim.config import CAPACITY_SCALE, SystemConfig
+from repro.sim.metrics import RunMetrics, collect_metrics
 from repro.trace.chunked import CorruptTraceError
 from repro.util.units import MIB
-from repro.workloads.inputs import (REF, app_layout, build_app_trace,
+from repro.vm.allocator import OSPageAllocator
+from repro.workloads.inputs import (app_layout, build_app_trace,
                                     build_app_trace_chunked)
-from repro.sim.metrics import RunMetrics, collect_metrics
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.spec import RunSpec
 
 #: (app, input, n_accesses) → how its stream was obtained; feeds
 #: ``meta["filter"]`` provenance — the record says what actually happened.
@@ -148,7 +158,6 @@ def policy_context(policy: str | PolicySpec, app_names: list[str],
                    input_name: str, n_accesses: int, *,
                    config: SystemConfig,
                    thresholds: Thresholds | None = None,
-                   profile_accesses: int | None = None,
                    faults: FaultPlan | None = None,
                    ) -> tuple[PolicySpec, PolicyContext]:
     """Resolve a spec's policy field against a system configuration.
@@ -170,60 +179,59 @@ def policy_context(policy: str | PolicySpec, app_names: list[str],
         fast_bytes = config.fast_tier_bytes()
     context = PolicyContext(
         app_names=tuple(app_names), input_name=input_name,
-        n_accesses=n_accesses, thresholds=thresholds,
-        profile_accesses=profile_accesses, faults=faults,
+        n_accesses=n_accesses, thresholds=thresholds, faults=faults,
         budget=CapacityBudget(fast_bytes))
     return spec, context
 
 
-def _run_single(app_name: str, config: SystemConfig,
-                policy: str | PolicySpec, *,
-                input_name: str = REF, n_accesses: int = 120_000,
-                thresholds: Thresholds | None = None,
-                profile_accesses: int | None = None,
-                core_params: CoreParams | None = None,
-                faults: FaultPlan | None = None,
-                trace_chunk_accesses: int | None = None) -> RunMetrics:
-    """Run one application on a fresh instance of ``config``.
+@dataclass
+class Booted:
+    """A run's machine right after allocation-time placement."""
 
-    Internal driver behind :func:`repro.sim.run`.
-    ``trace_chunk_accesses`` switches the trace + filter stage to the
-    bounded-RSS chunked pipeline; results are byte-identical either way.
+    streams: list[MissStream]
+    memsys: MemorySystem
+    allocator: OSPageAllocator
+    policy: PlacementPolicy
+    plan: PlacementPlan
+
+
+def boot(spec: "RunSpec", label: str,
+         make_policy: Callable[[], PlacementPolicy], *,
+         faults: FaultPlan | None) -> Booted:
+    """Filter a spec's streams, build its machine and place them.
+
+    The one boot every driver shares: ``faults`` (the spec's plan, or
+    ``None`` where a driver fires it later) derates the devices and arms
+    the allocator before ``make_policy()``'s placement runs.
     """
-    pspec, context = policy_context(
-        policy, [app_name], input_name, n_accesses, config=config,
-        thresholds=thresholds, profile_accesses=profile_accesses,
-        faults=faults)
-    label = pspec.label()
-    with OBS.span(f"run.{app_name}.{label}", system=config.name):
-        if trace_chunk_accesses is not None:
-            stream, _ = filtered_stream_chunked(
-                app_name, input_name, n_accesses, trace_chunk_accesses)
-        else:
-            stream, _ = filtered_stream(app_name, input_name, n_accesses)
-        layout = app_layout(app_name, input_name)
-        with OBS.span("placement", policy=label):
-            memsys = config.build()
-            if faults is not None:
-                apply_system_faults(memsys, faults)
-            allocator = config.make_allocator(memsys)
-            if faults is not None:
-                arm_allocator(allocator, faults)
-            policy_obj = build_policy(pspec, context)
-            plan = plan_placement([stream], policy_obj, allocator,
-                                  layouts=[layout])
-        with OBS.span("core_replay", app=app_name):
-            core = InOrderWindowCore(stream, plan.groups[0], plan.gaddrs[0],
-                                     core_params)
-            result = core.run_to_completion(memsys)
-        meta = run_meta(config=config, policy=label,
-                        workload=app_name, thresholds=thresholds,
-                        faults=faults)
-        meta["placement"] = plan.stats.to_dict()
-        meta["filter"] = filter_provenance(app_name, input_name, n_accesses)
-        meta["accesses"] = n_accesses
-        if trace_chunk_accesses is not None:
-            meta["trace_chunk_accesses"] = trace_chunk_accesses
-        return collect_metrics(config.name, label, app_name,
-                               [result], memsys, meta=meta)
+    if spec.trace_chunk_accesses is not None:
+        streams = [filtered_stream_chunked(
+            spec.workload, spec.input_name, spec.n_accesses,
+            spec.trace_chunk_accesses)[0]]
+    else:
+        streams = [filtered_stream(a, spec.input_name, spec.n_accesses)[0]
+                   for a in spec.apps]
+    layouts = [app_layout(a, spec.input_name) for a in spec.apps]
+    config = spec.system_config
+    with OBS.span("placement", policy=label):
+        memsys = config.build()
+        if faults is not None:
+            apply_system_faults(memsys, faults)
+        allocator = config.make_allocator(memsys)
+        if faults is not None:
+            arm_allocator(allocator, faults)
+        policy = make_policy()
+        plan = plan_placement(streams, policy, allocator, layouts=layouts)
+    return Booted(streams, memsys, allocator, policy, plan)
 
+
+def finish(spec: "RunSpec", label: str, results: list[CoreResult],
+           memsys: MemorySystem, **meta_extra) -> RunMetrics:
+    """A run's metrics, with the provenance ``meta`` every run carries
+    followed by the driver's own ``meta_extra`` blocks."""
+    meta = run_meta(config=spec.system_config, policy=label,
+                    workload=spec.workload, thresholds=spec.thresholds,
+                    faults=spec.faults)
+    meta.update(meta_extra)
+    return collect_metrics(spec.config, label, spec.workload, results,
+                           memsys, meta=meta)

@@ -41,7 +41,7 @@ from repro.sim.metrics import RunMetrics
 from repro.util.rng import ROOT_SEED
 from repro.vm.migration import MigrationConfig
 from repro.workloads.inputs import REF, is_valid_input
-from repro.workloads.mixes import parse_mix_name
+from repro.workloads.mixes import mix, parse_mix_name
 from repro.workloads.spec import APPS
 
 __all__ = ["RunSpec", "run"]
@@ -85,7 +85,8 @@ class RunSpec:
             (:class:`~repro.vm.migration.MigrationConfig`).  When set,
             the run replays in epochs under the hot-page migrator
             (``policy`` must be ``"homogen"`` — migration systems carry
-            no profile).  Canonical only when set, so every
+            no profile — and ``faults`` unset: the migration driver
+            injects no faults).  Canonical only when set, so every
             non-migration cache key is untouched.
         online: Online guidance-service knobs
             (:class:`~repro.service.spec.OnlineSpec`).  When set, the
@@ -156,6 +157,11 @@ class RunSpec:
                     "migration/online runs are single-core "
                     f"(got mix {self.workload!r})")
         if self.migration is not None:
+            if self.faults is not None:
+                raise ValueError(
+                    "migration runs inject no faults (got faults="
+                    f"{self.faults.describe()!r}); use a static or "
+                    "online spec for fault studies")
             if self.policy_name != "homogen":
                 raise ValueError(
                     "migration runs carry no profile; use policy='homogen' "
@@ -191,6 +197,12 @@ class RunSpec:
     def is_multi(self) -> bool:
         """True when the workload is a mix name (one core per app)."""
         return self.workload not in APPS
+
+    @property
+    def apps(self) -> tuple[str, ...]:
+        """The application on each core, in core order."""
+        return mix(self.workload).apps if self.is_multi \
+            else (self.workload,)
 
     @property
     def policy_spec(self) -> PolicySpec:
@@ -277,20 +289,18 @@ class RunSpec:
 def run(spec: RunSpec) -> RunMetrics:
     """Execute one run; the single public entry point of the sim layer.
 
-    Dispatches to the single-core or multicore driver from the spec's
-    workload name.  Pure simulation — persistent caching lives one layer
-    up in :mod:`repro.experiments.engine`.
+    Dispatches on the spec's replay shape: static placement on 1..N
+    cores, or epoch replay under the online guidance service or the
+    hot-page migrator.  Pure simulation — persistent caching lives one
+    layer up in :mod:`repro.experiments.engine`.
     """
-    # Imported here: repro.sim.single/multi are heavier than this module
-    # and must stay importable without it (no cycle either way).
-    from repro.sim.multi import _run_multi
-    from repro.sim.single import _run_single
-
     if spec.seed != ROOT_SEED:
         raise ValueError(
             f"spec.seed={spec.seed:#x} differs from the process root seed "
             f"{ROOT_SEED:#x}; re-seeding requires changing "
             f"repro.util.rng.ROOT_SEED before building any traces")
+    # Imported here: the drivers are heavier than this module and must
+    # stay importable without it (no cycle either way).
     if spec.online is not None:
         from repro.sim.online import _run_online
 
@@ -299,15 +309,6 @@ def run(spec: RunSpec) -> RunMetrics:
         from repro.sim.migration import _run_migration
 
         return _run_migration(spec)
-    if spec.is_multi:
-        return _run_multi(spec.workload, spec.system_config, spec.policy,
-                          input_name=spec.input_name,
-                          n_accesses=spec.n_accesses,
-                          thresholds=spec.thresholds,
-                          faults=spec.faults)
-    return _run_single(spec.workload, spec.system_config, spec.policy,
-                       input_name=spec.input_name,
-                       n_accesses=spec.n_accesses,
-                       thresholds=spec.thresholds,
-                       faults=spec.faults,
-                       trace_chunk_accesses=spec.trace_chunk_accesses)
+    from repro.sim.multi import _run_static
+
+    return _run_static(spec)

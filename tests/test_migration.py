@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.config import HETER_CONFIG1, HOMOGEN_DDR3
-from repro.sim.migration import run_single_migration
+from repro.faults.plan import SCENARIOS, FaultPlan
+from repro.sim.spec import RunSpec, run
 from repro.trace.events import PAGE_BYTES
 from repro.vm.allocator import OSPageAllocator
 from repro.vm.heap import ObjectType
-from repro.vm.migration import HotPageMigrator, MigrationConfig
+from repro.vm.migration import HotPageMigrator, MigrationConfig, MigrationStats
 from repro.vm.pagetable import PageTable
 from repro.vm.physmem import FramePool
 from repro.memctrl.system import ChannelGroup, MemorySystem
@@ -176,59 +176,72 @@ class TestHotPageMigrator:
         assert self._bus_delta(memsys, before) == want
 
 
+def _migrate(app, config, migration=None, n_accesses=120_000):
+    """One migration run through ``run(RunSpec(...))`` and its stats."""
+    m = run(RunSpec(app, config, "homogen", n_accesses,
+                    migration=migration or MigrationConfig()))
+    return m, MigrationStats.from_dict(m.meta["migration"])
+
+
 class TestMigrationRunner:
     def test_produces_metrics_and_stats(self):
-        m, stats = run_single_migration(
-            "gcc", HETER_CONFIG1, MigrationConfig(epoch_misses=300),
-            n_accesses=20_000)
+        m, stats = _migrate("gcc", "Heter-config1",
+                            MigrationConfig(epoch_misses=300),
+                            n_accesses=20_000)
         assert m.policy == "migration"
         assert m.exec_cycles > 0
         assert stats.n_epochs >= 2
         assert stats.overhead_cycles > 0
 
     def test_migration_moves_hot_pages_to_rl(self):
-        _, stats = run_single_migration(
-            "gcc", HETER_CONFIG1, MigrationConfig(epoch_misses=300),
-            n_accesses=20_000)
+        _, stats = _migrate("gcc", "Heter-config1",
+                            MigrationConfig(epoch_misses=300),
+                            n_accesses=20_000)
         assert stats.n_migrations > 0
 
     def test_moca_beats_migration_on_chase_heavy_app(self):
         """The paper's argument: allocation-time placement beats runtime
         migration, which keeps paying copy costs and only ever catches a
         few pages of a large pointer-chased object."""
-        from repro.sim.spec import RunSpec, run
-        mig, _ = run_single_migration("mcf", HETER_CONFIG1,
-                                      n_accesses=30_000)
+        mig, _ = _migrate("mcf", "Heter-config1", n_accesses=30_000)
         moca = run(RunSpec("mcf", "Heter-config1", "moca", 30_000))
         assert moca.mem_access_cycles < mig.mem_access_cycles
         assert moca.exec_cycles < mig.exec_cycles
 
     def test_homogeneous_target_rejected(self):
         with pytest.raises(ValueError):
-            run_single_migration("gcc", HOMOGEN_DDR3, n_accesses=5_000)
+            _migrate("gcc", "Homogen-DDR3", n_accesses=5_000)
 
     def test_runspec_migration_field_dispatches(self):
-        """The runner is the thin wrapper now: a RunSpec carrying a
-        MigrationConfig routes through run() (and hence the engine's
-        cache/telemetry) and reproduces the wrapper's results."""
-        from repro.sim.spec import RunSpec, run
-        from repro.vm.migration import MigrationStats
+        """A RunSpec carrying a MigrationConfig routes through run() and
+        through the engine's result cache with the same results."""
+        from repro.experiments.engine import run_cached
         cfg = MigrationConfig(epoch_misses=300)
         spec = RunSpec("gcc", "Heter-config1", "homogen", 20_000,
                        migration=cfg)
         m = run(spec)
         assert m.policy == "migration"
         assert m.meta["migration_config"] == cfg.to_dict()
-        wrapper_m, wrapper_stats = run_single_migration(
-            "gcc", HETER_CONFIG1, cfg, n_accesses=20_000)
-        assert MigrationStats.from_dict(m.meta["migration"]) == wrapper_stats
-        assert m.exec_cycles == wrapper_m.exec_cycles
+        cached = run_cached(spec)
+        assert (MigrationStats.from_dict(m.meta["migration"])
+                == MigrationStats.from_dict(cached.meta["migration"]))
+        assert m.exec_cycles == cached.exec_cycles
 
     def test_migration_needs_homogen_policy(self):
-        from repro.sim.spec import RunSpec
         with pytest.raises(ValueError, match="homogen"):
             RunSpec("gcc", "Heter-config1", "moca", 20_000,
                     migration=MigrationConfig())
+
+    @pytest.mark.parametrize("plan", [SCENARIOS["offline-lat"],
+                                      FaultPlan(degrade_role="pow",
+                                                degrade_factor=4.0)])
+    def test_migration_rejects_fault_plans(self, plan):
+        """The migration driver injects no faults, so a fault plan would
+        label (and cache-key) a clean run as a faulted one."""
+        with pytest.raises(ValueError, match="migration runs inject no "
+                                             "faults"):
+            RunSpec("gcc", "Heter-config1", "homogen", 20_000,
+                    faults=plan, migration=MigrationConfig(epoch_misses=500))
 
 
 class TestSerialization:

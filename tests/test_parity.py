@@ -593,7 +593,6 @@ def _run_on_oracles(spec, monkeypatch):
     """
     single, multi = repro.sim.single, repro.sim.multi
     monkeypatch.setattr(single, "CacheHierarchy", _ReferenceHierarchy)
-    monkeypatch.setattr(single, "InOrderWindowCore", ReferenceCore)
     monkeypatch.setattr(multi, "InOrderWindowCore", ReferenceCore)
     monkeypatch.setattr(multi, "run_interleaved",
                         lambda cores, memsys: _step(cores, memsys)[0])

@@ -158,16 +158,6 @@ class TestRunMulti:
         assert len(m.per_core) == 4
         assert all(r.cycles > 0 for r in m.per_core)
 
-    def test_mix_by_name_or_object(self):
-        from repro.sim.multi import _run_multi
-        from repro.workloads.mixes import mix
-        a = run(RunSpec("1B3N", HOMOGEN_DDR3.name, "homogen", NM))
-        # The internal driver accepts WorkloadMix objects directly and
-        # must resolve a mix *name* to the same thing.
-        b = _run_multi(mix("1B3N"), HOMOGEN_DDR3, "homogen",
-                       n_accesses=NM)
-        assert a.exec_cycles == b.exec_cycles
-
     def test_contention_slows_shared_system(self):
         solo = run(RunSpec("lbm", HOMOGEN_DDR3.name, "homogen", NM))
         multi = run(RunSpec("4B", HOMOGEN_DDR3.name, "homogen", NM))
