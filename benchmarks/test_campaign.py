@@ -79,7 +79,7 @@ def _strip_meta(metrics) -> dict:
 
 
 def test_env_pin_clears_every_knob(monkeypatch):
-    for name, value in (("REPRO_BATCH_UNITS", "3"),
+    for name, value in (("REPRO_UNIT_TIMEOUT", "3"),
                         ("REPRO_CHAOS_DIR", "/nonexistent"),
                         ("REPRO_TRACE_STORE_DIR", "/nonexistent"),
                         ("REPRO_OVERSUBSCRIBE", "1"),

@@ -37,13 +37,15 @@ def test_obs_disabled_overhead():
     """Disabled observability must cost < 5% of a TINY run's wall-time.
 
     The registry's hot-path hooks are single ``if OBS.enabled`` guards
-    (plus a no-op span handout).  Estimate their disabled-mode cost as
-    (number of guard sites a TINY run actually hits) x (measured cost of
-    one disabled registry call), and require that to be under 5% of the
-    run's wall-time.
+    or registry calls that return at once while disabled.  Estimate
+    their disabled-mode cost as (number of registry calls a TINY run
+    makes with OBS enabled — each stands for one guard or no-op call
+    when disabled) x (measured cost of one disabled registry call), and
+    require that to be under 5% of the run's wall-time.  Both timings
+    take the fastest of five, the sample least inflated by noise.
     """
     import time
-    from timeit import timeit
+    from timeit import repeat
 
     from repro.experiments.runner import TINY
     from repro.obs.registry import OBS
@@ -53,26 +55,37 @@ def test_obs_disabled_overhead():
     assert not OBS.enabled
     spec = RunSpec("mcf", HOMOGEN_DDR3.name, "homogen", TINY.n_single)
     run(spec)  # warm caches
-    t0 = time.perf_counter()
-    run(spec)
-    run_wall = time.perf_counter() - t0
+    walls = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        run(spec)
+        walls.append(time.perf_counter() - t0)
+    run_wall = min(walls)
+
+    calls = {"add": 0, "gauge": 0, "span": 0}
+
+    def counted(name):
+        method = getattr(OBS, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
 
     OBS.reset().enable()
+    for name in calls:
+        setattr(OBS, name, counted(name))
     try:
         run(spec)
-        # Each enabled-mode registry touch corresponds to one disabled
-        # guard evaluation: two per memory batch (controller + system),
-        # one per page placement, one per span/instant event, plus a
-        # small constant for the per-run publish/meta hooks.
-        batches = OBS.counters.get("memsys.batches", 0)
-        placements = sum(v for k, v in OBS.counters.items()
-                         if k.startswith("alloc.placed."))
-        n_sites = 2 * batches + placements + len(OBS.events) + 16
     finally:
+        for name in calls:
+            delattr(OBS, name)  # back to the class's methods
         OBS.reset().disable()
+    n_sites = sum(calls.values())
 
-    per_op = timeit(lambda: OBS.add("x", 1), number=100_000) / 100_000
+    per_op = min(repeat(lambda: OBS.add("x", 1), number=100_000,
+                        repeat=5)) / 100_000
     estimated = n_sites * per_op / run_wall
-    print(f"\nobs disabled overhead: {n_sites} sites x {per_op * 1e9:.0f}ns"
-          f" / {run_wall:.3f}s = {estimated:.4%}")
-    assert estimated < 0.05, (n_sites, per_op, run_wall, estimated)
+    print(f"\nobs disabled overhead: {n_sites} registry calls {calls} x "
+          f"{per_op * 1e9:.0f}ns / {run_wall:.3f}s = {estimated:.4%}")
+    assert estimated < 0.05, (calls, per_op, run_wall, estimated)

@@ -21,10 +21,7 @@ worker processes filter each trace once per machine; ``--no-cache`` and
 Campaigns are resilient by default: a figure whose sweep fails
 terminally (see :mod:`repro.experiments.resilience`) is recorded as
 ``failed`` in the manifest and its siblings still run (``--fail-fast``
-restores abort-on-first-error).  With multiple workers the engine
-dispatches sweep units in workload-major batches sized from campaign
-telemetry (``REPRO_BATCH_UNITS``: ``auto``/unset adapts, ``1`` disables,
-``N`` pins); retried units always travel alone.  With ``--save``, a checkpoint journal
+restores abort-on-first-error).  With ``--save``, a checkpoint journal
 (``<save>/.campaign.json``) records per-figure completion, so an
 interrupted invocation resumes where it stopped — completed figures are
 reloaded from their artefacts instead of recomputed (``--no-resume``
@@ -310,11 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[stream store: {streams['hits']} hits, "
                   f"{streams['misses']} misses, {streams['stores']} stored "
                   f"(hit ratio {streams['hit_ratio']:.2f})]", file=sys.stderr)
-        disp = engine.dispatch_stats()
-        if disp is not None:
-            print(f"[dispatch: {disp['batches']} batch(es), "
-                  f"{disp['batched_units']} unit(s) batched, "
-                  f"max batch {disp['max_batch_units']}]", file=sys.stderr)
         res = engine.resilience_stats()
         if res is not None and (res["retries"] or res["timeouts"]
                                 or res["pool_breaks"]

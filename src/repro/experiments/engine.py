@@ -18,15 +18,6 @@ The engine turns a list of :class:`~repro.sim.spec.RunSpec` units into
    interrupted or partially-failed sweep resumes where it stopped and a
    repeated campaign after a no-op change is near-instant.
 
-Units are enqueued in workload order and — when ``REPRO_BATCH_UNITS``
-(or the adaptive default) says so — dispatched as workload-major
-*batches*: several first-attempt units of one workload share a single
-future, amortizing pickle/IPC and keeping each worker's resident
-caches (``filtered_stream`` memo, mmap stream store, replay decode
-tables) hot.  Retried units always travel alone, so timeout/retry
-granularity is unchanged where it matters; a failed unit inside a
-batch is re-enqueued individually while its siblings' results stand.
-
 Every knob comes from :mod:`repro.util.settings`.  :func:`configure`
 (the CLIs' ``--cache-dir``/``--no-cache``/``--refresh`` flags) is an
 ``update`` of those settings, and so is any other override
@@ -53,7 +44,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
     SweepFailure,
     chaos_probe,
-    current_batch_size,
     run_resilient,
 )
 from repro.obs import telemetry as obstel
@@ -72,7 +62,6 @@ __all__ = [
     "campaign_telemetry",
     "configure",
     "dashboard_stats",
-    "dispatch_stats",
     "execute",
     "profile_stats",
     "remove_observer",
@@ -88,15 +77,6 @@ __all__ = [
 #: Where the experiment CLIs cache results unless told otherwise.
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
-#: Adaptive batching aims for futures of about this much work — long
-#: enough to amortize pickle/IPC and warm worker caches, short enough
-#: that retry/timeout granularity stays useful.
-TARGET_BATCH_SECONDS = 2.0
-#: Batch size used before any telemetry exists to estimate unit cost.
-DEFAULT_BATCH_UNITS = 4
-#: Never batch wider than this, whatever the cost estimate says.
-MAX_BATCH_UNITS = 16
-
 #: The result cache the settings' ``cache_dir`` names (None = none).
 _cache = Selection("cache_dir", None, ResultCache)
 _sweep_seconds: dict[str, float] = {}
@@ -110,8 +90,6 @@ _unit_records: list[obstel.UnitTelemetry] = []
 _profile: dict[tuple, list] = {}
 #: Live observers of execute() progress (the --dashboard reporter).
 _observers: list[Callable[[dict], None]] = []
-#: Accumulated dispatch tallies across execute() calls (manifest).
-_dispatch: dict = {}
 
 
 def sweep_workers() -> int:
@@ -143,45 +121,6 @@ def configure(directory: str | Path | None, *,
     _cache.reset()  # rebuilt from the new settings, with fresh stats
     stream_store.reset()
     return _cache.active()
-
-
-def _auto_batch_units(n_units: int, workers: int) -> int:
-    """Adaptive batch width for one execute() wave.
-
-    Serial sweeps and sweeps that cannot fill every worker twice gain
-    nothing from batching.  Otherwise the width targets
-    :data:`TARGET_BATCH_SECONDS` of work per future using the campaign
-    telemetry's mean unit wall time when available, clamped so every
-    worker still gets work and retry granularity stays sane.
-    """
-    if workers <= 1 or n_units <= workers:
-        return 1
-    size = DEFAULT_BATCH_UNITS
-    if _campaign.units and _campaign.wall_s > 0:
-        mean_s = _campaign.wall_s / _campaign.units
-        if mean_s > 0:
-            size = max(1, int(TARGET_BATCH_SECONDS / mean_s))
-    fair_share = -(-n_units // workers)  # ceil: keep every worker busy
-    return max(1, min(size, MAX_BATCH_UNITS, fair_share))
-
-
-def batch_units_for(n_units: int, workers: int) -> int:
-    """The dispatch width execute() will use (the ``batch_units`` setting)."""
-    width = settings.current().batch_units
-    if width is None:
-        return _auto_batch_units(n_units, workers)
-    return max(1, min(width, MAX_BATCH_UNITS))
-
-
-def dispatch_stats() -> dict | None:
-    """Manifest-ready dispatch tallies (``None`` = nothing batched)."""
-    if not _dispatch:
-        return None
-    return {
-        "batches": _dispatch.get("batches", 0),
-        "batched_units": _dispatch.get("batched_units", 0),
-        "max_batch_units": _dispatch.get("max_batch_units", 0),
-    }
 
 
 def resilience_stats() -> dict | None:
@@ -305,7 +244,6 @@ def reset() -> None:
     _cache.reset()
     _sweep_seconds.clear()
     _resilience.clear()
-    _dispatch.clear()
     _campaign = obstel.CampaignTelemetry()
     _unit_records.clear()
     _profile.clear()
@@ -355,14 +293,6 @@ def _execute_spec(spec: RunSpec) -> RunMetrics:
         return _run_unit(spec)
     cap = obstel.begin_unit()
     try:
-        # Inside the capture on purpose: the dispatch counters land in
-        # this unit's telemetry delta and fold campaign-wide, like the
-        # warnings a quiet worker ships back for the parent's
-        # _fold_unit to reprint (once).
-        bs = current_batch_size()
-        if bs > 1:
-            OBS.add("dispatch.batched_units")
-            OBS.add("dispatch.batch_size", bs)
         metrics = _run_unit(spec)
     except BaseException:
         obstel.abort_unit(cap)
@@ -476,13 +406,12 @@ def execute(specs: Sequence[RunSpec], *,
     if missing:
         todo = [specs[i] for i in missing]
         workers = _effective_workers(len(todo))
-        batch_units = batch_units_for(len(todo), workers)
 
         def _on_unit(j: int, metrics: RunMetrics | None) -> None:
             _fold_unit(metrics)
             # Persist incrementally, as units land (telemetry has been
             # popped off meta by _fold_unit): a campaign killed
-            # mid-batch resumes from its survivors, not from the last
+            # mid-sweep resumes from its survivors, not from the last
             # fully-completed execute() call.
             if metrics is not None and cache is not None:
                 cache.put(todo[j], metrics)
@@ -490,16 +419,8 @@ def execute(specs: Sequence[RunSpec], *,
                      "label": todo[j].describe(),
                      "ok": metrics is not None})
 
-        def _on_batch(size: int) -> None:
-            _dispatch["batches"] = _dispatch.get("batches", 0) + 1
-            _dispatch["batched_units"] = (
-                _dispatch.get("batched_units", 0) + size)
-            _dispatch["max_batch_units"] = max(
-                _dispatch.get("max_batch_units", 0), size)
-
-        report = run_resilient(todo, workers=workers,
-                               runner=_execute_spec, on_unit=_on_unit,
-                               batch_units=batch_units, on_batch=_on_batch)
+        report = run_resilient(todo, runner=_execute_spec, workers=workers,
+                               on_unit=_on_unit)
         _tally(report)
         for i, metrics in zip(missing, report.results):
             results[i] = metrics

@@ -63,7 +63,6 @@ __all__ = [
     "UnitFailure",
     "backoff_delay",
     "chaos_probe",
-    "current_batch_size",
     "run_resilient",
 ]
 
@@ -225,48 +224,6 @@ def chaos_probe() -> None:
 # ---- resilient execution ----------------------------------------------------
 
 
-#: Size of the batch the *current worker* is executing (1 outside a
-#: batch).  Set by :func:`_run_batch` around its units so the worker's
-#: unit capture can observe its dispatch context.
-_batch_size = 1
-
-
-def current_batch_size() -> int:
-    """How many units share this worker's current future (>= 1)."""
-    return _batch_size
-
-
-def _run_batch(runner: Callable[[RunSpec], RunMetrics],
-               specs: list[RunSpec]) -> list[tuple[str, object]]:
-    """Worker entry for one multi-unit batch.
-
-    Each unit is isolated with its own ``except Exception`` so one bad
-    unit cannot poison its siblings' finished results — the parent
-    retries only the units that actually failed, individually.  (A
-    crash/``os._exit`` still kills the whole future; the parent charges
-    every rider an attempt, exactly like any pool break.)
-    """
-    global _batch_size
-    _batch_size = len(specs)
-    try:
-        out: list[tuple[str, object]] = []
-        for spec in specs:
-            try:
-                out.append(("ok", runner(spec)))
-            except Exception as exc:  # noqa: BLE001 - anything may come back
-                out.append(("err", f"{type(exc).__name__}: {exc}"))
-        return out
-    finally:
-        _batch_size = 1
-
-
-def _default_group_key(spec) -> object:
-    """Workload-major batching: units of one workload share filtered
-    streams and their episode tables, so co-locating them on one worker
-    turns those loads into resident-cache hits."""
-    return getattr(spec, "workload", None)
-
-
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Best-effort kill of a pool with a wedged or dead worker."""
     procs = getattr(pool, "_processes", None) or {}
@@ -297,42 +254,29 @@ def _new_pool(workers: int) -> ProcessPoolExecutor:
                                initargs=(settings.current(),))
 
 
-def run_resilient(specs: Sequence[RunSpec], *, workers: int,
+def run_resilient(specs: Sequence[RunSpec], *,
+                  runner: Callable[[RunSpec], RunMetrics], workers: int,
                   policy: RetryPolicy | None = None,
-                  runner: Callable[[RunSpec], RunMetrics] | None = None,
                   on_unit: Callable[[int, RunMetrics | None], None]
-                  | None = None,
-                  batch_units: int = 1,
-                  group_key: Callable[[RunSpec], object] | None = None,
-                  on_batch: Callable[[int], None] | None = None,
-                  ) -> ExecutionReport:
+                  | None = None) -> ExecutionReport:
     """Execute every spec, surviving crashes, hangs, and flaky failures.
 
     Worker processes start with the caller's :func:`repro.util.settings
     .current` installed (a pool-initializer argument, so it holds under
-    any multiprocessing start method).
+    any multiprocessing start method).  Each unit travels in its own
+    future.
 
     Args:
         specs: Units to run (typically the engine's cache misses).
+        runner: Unit entry point; must be picklable for ``workers > 1``.
         workers: Worker processes; ``<= 1`` runs serially in-process.
         policy: Retry/timeout knobs (default: the settings' ``retry``).
-        runner: Unit entry point; must be picklable for ``workers > 1``.
-            Defaults to the engine's worker entry.
         on_unit: Parent-process callback fired once per unit on its
             *terminal* outcome — ``(index, metrics)`` on success,
             ``(index, None)`` after the last attempt fails.  Retried
             attempts do not fire.  The engine uses this to fold
-            telemetry and feed the live dashboard as units land.
-        batch_units: Group up to this many first-attempt units sharing
-            one ``group_key`` into a single future, amortizing pickle/
-            IPC and maximizing worker-resident cache hits.  ``1`` (the
-            default) keeps the historical unit-per-future dispatch.
-            Retried units always travel alone, so a poisonous unit
-            stops taking siblings down with it.
-        group_key: Batching affinity (default: the spec's ``workload``
-            — units of one workload share stream/decode caches).
-        on_batch: Parent-process callback fired with the batch size at
-            each multi-unit submit (dispatch accounting).
+            telemetry, checkpoint survivors into the result cache and
+            feed the live dashboard as units land.
 
     Returns:
         An :class:`ExecutionReport` whose ``results`` parallel ``specs``
@@ -340,11 +284,6 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
     """
     if policy is None:
         policy = settings.current().retry
-    if runner is None:
-        from repro.experiments.engine import _execute_spec
-        runner = _execute_spec
-    if group_key is None:
-        group_key = _default_group_key
 
     report = ExecutionReport(results=[None] * len(specs))
     pending: deque[tuple[int, int]] = deque(
@@ -398,10 +337,7 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
 
     consecutive_breaks = 0
     pool = _new_pool(workers)
-    # future -> (group, deadline); group is [(index, attempt), ...] —
-    # a singleton for classic dispatch, longer when batched.  A batch's
-    # deadline scales with its size: the units run sequentially in one
-    # worker, so each still gets ``unit_timeout`` on average.
+    # future -> (index, attempt, deadline)
     in_flight: dict = {}
     try:
         while pending or in_flight:
@@ -409,88 +345,54 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
             # so a crash never takes down a huge queue of futures.
             while pending and len(in_flight) < workers * 2:
                 index, attempt = pending.popleft()
-                group = [(index, attempt)]
-                if batch_units > 1 and attempt == 1:
-                    # Greedily extend with consecutive first-attempt
-                    # units of the same affinity (specs arrive
-                    # workload-major from the engine, so "consecutive"
-                    # is enough — no lookahead reordering).
-                    affinity = group_key(specs[index])
-                    while (pending and len(group) < batch_units
-                           and pending[0][1] == 1
-                           and group_key(specs[pending[0][0]]) == affinity):
-                        group.append(pending.popleft())
-                if len(group) == 1:
-                    fut = pool.submit(runner, specs[index])
-                else:
-                    fut = pool.submit(
-                        _run_batch, runner, [specs[i] for i, _ in group])
-                    OBS.add("dispatch.batches")
-                    if on_batch is not None:
-                        on_batch(len(group))
+                fut = pool.submit(runner, specs[index])
                 deadline = (None if policy.unit_timeout is None
-                            else time.monotonic()
-                            + policy.unit_timeout * len(group))
-                in_flight[fut] = (group, deadline)
+                            else time.monotonic() + policy.unit_timeout)
+                in_flight[fut] = (index, attempt, deadline)
             done, _ = wait(list(in_flight), timeout=0.05,
                            return_when=FIRST_COMPLETED)
 
             broke = False
             interrupted: list[tuple[int, int]] = []
             for fut in done:
-                group, _ = in_flight.pop(fut)
+                index, attempt, _ = in_flight.pop(fut)
                 exc = fut.exception()
                 if exc is None:
                     consecutive_breaks = 0
-                    outcomes = (fut.result() if len(group) > 1
-                                else [("ok", fut.result())])
-                    for (index, attempt), (status, payload) in zip(
-                            group, outcomes):
-                        if status == "ok":
-                            OBS.add("sweep.runs_done")
-                            _done(index, payload)
-                        else:
-                            # Failed mid-batch: re-enqueued individually
-                            # (attempt > 1 units never re-batch).
-                            _charge(index, attempt, str(payload))
+                    OBS.add("sweep.runs_done")
+                    _done(index, fut.result())
                 elif isinstance(exc, BrokenProcessPool):
                     # Every in-flight future gets this when any worker
                     # dies; the culprit is unknowable, so all of them
                     # are charged an attempt below.
-                    interrupted.extend(group)
+                    interrupted.append((index, attempt))
                     broke = True
                 else:
-                    # The future itself failed (a singleton unit error,
-                    # or a batch that died outside per-unit isolation,
-                    # e.g. an unpicklable result): charge every rider.
-                    for index, attempt in group:
-                        _charge(index, attempt,
-                                f"{type(exc).__name__}: {exc}")
+                    _charge(index, attempt, f"{type(exc).__name__}: {exc}")
 
             # Hung units: anything still running past its deadline.  A
-            # future still *queued* past its deadline (a sibling hogged
-            # the worker) is cancelled and re-queued uncharged — only
-            # actually-running units count as hangs.
+            # future still *queued* past its deadline is cancelled and
+            # re-queued uncharged — only actually-running units count
+            # as hangs.
             now = time.monotonic()
             hung = []
-            for fut, (group, dl) in list(in_flight.items()):
+            for fut, (index, attempt, dl) in list(in_flight.items()):
                 if dl is None or now <= dl:
                     continue
                 if fut.cancel():
                     in_flight.pop(fut)
-                    pending.extendleft(reversed(group))
+                    pending.appendleft((index, attempt))
                 else:
                     hung.append(fut)
             if hung:
                 for fut in hung:
-                    group, _ = in_flight.pop(fut)
-                    report.timeouts += len(group)
-                    OBS.add("resilience.timeout", len(group))
-                    for index, attempt in group:
-                        _charge(index, attempt,
-                                f"unit exceeded {policy.unit_timeout:g}s "
-                                f"wall-clock timeout",
-                                backoff=False, timed_out=True)
+                    index, attempt, _ = in_flight.pop(fut)
+                    report.timeouts += 1
+                    OBS.add("resilience.timeout")
+                    _charge(index, attempt,
+                            f"unit exceeded {policy.unit_timeout:g}s "
+                            f"wall-clock timeout",
+                            backoff=False, timed_out=True)
                 broke = True
 
             if broke:
@@ -499,8 +401,8 @@ def run_resilient(specs: Sequence[RunSpec], *, workers: int,
                 report.pool_breaks += 1
                 consecutive_breaks += 1
                 OBS.add("resilience.pool_break")
-                for group, _ in in_flight.values():
-                    interrupted.extend(group)
+                interrupted.extend((index, attempt)
+                                   for index, attempt, _ in in_flight.values())
                 in_flight.clear()
                 for index, attempt in interrupted:
                     _charge(index, attempt,

@@ -110,9 +110,6 @@ def write_manifest(directory: str | Path, fidelity: Fidelity,
     resilience = engine.resilience_stats()
     if resilience is not None:
         doc["resilience"] = resilience
-    dispatch = engine.dispatch_stats()
-    if dispatch is not None:
-        doc["dispatch"] = dispatch
     telemetry = engine.telemetry_stats()
     if telemetry is not None:
         doc["telemetry"] = telemetry

@@ -39,7 +39,6 @@ ENV = {
     "REPRO_TRACE_STORE_DIR": "trace_store_dir",
     "REPRO_WORKERS": "workers",
     "REPRO_OVERSUBSCRIBE": "oversubscribe",
-    "REPRO_BATCH_UNITS": "batch_units",
     "REPRO_UNIT_TIMEOUT": "retry",
     "REPRO_MAX_ATTEMPTS": "retry",
     "REPRO_CHAOS_DIR": "chaos_dir",
@@ -88,7 +87,7 @@ class Settings:
 
     ``stream_store_dir`` and ``trace_store_dir`` are ``None`` when unset
     (the store follows ``cache_dir``); the empty string means *no
-    persistent store*.  ``batch_units`` is ``None`` for adaptive.
+    persistent store*.
     """
 
     cache_dir: str | None = None
@@ -96,7 +95,6 @@ class Settings:
     trace_store_dir: str | None = None
     workers: int = 1
     oversubscribe: bool = False
-    batch_units: int | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     chaos_dir: str | None = None
     refresh: bool = False
@@ -115,7 +113,6 @@ class Settings:
                                   env.get("REPRO_WORKERS", "1"), 1,
                                   "defaulting to 1 worker"),
             oversubscribe=env.get("REPRO_OVERSUBSCRIBE") == "1",
-            batch_units=_batch_units(env.get("REPRO_BATCH_UNITS")),
             retry=_retry_policy(env),
             chaos_dir=env.get("REPRO_CHAOS_DIR") or None,
         )
@@ -127,18 +124,6 @@ def _positive_int(name: str, raw: str, default: int, fallback: str) -> int:
     except ValueError:
         OBS.warn(f"{name}={raw!r} is not an integer; {fallback}")
         return default
-
-
-def _batch_units(raw: str | None) -> int | None:
-    """``None`` / ``""`` / ``"0"`` / ``"auto"`` = adaptive, else ``N``."""
-    if raw in (None, "", "0", "auto"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        OBS.warn(f"REPRO_BATCH_UNITS={raw!r} is not an integer; "
-                 f"using adaptive batching")
-        return None
 
 
 def _retry_policy(env: Mapping[str, str]) -> RetryPolicy:

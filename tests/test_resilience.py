@@ -200,21 +200,37 @@ class TestEngineIntegration:
         stats = engine.resilience_stats()
         assert len(stats["failed_units"]) == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_successes_are_cached_despite_failures(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, workers):
         cache_dir = tmp_path / "cache"
         chaos = tmp_path / "chaos"
         chaos.mkdir()
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos))
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+        if workers > 1:
+            # Real worker processes even on a one-CPU machine.
+            monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         # One unit fails terminally (single attempt, one injected
         # error); siblings succeed and must land in the cache anyway.
         (chaos / "error").write_text("1")
         engine.configure(cache_dir)
         settings.update(retry=RetryPolicy(
             max_attempts=1, backoff_base=0.01, backoff_cap=0.05))
-        with pytest.raises(SweepFailure):
+        with pytest.raises(SweepFailure) as excinfo:
             engine.execute(SPECS, phase="sweep.test")
+        assert len(excinfo.value.failures) == 1
         assert engine.cache_stats()["stores"] == len(SPECS) - 1
+
+        # A rerun re-simulates only the loser.
+        engine.reset()
+        engine.configure(cache_dir)
+        settings.update(retry=FAST)
+        metrics = engine.execute(SPECS, phase="sweep.test")
+        assert all(m is not None and m.exec_cycles > 0 for m in metrics)
+        stats = engine.cache_stats()
+        assert stats["hits"] == len(SPECS) - 1
+        assert stats["stores"] == 1
 
     def test_configure_resilience_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "9")

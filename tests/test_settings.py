@@ -47,7 +47,7 @@ class TestParse:
     def test_defaults(self):
         s = Settings.from_env({})
         assert s == Settings()
-        assert s.workers == 1 and s.batch_units is None
+        assert s.workers == 1
         assert s.retry == RetryPolicy()
         assert not (s.refresh or s.telemetry or s.profile)
 
@@ -71,12 +71,6 @@ class TestParse:
         assert Settings.from_env({"REPRO_WORKERS": "0"}).workers == 1
         err = capsys.readouterr().err
         assert err.count("REPRO_WORKERS='garbage'") == 1
-
-    def test_batch_units_forms(self):
-        for raw in ("", "0", "auto", "frogs"):
-            env = {"REPRO_BATCH_UNITS": raw}
-            assert Settings.from_env(env).batch_units is None
-        assert Settings.from_env({"REPRO_BATCH_UNITS": "3"}).batch_units == 3
 
     def test_empty_directories(self):
         s = Settings.from_env({"REPRO_CACHE_DIR": "",
@@ -225,6 +219,11 @@ class TestOneReader:
         for path in SRC.rglob("*.py"):
             names |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
         assert names == set(settings.ENV)
+        # ... and the documented table lists exactly those variables.
+        doc = (REPO / "docs" / "architecture.md").read_text()
+        table = doc.split("| Variable | Field |", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, re.M)
+        assert documented == list(settings.ENV)
 
     def test_only_settings_touches_environ(self):
         offenders = []
