@@ -24,7 +24,6 @@ Write the pins, or regenerate and compare against committed ones::
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import shutil
@@ -37,6 +36,7 @@ import numpy as np
 HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
+from digest_pins import pin_main  # noqa: E402
 from repro.cpu.hierarchy import CacheHierarchy  # noqa: E402
 from repro.trace import chunked  # noqa: E402
 from repro.trace.builder import TraceBuilder  # noqa: E402
@@ -114,28 +114,7 @@ def generate() -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", type=Path, help="write fresh pins here")
-    mode.add_argument("--check", type=Path,
-                      help="regenerate and compare with these pins")
-    args = ap.parse_args(argv)
-    fresh = generate()
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {len(fresh)} filter digests to {args.out}")
-        return 0
-    pinned = json.loads(args.check.read_text())
-    bad = sorted(k for k in pinned.keys() | fresh.keys()
-                 if pinned.get(k) != fresh.get(k))
-    for key in bad:
-        print(f"MISMATCH {key}: pinned {pinned.get(key)} "
-              f"fresh {fresh.get(key)}", file=sys.stderr)
-    if bad:
-        return 1
-    print(f"{len(fresh)} filter digests match {args.check}")
-    return 0
+    return pin_main(__doc__, "filter", generate, argv)
 
 
 if __name__ == "__main__":

@@ -80,9 +80,7 @@ def _run_spec(args, workload: str) -> int:
     spec = RunSpec(workload=workload, config=args.system,
                    policy=args.policy, n_accesses=args.accesses)
     if args.profile:
-        # cProfile needs the telemetry shuttle to bring the per-unit
-        # pstats table back through the engine's fold.
-        settings.update(telemetry=True, profile=True)
+        settings.update(profile=True)
     m = engine.run_cached(spec)
     _emit(m, args.json)
     stats = engine.cache_stats()

@@ -13,7 +13,7 @@ from repro.memctrl.request import MemRequest
 from repro.memctrl.addrmap import GroupAddressMap
 from repro.memctrl.scheduler import frfcfs_order, fcfs_order
 from repro.memctrl.controller import ChannelController
-from repro.memctrl.stats import LatencyHistogram
+from repro.util.histogram import LatencyHistogram
 from repro.memctrl.system import ChannelGroup, MemorySystem
 
 __all__ = [

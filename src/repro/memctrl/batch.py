@@ -74,10 +74,10 @@ import numpy as np
 from repro.cpu.hierarchy import KIND_STORE, KIND_WRITEBACK
 from repro.memctrl.addrmap import LINE_BITS, LINE_BYTES
 from repro.memctrl.scheduler import SCHEDULERS, fcfs_order
-from repro.memctrl.stats import N_BUCKETS, LatencyHistogram, bucket_of
 from repro.memctrl.system import MemorySystem, batch_size_counter
 from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
+from repro.util.histogram import N_BUCKETS, LatencyHistogram, bucket_of
 
 _NEG = -(1 << 62)
 

@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 from repro.memctrl.request import MemRequest
 from repro.memctrl.scheduler import frfcfs_order
-from repro.memctrl.stats import LatencyHistogram
 from repro.memdev.module import MemoryModule
 from repro.obs.registry import OBS
+from repro.util.histogram import LatencyHistogram
 
 SchedulerFn = Callable[[MemoryModule, Sequence[MemRequest]], list[MemRequest]]
 

@@ -26,6 +26,7 @@ from repro.memdev.module import MemoryModule
 from repro.memdev.power import PowerModel
 from repro.memdev.timing import DeviceTiming
 from repro.obs.registry import OBS
+from repro.util.histogram import LatencyHistogram
 
 
 def batch_size_counter(n: int) -> str:
@@ -158,10 +159,8 @@ class MemorySystem:
 
     # ---- accounting ---------------------------------------------------------------
 
-    def latency_histogram(self, group: str | None = None) -> "LatencyHistogram":
+    def latency_histogram(self, group: str | None = None) -> LatencyHistogram:
         """Merged demand-latency histogram (optionally one group's)."""
-        from repro.memctrl.stats import LatencyHistogram
-
         merged = LatencyHistogram()
         groups = [self.group(group)] if group is not None else self.groups
         for g in groups:
@@ -170,8 +169,6 @@ class MemorySystem:
         return merged
 
     def reset_stats(self) -> None:
-        from repro.memctrl.stats import LatencyHistogram
-
         for g in self.groups:
             for m in g.modules:
                 m.reset_stats()

@@ -8,14 +8,15 @@ Public surface:
 * :mod:`repro.obs.sinks` — JSONL and Chrome ``trace_event`` exporters;
 * :class:`ProgressReporter` — stderr narration of long sweeps
   (tty-aware: repaints in place on a terminal, plain lines on a pipe);
-* :mod:`repro.obs.telemetry` — campaign-wide telemetry: per-unit
-  :class:`UnitTelemetry` snapshots captured in sweep workers, folded
-  into a mergeable :class:`CampaignTelemetry` (log2 histograms,
-  per-worker utilization, cross-process warning dedup) and a merged
-  multi-lane Chrome trace;
+* :mod:`repro.obs.telemetry` — campaign-wide telemetry, the one
+  per-unit record of time and counts: :class:`UnitTelemetry` snapshots
+  captured in sweep workers, folded into a :class:`CampaignTelemetry`
+  (counters, log2 span histograms, per-worker utilization,
+  cross-process warning dedup) and a merged multi-lane Chrome trace;
 * :class:`Dashboard` — the ``--dashboard`` live campaign reporter and
   its machine-readable heartbeat file;
-* :func:`run_meta` / :func:`config_hash` — provenance ``meta`` blocks.
+* :func:`run_meta` / :func:`config_hash` — provenance ``meta`` blocks
+  (what produced a result, not where its time went).
 """
 
 from repro.obs.dashboard import Dashboard, ProgressReporter, supports_repaint
@@ -29,7 +30,6 @@ from repro.obs.sinks import (
 )
 from repro.obs.telemetry import (
     CampaignTelemetry,
-    LogHistogram,
     UnitTelemetry,
     merged_trace_doc,
     write_telemetry_jsonl,
@@ -39,6 +39,6 @@ __all__ = [
     "OBS", "Registry", "SpanEvent", "ProgressReporter", "supports_repaint",
     "config_hash", "run_meta",
     "chrome_trace_doc", "read_jsonl", "write_chrome_trace", "write_jsonl",
-    "CampaignTelemetry", "LogHistogram", "UnitTelemetry",
+    "CampaignTelemetry", "UnitTelemetry",
     "merged_trace_doc", "write_telemetry_jsonl", "Dashboard",
 ]

@@ -2,10 +2,11 @@
 
 Every :class:`~repro.sim.metrics.RunMetrics` and every saved figure
 artefact carries a ``meta`` dict recording *how* its numbers were
-produced — config hash, thresholds, fidelity, root seed, wall-time per
-phase, and a counter snapshot — so a drifting figure can be diffed
-against a known-good artefact without re-simulating (was it the config?
-the thresholds? a slow phase?).
+produced — config hash, policy, workload, thresholds, faults, fidelity,
+root seed and versions — so a drifting figure can be diffed against a
+known-good artefact without re-simulating (was it the config? the
+thresholds?).  Where a sweep unit spent its time and work is recorded
+once, in its campaign telemetry (:mod:`repro.obs.telemetry`), not here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import platform
 from datetime import datetime, timezone
 
-from repro.obs.registry import OBS, Registry
 from repro.util.rng import ROOT_SEED
 
 __all__ = ["META_SCHEMA", "config_hash", "run_meta"]
@@ -43,17 +43,10 @@ def config_hash(config: object) -> str:
 def run_meta(*, config: object | None = None, policy: str | None = None,
              workload: str | None = None, thresholds: object | None = None,
              fidelity: object | None = None, seed: int = ROOT_SEED,
-             faults: object | None = None,
-             registry: Registry | None = None, **extra) -> dict:
-    """Assemble a provenance ``meta`` block for one run or artefact.
-
-    Phase wall-times and the counter snapshot are included only when the
-    registry is enabled (they are empty otherwise, and collecting them
-    is the whole point of ``--trace``/``--obs-dump`` runs).
-    """
+             faults: object | None = None, **extra) -> dict:
+    """Assemble a provenance ``meta`` block for one run or artefact."""
     from repro import __version__  # deferred: repro imports the sim layers
 
-    registry = OBS if registry is None else registry
     meta: dict = {
         "schema": META_SCHEMA,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -86,9 +79,5 @@ def run_meta(*, config: object | None = None, policy: str | None = None,
                 "n_single": getattr(fidelity, "n_single", None),
                 "n_multi": getattr(fidelity, "n_multi", None),
             }
-    if registry.enabled:
-        meta["phase_seconds"] = {
-            k: round(v, 6) for k, v in registry.phase_seconds().items()}
-        meta["counters"] = dict(registry.counters)
     meta.update(extra)
     return meta

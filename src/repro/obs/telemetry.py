@@ -3,28 +3,26 @@
 The PR 1 :mod:`repro.obs.registry` is deliberately process-local, which
 means everything a sweep worker records — counters, spans, resource
 usage — used to die with the worker.  This module closes that gap with
-three mergeable value types:
+two value types, the only per-unit record of where a sweep unit spent
+its time and work:
 
-* :class:`LogHistogram` — a fixed-bin log2 histogram of durations.
-  Bins are ``value.bit_length()`` (64 bins cover 0 ns .. ~584 years),
-  so merging is element-wise addition and any percentile estimate is
-  off by at most one bin width (< 2x, pinned by property tests).
 * :class:`UnitTelemetry` — one sweep unit's snapshot: the registry
-  *delta* accrued while the unit ran (counters, per-span stats, raw
-  span events for trace merging, newly-raised warning keys) plus
-  resource facts from :func:`resource.getrusage` (peak RSS, user/sys
-  CPU time), GC collections, and the cache-filter source (kernel /
-  reference / store / memo).  Captured in
-  the worker by :func:`begin_unit`/:func:`end_unit`, shipped back to
-  the parent inside ``RunMetrics.meta["unit_telemetry"]``, and popped
-  off by the engine before the result reaches the persistent cache.
-* :class:`CampaignTelemetry` — the campaign-wide fold: summed counters,
-  merged span histograms, per-worker (pid) busy time and peak RSS,
-  deduplicated warnings, filter-source tallies.  ``merge`` is
-  associative and order-independent (integer sums, maxes, element-wise
-  histogram addition — pinned by hypothesis tests), and
-  ``to_dict``/``from_dict`` round-trip losslessly through the campaign
-  manifest's ``telemetry`` block.
+  *delta* accrued while the unit ran (counters, one
+  :class:`~repro.util.histogram.LatencyHistogram` of nanosecond
+  durations per span name, raw span events for trace merging,
+  newly-raised warning keys) plus resource facts from
+  :func:`resource.getrusage` (peak RSS, user/sys CPU time) and GC
+  collections.  Captured in the worker by
+  :func:`begin_unit`/:func:`end_unit`, shipped back to the parent
+  inside ``RunMetrics.meta["unit_telemetry"]``, and popped off by the
+  engine before the result reaches the persistent cache.
+* :class:`CampaignTelemetry` — the campaign-wide fold
+  (:meth:`CampaignTelemetry.add_unit`): summed counters, merged span
+  histograms, per-worker (pid) busy time and peak RSS, deduplicated
+  warnings.  Every sum is over integers and histograms merge
+  element-wise, so the fold is order-independent (pinned by hypothesis
+  tests), and ``to_dict``/``from_dict`` round-trip losslessly through
+  the campaign manifest's ``telemetry`` block.
 
 Capture is off unless the ``telemetry`` setting is on (see
 :mod:`repro.util.settings`; the experiments CLI turns it on and the
@@ -48,12 +46,11 @@ from pathlib import Path
 from repro.obs.registry import OBS, Registry
 from repro.obs.sinks import chrome_trace_doc
 from repro.util import settings
+from repro.util.histogram import LatencyHistogram
 
 __all__ = [
     "TELEMETRY_VERSION",
     "CampaignTelemetry",
-    "LogHistogram",
-    "SpanStats",
     "UnitTelemetry",
     "abort_unit",
     "begin_unit",
@@ -65,132 +62,12 @@ __all__ = [
 ]
 
 #: Schema version of ``telemetry.jsonl`` and the manifest block.
-TELEMETRY_VERSION = 1
-
-#: log2 bins: index = bit_length of the integer nanosecond value,
-#: clamped — bin 63 holds everything >= 2**62 ns (~146 years).
-N_BINS = 64
+TELEMETRY_VERSION = 2
 
 
 def capture_enabled() -> bool:
     """Whether :func:`begin_unit` captures are requested in this process."""
     return settings.current().telemetry
-
-
-# ---- mergeable histogram ----------------------------------------------------
-
-
-class LogHistogram:
-    """Fixed-bin log2 histogram of non-negative integer values (ns).
-
-    Sparse storage (``{bin: count}``); merging two histograms is
-    element-wise addition, so any fold order yields the same object.
-    Percentiles return the *upper bound* of the target bin — at most 2x
-    the true value (one bin width), never below it.
-    """
-
-    __slots__ = ("bins", "n")
-
-    def __init__(self, bins: dict[int, int] | None = None):
-        self.bins: dict[int, int] = dict(bins) if bins else {}
-        self.n = sum(self.bins.values())
-
-    @staticmethod
-    def bin_of(value: int) -> int:
-        v = int(value)
-        return 0 if v <= 0 else min(v.bit_length(), N_BINS - 1)
-
-    @staticmethod
-    def bin_upper(b: int) -> int:
-        """Largest value the bin can hold (0 for the zero bin)."""
-        return 0 if b <= 0 else (1 << b) - 1
-
-    def record(self, value: int) -> None:
-        b = self.bin_of(value)
-        self.bins[b] = self.bins.get(b, 0) + 1
-        self.n += 1
-
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Element-wise sum; returns a new histogram, mutates neither."""
-        out = LogHistogram(self.bins)
-        for b, c in other.bins.items():
-            out.bins[b] = out.bins.get(b, 0) + c
-        out.n = self.n + other.n
-        return out
-
-    def percentile(self, q: float) -> int:
-        """Upper bound of the bin holding the q-quantile (0 if empty)."""
-        if self.n == 0:
-            return 0
-        target = max(1, -(-int(q * 1e9) * self.n // int(1e9)))  # ceil(q*n)
-        seen = 0
-        for b in sorted(self.bins):
-            seen += self.bins[b]
-            if seen >= target:
-                return self.bin_upper(b)
-        return self.bin_upper(max(self.bins))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n,
-                "bins": {str(b): c for b, c in sorted(self.bins.items())}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogHistogram":
-        return cls({int(b): int(c) for b, c in data.get("bins", {}).items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LogHistogram)
-                and self.bins == other.bins and self.n == other.n)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LogHistogram(n={self.n}, bins={self.bins})"
-
-
-@dataclass
-class SpanStats:
-    """Mergeable aggregate of one span name's closed durations."""
-
-    count: int = 0
-    total_ns: int = 0
-    max_ns: int = 0
-    hist: LogHistogram = field(default_factory=LogHistogram)
-
-    def record(self, duration_ns: int) -> None:
-        d = max(0, int(duration_ns))
-        self.count += 1
-        self.total_ns += d
-        self.max_ns = max(self.max_ns, d)
-        self.hist.record(d)
-
-    def merge(self, other: "SpanStats") -> "SpanStats":
-        return SpanStats(
-            count=self.count + other.count,
-            total_ns=self.total_ns + other.total_ns,
-            max_ns=max(self.max_ns, other.max_ns),
-            hist=self.hist.merge(other.hist),
-        )
-
-    @property
-    def total_s(self) -> float:
-        return self.total_ns / 1e9
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_ns": self.total_ns,
-            "max_ns": self.max_ns,
-            "hist": self.hist.to_dict(),
-            # Derived, for human readers; from_dict recomputes them.
-            "p50_ns": self.hist.percentile(0.50),
-            "p95_ns": self.hist.percentile(0.95),
-            "p99_ns": self.hist.percentile(0.99),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpanStats":
-        return cls(count=int(data["count"]), total_ns=int(data["total_ns"]),
-                   max_ns=int(data["max_ns"]),
-                   hist=LogHistogram.from_dict(data.get("hist", {})))
 
 
 # ---- per-unit snapshot ------------------------------------------------------
@@ -209,10 +86,8 @@ class UnitTelemetry:
     peak_rss_kb: int = 0
     gc_collections: int = 0
     accesses: int = 0  #: Trace accesses replayed (n_accesses x cores).
-    filter_accesses: int = 0  #: Accesses actually cache-filtered here.
-    filter_sources: dict[str, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
-    spans: dict[str, SpanStats] = field(default_factory=dict)
+    spans: dict[str, LatencyHistogram] = field(default_factory=dict)  #: ns
     warnings: dict[str, str] = field(default_factory=dict)  #: key -> message
     events: list[dict] = field(default_factory=list)  #: raw span dicts
 
@@ -227,8 +102,6 @@ class UnitTelemetry:
             "peak_rss_kb": self.peak_rss_kb,
             "gc_collections": self.gc_collections,
             "accesses": self.accesses,
-            "filter_accesses": self.filter_accesses,
-            "filter_sources": dict(self.filter_sources),
             "counters": dict(self.counters),
             "spans": {k: v.to_dict() for k, v in self.spans.items()},
             "warnings": dict(self.warnings),
@@ -247,10 +120,8 @@ class UnitTelemetry:
             peak_rss_kb=int(data.get("peak_rss_kb", 0)),
             gc_collections=int(data.get("gc_collections", 0)),
             accesses=int(data.get("accesses", 0)),
-            filter_accesses=int(data.get("filter_accesses", 0)),
-            filter_sources=dict(data.get("filter_sources", {})),
             counters=dict(data.get("counters", {})),
-            spans={k: SpanStats.from_dict(v)
+            spans={k: LatencyHistogram.from_dict(v)
                    for k, v in data.get("spans", {}).items()},
             warnings=dict(data.get("warnings", {})),
             events=[dict(e) for e in data.get("events", [])],
@@ -318,47 +189,23 @@ def abort_unit(cap: _UnitCapture) -> None:
         reg.disable()
 
 
-def _filter_source_counts(meta: dict) -> tuple[dict[str, int], int]:
-    """(source -> count, memoized-hit count is folded in as ``"memo"``).
-
-    ``meta["filter"]`` is one provenance dict (single-core), a mapping
-    app -> provenance (multicore), or ``None`` when the in-process memo
-    served the stream without re-filtering.
-    """
-    out: dict[str, int] = {}
-
-    def one(prov: dict | None) -> None:
-        src = prov["engine"] if prov else "memo"
-        out[src] = out.get(src, 0) + 1
-
-    if "filter" not in meta:
-        return out, 0
-    f = meta["filter"]
-    if f is None or "engine" in f:
-        one(f)
-    else:
-        for prov in f.values():
-            one(prov)
-    return out, 0
-
-
 def end_unit(cap: _UnitCapture, *, label: str = "",
              meta: dict | None = None) -> UnitTelemetry:
     """Close a capture; returns the unit's telemetry snapshot.
 
-    ``meta`` is the finished run's ``RunMetrics.meta`` — cache-filter
-    provenance and access counts are lifted from it.
+    ``meta`` is the finished run's ``RunMetrics.meta``; the replayed
+    access count is lifted from it.
     """
     reg = cap.registry
     wall_ns = time.perf_counter_ns() - cap.t0_ns
     ru1 = resource.getrusage(resource.RUSAGE_SELF)
     events = reg.events[cap.events0:]
 
-    spans: dict[str, SpanStats] = {}
+    spans: dict[str, LatencyHistogram] = {}
     event_docs: list[dict] = []
     for e in events:
         if e.kind == "span" and e.end_ns is not None:
-            spans.setdefault(e.name, SpanStats()).record(e.duration_ns)
+            spans.setdefault(e.name, LatencyHistogram()).record(e.duration_ns)
         event_docs.append(e.to_dict())
 
     counters = {
@@ -369,8 +216,6 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
     warnings = {k: m for k, m in reg._warned.items()
                 if k not in cap.warned0}
 
-    meta = meta or {}
-    sources, _ = _filter_source_counts(meta)
     ut = UnitTelemetry(
         pid=os.getpid(),
         label=label,
@@ -380,9 +225,7 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
         stime_us=round((ru1.ru_stime - cap.ru0.ru_stime) * 1e6),
         peak_rss_kb=_peak_rss_kb(ru1),
         gc_collections=_gc_collections() - cap.gc0,
-        accesses=int(meta.get("accesses", 0)),
-        filter_accesses=int(counters.get("filter.accesses", 0)),
-        filter_sources=sources,
+        accesses=int((meta or {}).get("accesses", 0)),
         counters=counters,
         spans=spans,
         warnings=warnings,
@@ -398,21 +241,15 @@ def end_unit(cap: _UnitCapture, *, label: str = "",
 # ---- campaign aggregation ---------------------------------------------------
 
 
-def _merge_counts(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return out
-
-
 @dataclass
 class CampaignTelemetry:
     """Order-independent fold of :class:`UnitTelemetry` snapshots.
 
-    All sums are over integers (nanoseconds / microseconds / counts), so
-    ``merge`` is exactly associative and commutative; ``workers`` maxes
-    peak RSS per pid; ``warnings`` keeps the lexicographically-smallest
-    message per key for determinism.
+    All sums are over integers (nanoseconds / microseconds / counts) and
+    span histograms merge element-wise, so any fold order yields the
+    same aggregate; ``workers`` maxes peak RSS per pid; ``warnings``
+    keeps the lexicographically-smallest message per key for
+    determinism.
     """
 
     units: int = 0
@@ -423,27 +260,23 @@ class CampaignTelemetry:
     stime_us: int = 0
     gc_collections: int = 0
     accesses: int = 0
-    filter_accesses: int = 0
     counters: dict[str, float] = field(default_factory=dict)
-    spans: dict[str, SpanStats] = field(default_factory=dict)
+    spans: dict[str, LatencyHistogram] = field(default_factory=dict)  #: ns
     workers: dict[str, dict] = field(default_factory=dict)  #: pid -> facts
     warnings: dict[str, dict] = field(default_factory=dict)  #: key -> info
-    filter_sources: dict[str, int] = field(default_factory=dict)
-
-    # ---- folding -----------------------------------------------------------
 
     def add_unit(self, ut: UnitTelemetry) -> None:
+        """Fold one unit's snapshot in (``ut`` is left unchanged)."""
         self.units += 1
         self.wall_ns += ut.wall_ns
         self.utime_us += ut.utime_us
         self.stime_us += ut.stime_us
         self.gc_collections += ut.gc_collections
         self.accesses += ut.accesses
-        self.filter_accesses += ut.filter_accesses
-        self.counters = _merge_counts(self.counters, ut.counters)
-        for name, stats in ut.spans.items():
-            prev = self.spans.get(name)
-            self.spans[name] = stats if prev is None else prev.merge(stats)
+        for key, value in ut.counters.items():
+            self.counters[key] = self.counters.get(key, 0) + value
+        for name, hist in ut.spans.items():
+            self.spans.setdefault(name, LatencyHistogram()).merge(hist)
         w = self.workers.setdefault(str(ut.pid), {
             "units": 0, "busy_ns": 0, "peak_rss_kb": 0,
             "utime_us": 0, "stime_us": 0, "gc_collections": 0,
@@ -459,57 +292,13 @@ class CampaignTelemetry:
                                              {"count": 0, "message": message})
             entry["count"] += 1
             entry["message"] = min(entry["message"], message)
-        self.filter_sources = _merge_counts(self.filter_sources,
-                                            ut.filter_sources)
-
-    def merge(self, other: "CampaignTelemetry") -> "CampaignTelemetry":
-        """Combine two aggregates; returns a new one, mutates neither."""
-        out = CampaignTelemetry(
-            units=self.units + other.units,
-            cached_units=self.cached_units + other.cached_units,
-            failed_units=self.failed_units + other.failed_units,
-            wall_ns=self.wall_ns + other.wall_ns,
-            utime_us=self.utime_us + other.utime_us,
-            stime_us=self.stime_us + other.stime_us,
-            gc_collections=self.gc_collections + other.gc_collections,
-            accesses=self.accesses + other.accesses,
-            filter_accesses=self.filter_accesses + other.filter_accesses,
-            counters=_merge_counts(self.counters, other.counters),
-            filter_sources=_merge_counts(self.filter_sources,
-                                         other.filter_sources),
-        )
-        out.spans = {k: v for k, v in self.spans.items()}
-        for name, stats in other.spans.items():
-            prev = out.spans.get(name)
-            out.spans[name] = stats if prev is None else prev.merge(stats)
-        out.workers = {pid: dict(w) for pid, w in self.workers.items()}
-        for pid, w in other.workers.items():
-            prev = out.workers.get(pid)
-            if prev is None:
-                out.workers[pid] = dict(w)
-            else:
-                for k in ("units", "busy_ns", "utime_us", "stime_us",
-                          "gc_collections"):
-                    prev[k] += w[k]
-                prev["peak_rss_kb"] = max(prev["peak_rss_kb"],
-                                          w["peak_rss_kb"])
-        out.warnings = {k: dict(v) for k, v in self.warnings.items()}
-        for key, info in other.warnings.items():
-            prev = out.warnings.get(key)
-            if prev is None:
-                out.warnings[key] = dict(info)
-            else:
-                prev["count"] += info["count"]
-                prev["message"] = min(prev["message"], info["message"])
-        return out
 
     # ---- queries -----------------------------------------------------------
 
     def hot_spans(self, n: int = 3) -> list[tuple[str, float]]:
         """Top-n span names by summed wall time, as (name, seconds)."""
-        ranked = sorted(self.spans.items(),
-                        key=lambda kv: (-kv[1].total_ns, kv[0]))
-        return [(name, stats.total_s) for name, stats in ranked[:n]]
+        ranked = sorted(self.spans.items(), key=lambda kv: (-kv[1].sum, kv[0]))
+        return [(name, hist.sum / 1e9) for name, hist in ranked[:n]]
 
     @property
     def wall_s(self) -> float:
@@ -518,16 +307,9 @@ class CampaignTelemetry:
     def replay_acc_per_s(self) -> float:
         """Replayed accesses per second of ``core_replay`` span time."""
         replay = self.spans.get("core_replay")
-        if replay is None or replay.total_ns == 0:
+        if replay is None or replay.sum == 0:
             return 0.0
-        return self.accesses / (replay.total_ns / 1e9)
-
-    def filter_acc_per_s(self) -> float:
-        """Filtered accesses per second of ``cache_filter`` span time."""
-        filt = self.spans.get("cache_filter")
-        if filt is None or filt.total_ns == 0 or self.filter_accesses == 0:
-            return 0.0
-        return self.filter_accesses / (filt.total_ns / 1e9)
+        return self.accesses / (replay.sum / 1e9)
 
     # ---- serialization -----------------------------------------------------
 
@@ -542,23 +324,20 @@ class CampaignTelemetry:
             "stime_us": self.stime_us,
             "gc_collections": self.gc_collections,
             "accesses": self.accesses,
-            "filter_accesses": self.filter_accesses,
             "counters": dict(self.counters),
             "spans": {k: v.to_dict() for k, v in sorted(self.spans.items())},
             "workers": {pid: dict(w)
                         for pid, w in sorted(self.workers.items())},
             "warnings": {k: dict(v)
                          for k, v in sorted(self.warnings.items())},
-            "filter_sources": dict(self.filter_sources),
             # Derived, for human readers; from_dict recomputes them.
             "wall_s": round(self.wall_s, 6),
             "replay_acc_per_s": round(self.replay_acc_per_s(), 3),
-            "filter_acc_per_s": round(self.filter_acc_per_s(), 3),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignTelemetry":
-        out = cls(
+        return cls(
             units=int(data.get("units", 0)),
             cached_units=int(data.get("cached_units", 0)),
             failed_units=int(data.get("failed_units", 0)),
@@ -567,17 +346,13 @@ class CampaignTelemetry:
             stime_us=int(data.get("stime_us", 0)),
             gc_collections=int(data.get("gc_collections", 0)),
             accesses=int(data.get("accesses", 0)),
-            filter_accesses=int(data.get("filter_accesses", 0)),
             counters=dict(data.get("counters", {})),
-            filter_sources=dict(data.get("filter_sources", {})),
+            spans={k: LatencyHistogram.from_dict(v)
+                   for k, v in data.get("spans", {}).items()},
+            workers={pid: dict(w)
+                     for pid, w in data.get("workers", {}).items()},
+            warnings={k: dict(v) for k, v in data.get("warnings", {}).items()},
         )
-        out.spans = {k: SpanStats.from_dict(v)
-                     for k, v in data.get("spans", {}).items()}
-        out.workers = {pid: dict(w)
-                       for pid, w in data.get("workers", {}).items()}
-        out.warnings = {k: dict(v)
-                        for k, v in data.get("warnings", {}).items()}
-        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CampaignTelemetry)

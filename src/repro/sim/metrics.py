@@ -48,8 +48,8 @@ class RunMetrics:
     latency_p95: int = 0
     latency_p99: int = 0
     per_core: tuple = field(default_factory=tuple)
-    #: Provenance block (config hash, thresholds, phase wall-times,
-    #: counter snapshot — see :func:`repro.obs.provenance.run_meta`).
+    #: Provenance block (config hash, policy, thresholds, seed — see
+    #: :func:`repro.obs.provenance.run_meta`).
     #: Excluded from equality: two runs with identical numbers but
     #: different timestamps are the same result.
     meta: dict = field(default_factory=dict, compare=False, repr=False)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import engine
+from repro.obs.registry import OBS
+from repro.util import settings
 
 
 class TestCli:
@@ -54,6 +57,26 @@ class TestCli:
         assert doc["exec_cycles"] > 0
         assert len(doc["per_core"]) == 1
         assert "latency_p99" in doc
+
+    def test_run_profile_leaves_telemetry_off(self, capsys, monkeypatch,
+                                              isolated_settings):
+        """``--profile`` profiles the run without turning on telemetry
+        (and with it the registry, whose recording would be profiled)."""
+        seen = []
+        simulate = engine._run_unit
+
+        def spy(spec):
+            seen.append((settings.current().telemetry, OBS.enabled))
+            return simulate(spec)
+
+        monkeypatch.setattr(engine, "_run_unit", spy)
+        assert main(["run", "stitch", "--system", "Homogen-DDR3",
+                     "--policy", "homogen", "--accesses", "10000",
+                     "--no-cache", "--profile"]) == 0
+        assert seen == [(False, False)]
+        err = capsys.readouterr().err
+        assert "[profile: top 10 by cumulative time]" in err
+        assert " calls  " in err
 
     def test_experiments_forwarding(self, capsys):
         assert main(["experiments", "table1"]) == 0

@@ -193,13 +193,48 @@ class TestInstrumentedRun:
         assert m.meta["config"]["name"] == "Homogen-DDR3"
         assert len(m.meta["config"]["hash"]) == 16
         assert m.meta["policy"] == "homogen"
-        assert "counters" in m.meta and "phase_seconds" in m.meta
         assert m.to_dict()["meta"]["workload"] == "stitch"
 
     def test_meta_present_without_obs(self):
         m = run(RunSpec("stitch", "Homogen-DDR3", "homogen", N))
         assert m.meta["config"]["hash"]
-        assert "counters" not in m.meta  # snapshot only when enabled
+        assert "counters" not in m.meta
+
+    def test_registry_calls_do_not_grow_with_trace_length(self):
+        """Hooks fire per run, batch or epoch — never per trace record.
+
+        Counts the ``add``/``gauge``/``span`` calls an enabled registry
+        receives from one run at two trace lengths, 4x apart (about 50
+        either way today).  A per-record hook adds thousands per 30k
+        accesses; ``benchmarks/test_extras.py::test_obs_disabled_overhead``
+        sees it only as a timing margin.
+        """
+        def registry_calls(n_accesses: int) -> int:
+            calls = 0
+
+            def counted(method):
+                def call(*args, **kwargs):
+                    nonlocal calls
+                    calls += 1
+                    return method(*args, **kwargs)
+                return call
+
+            names = ("add", "gauge", "span")
+            OBS.reset().enable()
+            for name in names:
+                setattr(OBS, name, counted(getattr(OBS, name)))
+            try:
+                run(RunSpec("mcf", "Homogen-DDR3", "homogen", n_accesses))
+            finally:
+                for name in names:
+                    delattr(OBS, name)  # back to the class's methods
+                OBS.reset().disable()
+            return calls
+
+        # Lengths no other test uses, so neither run is memoized.
+        short, long = registry_calls(30_013), registry_calls(120_013)
+        assert short < 200, short
+        assert long <= short + 8, (short, long)
 
 
 class TestProvenance:

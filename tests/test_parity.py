@@ -185,9 +185,8 @@ def _memsys_doc(memsys):
                 "n_served": c.n_served,
                 "queue_cycles": c.total_queue_cycles,
                 "service_cycles": c.total_service_cycles,
-                "hist": (tuple(c.latency_hist.counts), c.latency_hist.total,
-                         c.latency_hist.sum_cycles,
-                         c.latency_hist.max_cycles),
+                "hist": (tuple(c.latency_hist.buckets), c.latency_hist.count,
+                         c.latency_hist.sum, c.latency_hist.max),
                 "n_accesses": m.n_accesses,
                 "n_row_hits": m.n_row_hits,
                 "n_reads": m.n_reads,

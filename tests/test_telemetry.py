@@ -1,12 +1,12 @@
-"""Campaign telemetry: merge laws, capture, dashboard, CLI.
+"""Campaign telemetry: fold laws, capture, dashboard, CLI.
 
 Three layers of coverage:
 
-* **Algebra** (hypothesis) — ``LogHistogram`` / ``SpanStats`` /
-  ``CampaignTelemetry`` merges are associative and fold-order
-  independent, percentile estimates sit within one log2 bin of the
-  truth, and ``to_dict``/``from_dict`` round-trips are lossless (the
-  manifest's ``telemetry`` block is exactly reconstructible).
+* **Algebra** (hypothesis) — the ``CampaignTelemetry`` fold is
+  order-independent and ``to_dict``/``from_dict`` round-trips are
+  lossless (the manifest's ``telemetry`` block is exactly
+  reconstructible).  The span histogram's own laws live in
+  ``tests/test_latency_stats.py``.
 * **Capture** — ``begin_unit``/``end_unit`` take a registry *delta*,
   restore a disabled registry (the PR 1 disabled-by-default contract),
   and ship warnings raised by quieted workers back for a single
@@ -36,14 +36,10 @@ from repro.faults.plan import FaultPlan
 from repro.obs import telemetry as obstel
 from repro.obs.dashboard import HEARTBEAT_NAME, Dashboard, supports_repaint
 from repro.obs.registry import OBS, Registry
-from repro.obs.telemetry import (
-    CampaignTelemetry,
-    LogHistogram,
-    SpanStats,
-    UnitTelemetry,
-)
+from repro.obs.telemetry import CampaignTelemetry, UnitTelemetry
 from repro.sim.spec import RunSpec
 from repro.util import settings as repro_settings
+from repro.util.histogram import LatencyHistogram
 from repro.workloads.spec import APPS
 
 from conftest import isolated_settings_ctx
@@ -58,8 +54,8 @@ span_stats = st.builds(
     lambda vals: _stats_from(vals), st.lists(values, max_size=10))
 
 
-def _stats_from(vals: list[int]) -> SpanStats:
-    s = SpanStats()
+def _stats_from(vals: list[int]) -> LatencyHistogram:
+    s = LatencyHistogram()
     for v in vals:
         s.record(v)
     return s
@@ -75,10 +71,6 @@ unit_telemetries = st.builds(
     peak_rss_kb=st.integers(0, 10**6),
     gc_collections=st.integers(0, 50),
     accesses=st.integers(0, 10**6),
-    filter_accesses=st.integers(0, 10**6),
-    filter_sources=st.dictionaries(
-        st.sampled_from(["kernel", "reference", "store", "memo"]),
-        st.integers(1, 5), max_size=3),
     counters=st.dictionaries(st.sampled_from(["x", "y", "z"]),
                              st.integers(1, 100), max_size=3),
     spans=st.dictionaries(st.sampled_from(["core_replay", "cache_filter"]),
@@ -95,76 +87,10 @@ def _fold(units: list[UnitTelemetry]) -> CampaignTelemetry:
     return ct
 
 
-# ---- LogHistogram -----------------------------------------------------------
-
-
-class TestLogHistogram:
-    def test_bins_and_count(self):
-        h = LogHistogram()
-        for v in (0, 1, 2, 3, 1000):
-            h.record(v)
-        assert h.n == 5
-        assert sum(h.bins.values()) == 5
-
-    def test_empty_percentile_is_zero(self):
-        assert LogHistogram().percentile(0.5) == 0
-
-    @given(value_lists.filter(bool), st.sampled_from([0.5, 0.95, 0.99]))
-    @settings(max_examples=80)
-    def test_percentile_within_one_bin(self, vals, q):
-        """Estimate >= true quantile and <= 2x (one log2 bin width)."""
-        h = _hist_from(vals)
-        est = h.percentile(q)
-        ordered = sorted(vals)
-        true = ordered[max(1, math.ceil(q * len(vals))) - 1]
-        assert est >= true
-        assert est <= max(1, 2 * true)
-
-    @given(value_lists, value_lists, value_lists)
-    @settings(max_examples=60)
-    def test_merge_associative(self, a, b, c):
-        ha, hb, hc = _hist_from(a), _hist_from(b), _hist_from(c)
-        assert ha.merge(hb).merge(hc) == ha.merge(hb.merge(hc))
-
-    @given(value_lists, st.randoms(use_true_random=False))
-    @settings(max_examples=60)
-    def test_fold_order_independent(self, vals, rnd):
-        shuffled = list(vals)
-        rnd.shuffle(shuffled)
-        assert _hist_from(vals) == _hist_from(shuffled)
-
-    @given(value_lists)
-    @settings(max_examples=60)
-    def test_round_trip(self, vals):
-        h = _hist_from(vals)
-        assert LogHistogram.from_dict(
-            json.loads(json.dumps(h.to_dict()))) == h
-
-    def test_merge_mutates_neither(self):
-        a, b = _hist_from([1, 2]), _hist_from([3])
-        a.merge(b)
-        assert a.n == 2 and b.n == 1
-
-
-def _hist_from(vals: list[int]) -> LogHistogram:
-    h = LogHistogram()
-    for v in vals:
-        h.record(v)
-    return h
-
-
 # ---- CampaignTelemetry algebra ---------------------------------------------
 
 
 class TestCampaignMerge:
-    @given(st.lists(unit_telemetries, max_size=6),
-           st.lists(unit_telemetries, max_size=6),
-           st.lists(unit_telemetries, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_associative(self, a, b, c):
-        ca, cb, cc = _fold(a), _fold(b), _fold(c)
-        assert ca.merge(cb).merge(cc) == ca.merge(cb.merge(cc))
-
     @given(st.lists(unit_telemetries, max_size=10),
            st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -193,13 +119,6 @@ class TestCampaignMerge:
         assert ct.counters == ut.counters
         assert set(ct.workers) == {str(ut.pid)}
 
-    def test_merge_mutates_neither(self):
-        a = _fold([UnitTelemetry(pid=1, wall_ns=5, counters={"x": 1})])
-        b = _fold([UnitTelemetry(pid=1, wall_ns=7, counters={"x": 2})])
-        merged = a.merge(b)
-        assert merged.wall_ns == 12 and merged.counters == {"x": 3}
-        assert a.wall_ns == 5 and b.wall_ns == 7
-
     def test_warning_dedup_counts_and_min_message(self):
         u1 = UnitTelemetry(pid=1, warnings={"k": "zebra"})
         u2 = UnitTelemetry(pid=2, warnings={"k": "aardvark"})
@@ -214,18 +133,19 @@ class TestCampaignMerge:
         assert [n for n, _ in ct.hot_spans(2)] == ["slow", "fast"]
 
     def test_acc_per_s_over_span_time(self):
-        """Headline throughputs divide accesses by their span's seconds."""
+        """The replay throughput divides accesses by its span's seconds."""
         ct = _fold([UnitTelemetry(
-            pid=1, wall_ns=2 * 10**9, accesses=1000, filter_accesses=500,
-            spans={"core_replay": _stats_from([10**9]),
-                   "cache_filter": _stats_from([10**9])})])
+            pid=1, wall_ns=2 * 10**9, accesses=1000,
+            spans={"core_replay": _stats_from([10**9])})])
         assert ct.replay_acc_per_s() == pytest.approx(1000.0)
-        assert ct.filter_acc_per_s() == pytest.approx(500.0)
-        block = ct.to_dict()
-        assert block["replay_acc_per_s"] == pytest.approx(1000.0)
-        assert block["filter_acc_per_s"] == pytest.approx(500.0)
+        assert ct.to_dict()["replay_acc_per_s"] == pytest.approx(1000.0)
         assert CampaignTelemetry().replay_acc_per_s() == 0.0
-        assert CampaignTelemetry().filter_acc_per_s() == 0.0
+
+    def test_fold_leaves_units_unchanged(self):
+        ut = UnitTelemetry(pid=1, spans={"s": _stats_from([5])})
+        ct = _fold([ut, ut])
+        assert ct.spans["s"].count == 2
+        assert ut.spans["s"] == _stats_from([5])
 
 
 # ---- capture protocol -------------------------------------------------------
@@ -239,16 +159,13 @@ class TestCapture:
         assert reg.enabled  # capture enabled it
         with reg.span("core_replay"):
             reg.add("filter.accesses", 42)
-        ut = obstel.end_unit(cap, label="unit-x",
-                             meta={"accesses": 7,
-                                   "filter": {"engine": "kernel"}})
+        ut = obstel.end_unit(cap, label="unit-x", meta={"accesses": 7})
         assert not reg.enabled  # ... and re-disabled it
         assert reg.events == []  # ... trimming the events it recorded
         assert ut.label == "unit-x"
         assert ut.pid == os.getpid()
         assert ut.accesses == 7
-        assert ut.filter_accesses == 42
-        assert ut.filter_sources == {"kernel": 1}
+        assert ut.counters == {"filter.accesses": 42}
         assert "core_replay" in ut.spans
         assert ut.spans["core_replay"].count == 1
         assert ut.wall_ns > 0
@@ -284,13 +201,38 @@ class TestCapture:
         ut = obstel.end_unit(cap)
         assert ut.warnings == {"fresh": "fresh problem"}
 
-    def test_filter_sources_multicore_map(self):
-        reg = Registry()
-        cap = obstel.begin_unit(reg)
-        ut = obstel.end_unit(cap, meta={"filter": {
-            "mcf": {"engine": "kernel"}, "lbm": None,
-            "gcc": {"engine": "store"}}})
-        assert ut.filter_sources == {"kernel": 1, "memo": 1, "store": 1}
+
+class TestOneRecordPerUnit:
+    def test_two_units_in_one_process(self, tmp_path, isolated_settings):
+        """A unit's time and counts live only in its own telemetry: the
+        second of two in-process units reports its own filter pass, and
+        neither its metrics nor its cache entry copies the registry."""
+        # A length no other test uses, so the in-process stream memo
+        # cannot serve either unit.
+        specs = [RunSpec("mcf", "Heter-config1", "moca", 8_123),
+                 RunSpec("lbm", "Heter-config1", "moca", 8_123)]
+        cache = tmp_path / "cache"
+        engine.reset()
+        OBS.reset()
+        try:
+            engine.configure(cache)
+            repro_settings.update(telemetry=True)
+            results = engine.execute(specs, phase="two-units")
+            units = engine.unit_telemetry_records()
+        finally:
+            engine.reset()
+            OBS.reset().disable()
+        assert [u.label for u in units] == [s.describe() for s in specs]
+        assert units[1].counters["filter.computed"] == 1
+        assert units[1].counters["filter.accesses"] == 8_123
+        manifests = sorted(cache.glob("*/manifest.json"))
+        assert len(manifests) == len(specs)
+        metas = [m.meta for m in results] + [
+            json.loads(p.read_text())["metrics"]["meta"] for p in manifests]
+        for meta in metas:
+            assert meta["config"]["name"] == "Heter-config1"
+            assert "counters" not in meta
+            assert "phase_seconds" not in meta
 
 
 class TestWarnDedup:
@@ -494,8 +436,8 @@ class TestCampaignAcceptance:
         for name in ("core_replay", "placement"):
             span = telem["spans"][name]
             assert span["count"] == n_units
-            assert 0 < span["p50_ns"] <= span["p95_ns"] <= span["p99_ns"]
-            assert span["total_ns"] <= telem["wall_ns"]
+            assert 0 < span["p50"] <= span["p95"] <= span["p99"]
+            assert span["sum"] <= telem["wall_ns"]
 
     def test_manifest_block_round_trips(self, campaign):
         save, _ = campaign
