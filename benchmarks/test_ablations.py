@@ -93,46 +93,6 @@ def test_ablation_classification_off(benchmark, fidelity):
     assert paper.mem_access_cycles < off.mem_access_cycles * 0.8
 
 
-def test_ablation_stride_prefetcher(benchmark, fidelity):
-    """Paper extension: Table I's core has no prefetcher.  In this model
-    the MSHR-window episodes already hide most streaming latency (that
-    is exactly why streaming objects classify B), so a stride prefetcher
-    shows up as demand-miss *coverage*, not extra throughput: it must
-    absorb most of lbm's stream misses, leave chase-bound mcf untouched,
-    and never change execution time materially on either."""
-    from repro.cpu.hierarchy import CacheHierarchy
-    from repro.cpu.prefetch import StridePrefetcher
-    from repro.moca.allocation import HomogeneousPolicy
-
-    def run(app, with_pf: bool):
-        trace = build_app_trace(app, "ref", fidelity.n_single)
-        pf = StridePrefetcher(degree=2) if with_pf else None
-        stream, _ = CacheHierarchy(prefetcher=pf).filter_trace(trace)
-        memsys = HOMOGEN_DDR3.build()
-        allocator = HOMOGEN_DDR3.make_allocator(memsys)
-        plan = plan_placement([stream], HomogeneousPolicy(), allocator,
-                              layouts=[trace.layout])
-        core = InOrderWindowCore(stream, plan.groups[0], plan.gaddrs[0])
-        return core.run_to_completion(memsys)
-
-    lbm_pf = benchmark(run, "lbm", True)
-    lbm_plain = run("lbm", False)
-    mcf_pf = run("mcf", True)
-    mcf_plain = run("mcf", False)
-    print(f"\nlbm: plain cycles={lbm_plain.cycles} loads={lbm_plain.n_load_misses}"
-          f" | pf cycles={lbm_pf.cycles} loads={lbm_pf.n_load_misses}"
-          f" prefetches={lbm_pf.n_prefetches}")
-    # Coverage: most streaming demand loads become background fills.
-    assert lbm_pf.n_load_misses < lbm_plain.n_load_misses * 0.4
-    assert lbm_pf.n_prefetches > 0
-    # Chase misses are unpredictable: mcf barely prefetches.
-    assert mcf_pf.n_prefetches < mcf_plain.n_demand * 0.1
-    # Prefetching may speed streams up (it does, ~20% on lbm at default
-    # fidelity) but must never materially slow either app down.
-    assert lbm_pf.cycles < lbm_plain.cycles * 1.1
-    assert mcf_pf.cycles < mcf_plain.cycles * 1.1
-
-
 def test_ablation_training_vs_oracle(benchmark, fidelity):
     """Profiling on the training input must be nearly as good as an
     oracle profiled on the reference input itself — the premise that

@@ -14,10 +14,10 @@ its advantage:
   were built to clear: 5x for replay, 4x for filtering and synthesis).
 
 The reference loops are the oracles: the replay interpreter
-``ReferenceCore`` lives in ``tests/reference_core.py``, and the filter
-and synthesis loops are the private reference methods the hierarchy
-and the trace builder fall back to (``CacheHierarchy
-._filter_trace_reference``, ``TraceBuilder._iter_reference``).
+``ReferenceCore`` lives in ``tests/reference_core.py``, the filter loop
+``filter_trace`` in ``tests/reference_filter.py``, and the synthesis
+loop is the private reference method the trace builder falls back to
+(``TraceBuilder._iter_reference``).
 
 The timed region covers core construction *plus* the full replay —
 episode segmentation happens at ``InOrderWindowCore`` construction, so
@@ -61,6 +61,7 @@ from repro.workloads.spec import app
 HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent / "tests"))
 from reference_core import ReferenceCore  # noqa: E402
+import reference_filter  # noqa: E402
 
 BASELINE_PATH = HERE / "hotpath_baseline.json"
 RESULT_PATH = HERE / "BENCH_hotpath.json"
@@ -155,8 +156,8 @@ def test_filter_speedup_holds():
             if fast:
                 result = hierarchy.filter_trace(trace)
             else:
-                result = hierarchy._filter_trace_reference(
-                    trace, int(len(trace) * 0.2))
+                result = reference_filter.filter_trace(
+                    hierarchy, trace, int(len(trace) * 0.2))
             times.append(time.perf_counter() - t0)
         best[fast] = min(times)
         streams[fast] = result

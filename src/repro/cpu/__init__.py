@@ -17,7 +17,6 @@ a trace-driven interval model:
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.hierarchy import CacheHierarchy, MissStream, CacheStats
 from repro.cpu.core import CoreParams, CoreResult, InOrderWindowCore
-from repro.cpu.prefetch import StridePrefetcher
 
 __all__ = [
     "SetAssocCache",
@@ -27,5 +26,4 @@ __all__ = [
     "CoreParams",
     "CoreResult",
     "InOrderWindowCore",
-    "StridePrefetcher",
 ]

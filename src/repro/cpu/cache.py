@@ -2,10 +2,11 @@
 
 The tag store is a list of per-set ``dict``s mapping tag → dirty flag.
 Python dicts preserve insertion order, so the first key of a set is its
-LRU line; an access re-inserts its tag to move it to MRU position.  This
-is the fastest pure-Python LRU available (no per-access allocation beyond
-the dict churn), per the HPC guide's "measure, then optimize the
-bottleneck" rule — cache filtering dominates trace preparation time.
+LRU line; an access re-inserts its tag to move it to MRU position.  The
+filter kernel (:mod:`repro.cpu.filter_kernel`) reads and rewrites these
+dicts as a hierarchy's warm state; :meth:`SetAssocCache.access` is the
+per-access path of the reference filter loop the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class SetAssocCache:
         self.n_hits = 0
         self.n_misses = 0
 
-    def line_of(self, addr: int) -> int:
-        """Line-aligned address containing ``addr``."""
-        return (addr >> self._line_shift) << self._line_shift
-
     def access(self, addr: int, is_write: bool) -> tuple[bool, EvictedLine | None]:
         """Access the byte address; returns ``(hit, evicted_or_None)``.
 
@@ -81,22 +78,6 @@ class SetAssocCache:
             evicted = EvictedLine(victim_tag << self._line_shift, victim_dirty)
         s[tag] = is_write
         return False, evicted
-
-    def fill(self, addr: int, dirty: bool = False) -> EvictedLine | None:
-        """Insert a line without counting a hit/miss (e.g. L1 writeback into L2)."""
-        line = addr >> self._line_shift
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            prev = s.pop(line)
-            s[line] = prev or dirty
-            return None
-        evicted = None
-        if len(s) >= self.assoc:
-            victim_tag = next(iter(s))
-            victim_dirty = s.pop(victim_tag)
-            evicted = EvictedLine(victim_tag << self._line_shift, victim_dirty)
-        s[line] = dirty
-        return evicted
 
     def contains(self, addr: int) -> bool:
         """Presence probe without LRU side effects."""
@@ -134,32 +115,3 @@ class SetAssocCache:
                 dirty[i] = d
                 i += 1
         return addrs, dirty
-
-    def contains_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains`: presence mask, no LRU effects.
-
-        Line numbers are globally unique (the "tag" keeps its set bits),
-        so one ``np.isin`` against the resident lines answers every
-        probe at once.
-        """
-        resident, _ = self.resident_arrays()
-        lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
-        return np.isin(lines, resident >> self._line_shift)
-
-    def install_lines(self, addrs: np.ndarray, dirty: np.ndarray) -> None:
-        """Bulk :meth:`fill` in order, discarding victims (state setup).
-
-        Replaying another cache's :meth:`resident_arrays` through this
-        rebuilds identical contents *and* LRU order, because fills
-        re-insert at MRU in iteration order.
-        """
-        for addr, d in zip(addrs.tolist(), dirty.tolist()):
-            self.fill(addr, bool(d))
-
-    def flush(self) -> list[EvictedLine]:
-        """Drop all lines, returning dirty victims (used at trace end)."""
-        addrs, dirty = self.resident_arrays()
-        victims = [EvictedLine(int(a), True) for a in addrs[dirty]]
-        for s in self._sets:
-            s.clear()
-        return victims

@@ -29,6 +29,7 @@ import numpy as np
 from repro.cpu.hierarchy import (
     KIND_LOAD,
     KIND_STORE,
+    KIND_WRITEBACK,
     MissStream,
 )
 from repro.memctrl.system import MemorySystem
@@ -43,10 +44,10 @@ class CoreParams:
     rob_size: int = 84
     lq_size: int = 32
     mshr: int = 20
-    #: Cycles of non-demand (prefetch/writeback) completion backlog the
-    #: core may run ahead of — a finite prefetch/write queue.  Without
-    #: the bound, background traffic would pile up in the bank timings
-    #: indefinitely while the core races ahead.
+    #: Cycles of non-demand (writeback) completion backlog the core may
+    #: run ahead of — a finite write queue.  Without the bound,
+    #: background traffic would pile up in the bank timings indefinitely
+    #: while the core races ahead.
     backlog: int = 256
 
     @property
@@ -84,7 +85,6 @@ class CoreResult:
     n_demand: int
     n_load_misses: int
     n_writebacks: int
-    n_prefetches: int
     n_episodes: int
     mem_access_cycles: int
     load_stall_cycles: int
@@ -122,7 +122,9 @@ class CoreResult:
             "n_demand": self.n_demand,
             "n_load_misses": self.n_load_misses,
             "n_writebacks": self.n_writebacks,
-            "n_prefetches": self.n_prefetches,
+            # No record kind is a prefetch; the key stays, at 0, because
+            # cached results and the ledger's result digests hash this dict.
+            "n_prefetches": 0,
             "n_episodes": self.n_episodes,
             "mem_access_cycles": self.mem_access_cycles,
             "load_stall_cycles": self.load_stall_cycles,
@@ -145,7 +147,6 @@ class CoreResult:
             n_demand=data["n_demand"],
             n_load_misses=data["n_load_misses"],
             n_writebacks=data["n_writebacks"],
-            n_prefetches=data["n_prefetches"],
             n_episodes=data["n_episodes"],
             mem_access_cycles=data["mem_access_cycles"],
             load_stall_cycles=data["load_stall_cycles"],
@@ -244,8 +245,10 @@ class _Episodes:
         suffix minimum), (c) the first demand outside the ROB window (a
         ``searchsorted``) and (d) the demand that would exceed the MSHR
         overlap (a running demand count).  (c) and the replay kernel's
-        scheduler keys need ``inst`` nondecreasing, so a decreasing
-        stream raises ``ValueError`` instead of a wrong result.
+        scheduler keys need ``inst`` nondecreasing, and the keys take
+        ``kind`` as the FR-FCFS class, so a decreasing stream or an
+        unknown record kind raises ``ValueError`` instead of a wrong
+        result.
         """
         num, den = p.ipc_ratio
         n = len(stream)
@@ -255,6 +258,10 @@ class _Episodes:
                 "miss stream column 'inst' must be monotonically "
                 "non-decreasing")
         kind = stream.kind
+        if kind.min() < KIND_LOAD or kind.max() > KIND_WRITEBACK:
+            raise ValueError(
+                "miss stream column 'kind' must hold load, store or "
+                "writeback records only")
         demand = kind <= KIND_STORE
         dep = np.asarray(stream.dep, dtype=bool)
         mo = p.max_overlap
@@ -374,8 +381,8 @@ class InOrderWindowCore:
         self.result = CoreResult(
             core_id=core_id, cycles=start_cycle,
             total_instructions=self.total_instructions,
-            n_demand=0, n_load_misses=0, n_writebacks=0, n_prefetches=0,
-            n_episodes=0, mem_access_cycles=0, load_stall_cycles=0,
+            n_demand=0, n_load_misses=0, n_writebacks=0, n_episodes=0,
+            mem_access_cycles=0, load_stall_cycles=0,
         )
         self._segment(stream, groups, gaddrs, inst_prev)
 
@@ -486,11 +493,10 @@ class InOrderWindowCore:
         res.cycles = self._cycle
         res.n_episodes = self._nep
         stream = self._stream
-        n_load, n_store, n_wb, n_pf = stream.kind_counts()
+        n_load, n_store, n_wb = stream.kind_counts()
         res.n_demand = n_load + n_store
         res.n_load_misses = n_load
         res.n_writebacks = n_wb
-        res.n_prefetches = n_pf
         tb = self._tb
         if tb is None:
             return

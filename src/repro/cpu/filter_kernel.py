@@ -1,14 +1,12 @@
-"""Vectorized cache-filter kernel: the default engine of ``filter_trace``.
+"""Vectorized cache-filter kernel: the engine of ``filter_trace``.
 
-The reference loop in :meth:`~repro.cpu.hierarchy.CacheHierarchy
-.filter_trace` pushes every access through dict-based LRU sets, one
-Python iteration per access.  This module replays the *same* hierarchy
-with numpy and produces byte-identical results (``tests/
-test_filter_parity.py`` pins this over randomized traces and
-geometries, and every per-level engine against the dict automaton).
-The reference loop stays as the executable specification and as the
-engine for the inputs the kernel cannot take (see the end of this
-docstring).
+The reference loop in ``tests/reference_filter.py`` pushes every access
+through dict-based LRU sets, one Python iteration per access.  This
+module replays the *same* hierarchy with numpy and produces
+byte-identical results (``tests/test_filter_parity.py`` pins this over
+randomized traces and geometries, and every per-level engine against
+the dict automaton).  The reference loop stays in the tests as the
+executable specification.
 
 Algorithm — per-set LRU without a per-access loop
 -------------------------------------------------
@@ -66,10 +64,6 @@ hit/miss.
 
 All engines are exact: hit mask, victim identity and dirty bits, and
 the final tag state with its recency order.
-
-Prefetcher-enabled hierarchies always take the reference loop: runahead
-fills inject state transitions between demand accesses that per-set
-batching cannot reproduce.
 """
 
 from __future__ import annotations
@@ -701,8 +695,7 @@ def run_filter(trace, hierarchy, warm_until: int):
 
     Returns ``(MissStream, CacheStats)`` byte-identical to the reference
     loop and leaves ``hierarchy``'s tag stores and hit/miss counters in
-    the identical final state.  ``hierarchy.prefetcher`` must be None
-    (the dispatcher guarantees it).  One window through the chunked
+    the identical final state.  One window through the chunked
     machinery: ``filter_chunked`` runs the same code per shard.
     """
     acc = FilterAccumulator()

@@ -25,8 +25,7 @@ def save_figure(fig: FigureResult, directory: str | Path,
 
     ``meta`` (see :func:`repro.obs.provenance.run_meta`) is merged into
     the figure's provenance block before serializing, so artefacts record
-    config hash, fidelity, seed, phase wall-times, and counter snapshots
-    next to their numbers.
+    config hash, fidelity and seed next to their numbers.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -64,25 +63,26 @@ def write_manifest(directory: str | Path, fidelity: Fidelity,
     """Record campaign provenance next to the artefacts.
 
     Besides versions/seed/fidelity this captures the sweep engine's
-    per-phase wall times and — when a persistent result cache is active —
-    its hit/miss/store tallies and hit ratio (plus, nested under
-    ``cache.streams``, the miss-stream store's), so a warm campaign is
-    distinguishable from a cold one after the fact.  ``statuses`` (the
-    CLI's per-figure outcome map: ``ok`` / ``failed`` / ``resumed`` plus
-    wall time or error) and the engine's resilience tallies (retries,
-    timeouts, pool rebuilds, terminal unit failures, degraded-serial
-    flag) land in the manifest too, so a campaign that survived faults
-    says so instead of looking clean.  When per-unit telemetry capture
-    was on (the CLI default), the campaign-wide
+    per-phase wall times (``sweep_seconds``) and — when a persistent
+    result cache is active — its hit/miss/store tallies and hit ratio
+    (plus, nested under ``cache.streams``, the miss-stream store's), so
+    a warm campaign is distinguishable from a cold one after the fact.
+    ``statuses`` (the CLI's per-figure outcome map: ``ok`` / ``failed``
+    / ``resumed`` plus wall time or error) and the engine's resilience
+    tallies (retries, timeouts, pool rebuilds, terminal unit failures,
+    degraded-serial flag) land in the manifest too, so a campaign that
+    survived faults says so instead of looking clean.  When per-unit
+    telemetry capture was on (the CLI default), the campaign-wide
     :class:`~repro.obs.telemetry.CampaignTelemetry` aggregate — summed
     counters, span histograms with percentiles, per-worker utilization,
     deduplicated warnings — lands under ``telemetry`` and round-trips
-    losslessly via ``CampaignTelemetry.from_dict``.
+    losslessly via ``CampaignTelemetry.from_dict``.  That block is the
+    manifest's one record of counters and span times: it folds every
+    unit, whichever process ran it.
     """
     import repro
     from repro.experiments import engine
     from repro.moca.policy import policy_names
-    from repro.obs.registry import OBS
     from repro.util.rng import ROOT_SEED
 
     directory = Path(directory)
@@ -116,10 +116,6 @@ def write_manifest(directory: str | Path, fidelity: Fidelity,
     sweeps = engine.sweep_seconds()
     if sweeps:
         doc["sweep_seconds"] = {k: round(v, 6) for k, v in sweeps.items()}
-    if OBS.enabled:
-        doc["phase_seconds"] = {k: round(v, 6)
-                                for k, v in OBS.phase_seconds().items()}
-        doc["counters"] = dict(OBS.counters)
     path.write_text(json.dumps(doc, indent=1))
     return path
 

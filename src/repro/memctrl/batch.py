@@ -92,8 +92,8 @@ class ReplayTables:
     ``gbank_l`` (into the per-system lists of :func:`replay`: controller
     layout order, ``sub * n_banks + bank`` within a module; the bank's
     channel and subchannel are per-bank lists there), the row, the
-    miss-stream kind (0 demand load, 1 demand store, 2 writeback,
-    3 prefetch — the FR-FCFS class is ``min(kind, 2)``), the bus
+    miss-stream kind (0 demand load, 1 demand store, 2 writeback; it
+    is also the record's FR-FCFS class), the bus
     direction ``write_l`` (store or writeback) and the two integer
     scheduler keys of :func:`_scheduler_keys`.
 
@@ -136,7 +136,7 @@ class ReplayTables:
         self.write_l = ((kind == KIND_STORE)
                         | (kind == KIND_WRITEBACK)).tolist()
         hit, miss, self.mask = _scheduler_keys(
-            ctrl, np.minimum(kind, 2), fcfs, ep_of, off, gaddrs)
+            ctrl, kind, fcfs, ep_of, off, gaddrs)
         self.hit_key_l = hit.tolist()
         self.miss_key_l = miss.tolist()
         # Flat (controller, outcome) tables, outcome = sign(code) + 1

@@ -216,17 +216,6 @@ class Registry:
         return max((e.depth for e in self.events if e.kind == "span"),
                    default=-1)
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Wall-time per span name, summed over closed spans.
-
-        The provenance ``meta`` block records this as "where did the run
-        spend its time" (profiling vs. placement vs. core replay).
-        """
-        out: dict[str, float] = {}
-        for e in self.spans():
-            out[e.name] = out.get(e.name, 0.0) + e.duration_s
-        return out
-
     # ---- warnings ----------------------------------------------------------------
 
     def warn(self, message: str, *, key: str | None = None) -> None:

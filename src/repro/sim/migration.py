@@ -113,7 +113,6 @@ def _merge_results(results: list[CoreResult], final_cycle: int,
         n_demand=sum(r.n_demand for r in results),
         n_load_misses=sum(r.n_load_misses for r in results),
         n_writebacks=sum(r.n_writebacks for r in results),
-        n_prefetches=sum(r.n_prefetches for r in results),
         n_episodes=sum(r.n_episodes for r in results),
         mem_access_cycles=sum(r.mem_access_cycles for r in results),
         load_stall_cycles=sum(r.load_stall_cycles for r in results),

@@ -51,7 +51,7 @@ def filter_provenance(app_name: str, input_name: str,
                       n_accesses: int) -> dict | None:
     """How ``filtered_stream`` obtained this key's stream, or ``None``.
 
-    ``{"engine": "kernel" | "reference" | "store", "from_store": bool}``
+    ``{"engine": "kernel" | "store", "from_store": bool}``
     — ``"store"`` means the persistent miss-stream store supplied the
     result and no filtering ran in this process.
     """
@@ -62,8 +62,8 @@ def _through_store(app_name: str, input_name: str, n_accesses: int,
                    compute) -> tuple[MissStream, CacheStats]:
     """The stored stream for this key, else ``compute()``'s, stored.
 
-    ``compute()`` returns ``((MissStream, CacheStats), filter engine)``
-    and runs only on a miss (or with no store active).
+    ``compute()`` returns ``(MissStream, CacheStats)`` and runs only on
+    a miss (or with no store active).
     """
     provenance_key = (app_name, input_name, n_accesses)
     store = stream_store.active()
@@ -76,10 +76,10 @@ def _through_store(app_name: str, input_name: str, n_accesses: int,
                 "engine": "store", "from_store": True}
             OBS.add("filter.store_hits")
             return cached
-    result, engine = compute()
+    result = compute()
     OBS.add("filter.computed")
     OBS.add("filter.accesses", n_accesses)
-    _filter_provenance[provenance_key] = {"engine": engine,
+    _filter_provenance[provenance_key] = {"engine": "kernel",
                                           "from_store": False}
     if store is not None:
         store.put(key, *result)
@@ -102,14 +102,11 @@ def filtered_stream(app_name: str, input_name: str, n_accesses: int,
     Beneath this in-process memo sits the persistent
     :mod:`repro.sim.stream_store` (when active): a store hit skips
     synthesis and filtering entirely, and a computed result is written
-    back so other worker processes can skip it too.  Store content is
-    engine-agnostic — kernel and reference produce byte-identical
-    streams.
+    back so other worker processes can skip it too.
     """
     def compute():
         trace = build_app_trace(app_name, input_name, n_accesses)
-        hierarchy = CacheHierarchy()
-        return hierarchy.filter_trace(trace), hierarchy.last_engine
+        return CacheHierarchy().filter_trace(trace)
 
     with OBS.span("cache_filter", app=app_name, input=input_name,
                   n_accesses=n_accesses):
@@ -139,12 +136,10 @@ def filtered_stream_chunked(app_name: str, input_name: str, n_accesses: int,
     def compute():
         last_error: CorruptTraceError | None = None
         for _ in range(2):
-            hierarchy = CacheHierarchy()
             try:
                 chunked = build_app_trace_chunked(
                     app_name, input_name, n_accesses, chunk_accesses)
-                return hierarchy.filter_chunked(chunked), \
-                    hierarchy.last_engine
+                return CacheHierarchy().filter_chunked(chunked)
             except CorruptTraceError as exc:
                 last_error = exc
         raise last_error  # both attempts hit corrupt shards

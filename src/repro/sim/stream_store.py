@@ -19,10 +19,7 @@ the store primitive.
 
 The key covers everything that determines the stream: application,
 input, trace length, the full hierarchy geometry (sizes, ways, line
-size), the warmup fraction, and the trace RNG root.  The filter
-*engine* is deliberately not part of the key — kernel and reference
-produce byte-identical streams (``tests/test_filter_parity.py``), so
-entries written by either are interchangeable.
+size), the warmup fraction, and the trace RNG root.
 
 Module-level wiring: an explicit :func:`configure` call, else the
 ``stream_store_dir`` setting (``REPRO_STREAM_STORE_DIR``; the empty

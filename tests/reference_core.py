@@ -21,7 +21,6 @@ import numpy as np
 from repro.cpu.core import CoreParams, CoreResult, InOrderWindowCore
 from repro.cpu.hierarchy import (
     KIND_LOAD,
-    KIND_PREFETCH,
     KIND_STORE,
     KIND_WRITEBACK,
     MissStream,
@@ -49,8 +48,8 @@ class ReferenceCore:
         self.result = CoreResult(
             core_id=core_id, cycles=start_cycle,
             total_instructions=self.total_instructions,
-            n_demand=0, n_load_misses=0, n_writebacks=0, n_prefetches=0,
-            n_episodes=0, mem_access_cycles=0, load_stall_cycles=0,
+            n_demand=0, n_load_misses=0, n_writebacks=0, n_episodes=0,
+            mem_access_cycles=0, load_stall_cycles=0,
         )
         # Plain-int lists: the episode loop is dict/int-bound, numpy
         # scalar extraction would dominate (profile-driven choice).
@@ -87,7 +86,7 @@ class ReferenceCore:
 
         # Gather the episode: head record plus every subsequent record that
         # fits the ROB window, has an MSHR, and is not a dependent miss.
-        # Non-demand records (writebacks, prefetches) ride along but the
+        # Non-demand records (writebacks) ride along but the
         # total batch is bounded — queues are finite and the multicore
         # driver interleaves cores at episode granularity.
         batch_cap = 4 * p.max_overlap
@@ -126,9 +125,6 @@ class ReferenceCore:
         for req, k in zip(batch, (kind[m] for m in members)):
             if k == KIND_WRITEBACK:
                 res.n_writebacks += 1
-                continue
-            if k == KIND_PREFETCH:
-                res.n_prefetches += 1
                 continue
             res.n_demand += 1
             res.mem_access_cycles += req.done_cycle - req.issue_cycle

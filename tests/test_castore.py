@@ -43,7 +43,7 @@ TRACE_KEY = chunked.trace_key("mcf", "ref", N_TRACE, 1_000)
 def _metrics() -> RunMetrics:
     core = CoreResult(
         core_id=0, cycles=1000, total_instructions=123, n_demand=7,
-        n_load_misses=5, n_writebacks=1, n_prefetches=0, n_episodes=3,
+        n_load_misses=5, n_writebacks=1, n_episodes=3,
         mem_access_cycles=400, load_stall_cycles=11, stall_by_obj={1: 11},
         load_misses_by_obj={1: 5}, demand_by_obj={1: 7})
     return RunMetrics(

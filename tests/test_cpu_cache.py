@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import reference_filter
 
 from repro.cpu import filter_kernel
 from repro.cpu.cache import SetAssocCache
@@ -76,20 +77,6 @@ class TestSetAssocCache:
             c.access(i * 4 * 64, False)  # all same set
         assert all(len(s) <= 4 for s in c._sets)
 
-    def test_fill_no_stat_change(self):
-        c = SetAssocCache(4096, 2)
-        c.fill(0)
-        assert c.n_accesses == 0
-        assert c.contains(0)
-
-    def test_flush_returns_dirty_lines(self):
-        c = SetAssocCache(4096, 2)
-        c.access(0, True)
-        c.access(64, False)
-        victims = c.flush()
-        assert [v.line_addr for v in victims] == [0]
-        assert not c.contains(0)
-
     def test_miss_rate(self):
         c = SetAssocCache(4096, 2)
         c.access(0, False)
@@ -142,52 +129,6 @@ class TestResidentAccessors:
         addrs, dirty = SetAssocCache(4096, 2).resident_arrays()
         assert len(addrs) == 0 and len(dirty) == 0
         assert addrs.dtype == np.int64 and dirty.dtype == bool
-
-    def test_contains_many_matches_scalar_contains(self):
-        c = SetAssocCache(4096, 2)
-        rng = stream("tests", "contains_many")
-        touched = rng.integers(0, 16 * KIB, size=64)
-        for a in touched.tolist():
-            c.access(a, False)
-        probes = np.arange(0, 16 * KIB, 64, dtype=np.int64) + 3
-        mask = c.contains_many(probes)
-        assert mask.tolist() == [c.contains(int(a)) for a in probes]
-
-    def test_contains_many_no_lru_side_effects(self):
-        c = SetAssocCache(2 * 64, 2, line_bytes=64)
-        c.access(0, False)
-        c.access(64, False)
-        c.contains_many(np.array([0]))      # must NOT touch line 0 to MRU
-        _, evicted = c.access(128, False)
-        assert evicted.line_addr == 0       # still the LRU victim
-
-    def test_install_lines_round_trips_state(self):
-        src = SetAssocCache(4 * KIB, 4)
-        rng = stream("tests", "install")
-        for a, w in zip(rng.integers(0, 32 * KIB, size=200).tolist(),
-                        (rng.random(200) < 0.3).tolist()):
-            src.access(int(a), bool(w))
-        dst = SetAssocCache(4 * KIB, 4)
-        dst.install_lines(*src.resident_arrays())
-        a1, d1 = src.resident_arrays()
-        a2, d2 = dst.resident_arrays()
-        # Same lines, same dirtiness, same recency order.
-        assert np.array_equal(a1, a2) and np.array_equal(d1, d2)
-        # And identical future behaviour: same victim on a conflict miss.
-        _, ev_src = src.access(0, False)
-        _, ev_dst = dst.access(0, False)
-        assert ev_src == ev_dst
-
-    def test_flush_matches_resident_dirty_lines(self):
-        c = SetAssocCache(4096, 2)
-        c.access(0, True)
-        c.access(64, False)
-        c.access(128, True)
-        addrs, dirty = c.resident_arrays()
-        expected = sorted(addrs[dirty].tolist())
-        victims = sorted(v.line_addr for v in c.flush())
-        assert victims == expected == [0, 128]
-        assert all(len(s) == 0 for s in c._sets)
 
 
 class TestCacheHierarchy:
@@ -272,7 +213,8 @@ def _filter(trace, warmup_frac, kernel):
         return h.filter_trace(trace, warmup_frac=warmup_frac)
     with mock.patch.object(filter_kernel, "run_filter",
                            lambda t, hier, warm_until:
-                           hier._filter_trace_reference(t, warm_until)):
+                           reference_filter.filter_trace(hier, t,
+                                                         warm_until)):
         return h.filter_trace(trace, warmup_frac=warmup_frac)
 
 

@@ -147,7 +147,7 @@ class TestStepping:
         rng = np.random.default_rng(19)
         inst = rng.integers(200, 400, size=19)
         inst[:4] = [250, 273, 358, 231]
-        kind = rng.integers(0, 4, size=19)
+        kind = rng.integers(0, 3, size=19)
         params = CoreParams(mshr=4, rob_size=32)
         memsys = lambda: MemorySystem(  # noqa: E731
             {"main": ChannelGroup(DDR3, 2, 4 * MIB)})
@@ -161,6 +161,16 @@ class TestStepping:
         ref = ReferenceCore(ok, groups, gaddrs, params)
         assert (fused.run_to_completion(memsys()).to_dict()
                 == ref.run_to_completion(memsys()).to_dict())
+
+    @pytest.mark.parametrize("bad_kind", [-1, 3])
+    def test_unknown_kind_rejected(self, bad_kind):
+        # The replay kernel's scheduler keys take the kind as the
+        # FR-FCFS class (0..2); any other kind would land in a
+        # neighbouring channel's key range.
+        s = _stream([10, 20, 30], kind=[0, bad_kind, 2])
+        groups, gaddrs = _translate(s)
+        with pytest.raises(ValueError, match="'kind'"):
+            InOrderWindowCore(s, groups, gaddrs)
 
     def test_start_cycle_offsets_everything(self):
         s = _stream([10])

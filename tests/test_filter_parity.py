@@ -1,14 +1,13 @@
 """Kernel ↔ reference parity for the cache-filter front end.
 
 The vectorized filter kernel (``repro.cpu.filter_kernel``) must be
-*byte-identical* to the retained reference loop in
-``CacheHierarchy._filter_trace_reference`` — same ``MissStream`` arrays
+*byte-identical* to the reference loop, the oracle
+``reference_filter.filter_trace`` — same ``MissStream`` arrays
 (values and dtypes), same ``CacheStats`` including per-object tallies
 and their first-touch ordering, same final tag-store state.  This suite
 pins that over randomized traces and geometries, plus the engineered
 corners (every per-level engine against the dict automaton below, the
-kernel's engine dispatch, the input-driven engine choice — the
-prefetcher fallback — and ``filtered_stream``'s shared-identity
+kernel's engine dispatch, and ``filtered_stream``'s shared-identity
 contract).
 """
 
@@ -18,11 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_filter
 
 from repro.cpu import filter_kernel
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.hierarchy import KIND_WRITEBACK, CacheHierarchy
-from repro.cpu.prefetch import StridePrefetcher
 from repro.obs.registry import OBS
 from repro.trace.events import AccessTrace, VirtualLayout
 from repro.util.rng import stream
@@ -74,7 +73,7 @@ def _assert_identical(res_kernel, res_reference):
 
 def _reference(h, trace, warmup=0.2):
     """The reference loop on ``trace``, at ``filter_trace``'s boundary."""
-    return h._filter_trace_reference(trace, int(len(trace) * warmup))
+    return reference_filter.filter_trace(h, trace, int(len(trace) * warmup))
 
 
 def _assert_same_state(h_a, h_b):
@@ -114,7 +113,6 @@ class TestRandomizedParity:
         h_r = CacheHierarchy(l1s, l1a, l2s, l2a, lb)
         res_k = h_k.filter_trace(trace, warmup_frac=warmup)
         res_r = _reference(h_r, trace, warmup)
-        assert h_k.last_engine == "kernel"
         _assert_identical(res_k, res_r)
         _assert_same_state(h_k, h_r)
 
@@ -320,18 +318,7 @@ class TestTailCounters:
 
 
 class TestEngineSelection:
-    """The engine follows from the hierarchy alone."""
-
-    def test_prefetcher_pins_reference_fallback(self):
-        """Runahead fills break per-set batching: a prefetcher-equipped
-        hierarchy must use the reference loop."""
-        trace = _make_trace(400, 11)
-        h_pf = CacheHierarchy(prefetcher=StridePrefetcher())
-        res_pf = h_pf.filter_trace(trace)
-        assert h_pf.last_engine == "reference"
-        h_ref = CacheHierarchy(prefetcher=StridePrefetcher())
-        res_ref = _reference(h_ref, trace)
-        _assert_identical(res_pf, res_ref)
+    """``filter_trace`` has one engine: the kernel."""
 
     def test_default_dispatch_reaches_kernel(self, monkeypatch):
         calls = []
@@ -343,7 +330,7 @@ class TestEngineSelection:
         monkeypatch.setattr(filter_kernel, "run_filter", spy)
         h = CacheHierarchy()
         h.filter_trace(_make_trace(100, 13))
-        assert calls and h.last_engine == "kernel"
+        assert calls == [1]
 
 
 class TestFilteredStreamContract:
@@ -354,9 +341,7 @@ class TestFilteredStreamContract:
         b_stream, b_stats = filtered_stream("stitch", "ref", 4000)
         assert a_stream is b_stream and a_stats is b_stats
         prov = filter_provenance("stitch", "ref", 4000)
-        assert prov is not None and prov["engine"] in ("kernel",
-                                                       "reference",
-                                                       "store")
+        assert prov is not None and prov["engine"] in ("kernel", "store")
 
     def test_engines_produce_identical_streams(self):
         """The memoized stream is the reference loop's, byte for byte."""
@@ -394,7 +379,7 @@ class TestKnownDeviations:
         # One-set caches: a 1-way 64 B L1 and a 2-way L2.
         geometry = dict(l1_size=64, l1_assoc=1, l2_size=128, l2_assoc=2)
         kernel_out = CacheHierarchy(**geometry).filter_trace(trace, 0.0)
-        ref_out = CacheHierarchy(**geometry)._filter_trace_reference(trace, 0)
+        ref_out = _reference(CacheHierarchy(**geometry), trace, 0.0)
         _assert_identical(kernel_out, ref_out)
         stream_, stats = kernel_out
         # A (clean in L2) is the L2's LRU line when C misses: evicted

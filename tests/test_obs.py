@@ -76,15 +76,6 @@ class TestRegistry:
                    for e in reg.events)
         assert mid.args == {"key": "v"}
 
-    def test_phase_seconds_aggregates_by_name(self):
-        reg = Registry(enabled=True)
-        for _ in range(3):
-            with reg.span("phase"):
-                pass
-        phases = reg.phase_seconds()
-        assert set(phases) == {"phase"}
-        assert phases["phase"] >= 0.0
-
     def test_listener_fires_on_close(self):
         reg = Registry(enabled=True)
         closed = []

@@ -36,6 +36,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_core import ReferenceCore
+import reference_filter
 
 import repro.sim.multi
 import repro.sim.single
@@ -43,7 +44,6 @@ from repro.cpu.core import CoreParams, InOrderWindowCore, run_interleaved
 from repro.cpu.hierarchy import (
     CacheHierarchy,
     KIND_LOAD,
-    KIND_PREFETCH,
     KIND_STORE,
     KIND_WRITEBACK,
     MissStream,
@@ -99,8 +99,7 @@ _PARAMS = [
     CoreParams(mshr=1),                       # no overlap at all
 ]
 
-_KINDS = np.array([KIND_LOAD, KIND_STORE, KIND_WRITEBACK, KIND_PREFETCH],
-                  dtype=np.int8)
+_KINDS = np.array([KIND_LOAD, KIND_STORE, KIND_WRITEBACK], dtype=np.int8)
 
 
 def _random_trace(rng, caps):
@@ -115,7 +114,7 @@ def _random_trace(rng, caps):
         vline=(rng.integers(0, 1 << 24, size=n) * 64).astype(np.int64),
         obj_id=rng.integers(0, 5, size=n).astype(np.int32),
         dep=rng.random(n) < 0.25,
-        kind=_KINDS[rng.integers(0, 4, size=n)],
+        kind=_KINDS[rng.integers(0, len(_KINDS), size=n)],
         total_instructions=int(inst[-1]) + int(rng.integers(0, 50)),
     )
     groups = rng.integers(0, len(caps), size=n).astype(np.int32)
@@ -148,9 +147,9 @@ def _records_trace(records, caps, group_seed=0):
 def _singles_trace(rng, caps):
     """A random trace whose MLP episodes are all single-record.
 
-    A non-demand record (writeback, prefetch) rides along with the
-    episode before it, so only a stream's first record can be one: it
-    takes any of the four kinds, and every later record is a dependent
+    A non-demand record (writeback) rides along with the episode before
+    it, so only a stream's first record can be one: it takes any of the
+    three kinds, and every later record is a dependent
     demand load or store, which always starts a new episode.
     """
     stream, groups, gaddrs = _random_trace(rng, caps)
@@ -366,7 +365,7 @@ class TestSingleRecordLane:
         store-only episode has no load, so its first element stays at
         the ``_NEG`` floor rather than the store's completion."""
         recipe = _RECIPES[0][0]
-        for kind in (KIND_STORE, KIND_WRITEBACK, KIND_PREFETCH, KIND_LOAD):
+        for kind in (KIND_STORE, KIND_WRITEBACK, KIND_LOAD):
             stream = MissStream(
                 inst=np.array([5], dtype=np.int64),
                 vline=np.array([64], dtype=np.int64),
@@ -387,8 +386,7 @@ class TestSingleRecordLane:
 _record = st.tuples(
     st.one_of(st.just(0),                      # inst gap; 0 ties records
               st.integers(min_value=0, max_value=30)),
-    st.sampled_from([KIND_LOAD, KIND_STORE, KIND_WRITEBACK,
-                     KIND_PREFETCH]),
+    st.sampled_from([KIND_LOAD, KIND_STORE, KIND_WRITEBACK]),
     st.booleans(),                             # dep
     st.integers(min_value=0, max_value=3),     # obj id
     st.integers(min_value=0, max_value=(4 * MIB) // 64 - 1),  # line
@@ -575,12 +573,15 @@ def _metrics_doc(metrics) -> dict:
 
 
 class _ReferenceHierarchy(CacheHierarchy):
-    """A hierarchy whose ``filter_trace`` always runs the reference loop."""
+    """A hierarchy whose ``filter_trace`` runs the reference loop, the
+    oracle ``reference_filter.filter_trace``; ``calls`` counts its runs."""
+
+    calls = 0
 
     def filter_trace(self, trace, warmup_frac=0.2):
-        self.last_engine = "reference"
-        return self._filter_trace_reference(trace,
-                                            int(len(trace) * warmup_frac))
+        type(self).calls += 1
+        return reference_filter.filter_trace(self, trace,
+                                             int(len(trace) * warmup_frac))
 
 
 def _run_on_oracles(spec, monkeypatch):
@@ -591,6 +592,7 @@ def _run_on_oracles(spec, monkeypatch):
     really runs; both memo and patches are dropped again afterwards.
     """
     single, multi = repro.sim.single, repro.sim.multi
+    _ReferenceHierarchy.calls = 0
     monkeypatch.setattr(single, "CacheHierarchy", _ReferenceHierarchy)
     monkeypatch.setattr(multi, "InOrderWindowCore", ReferenceCore)
     monkeypatch.setattr(multi, "run_interleaved",
@@ -610,8 +612,9 @@ class TestRunSpecParity:
                        policy="moca", n_accesses=6000)
         fast = run(spec)
         ref = _run_on_oracles(spec, monkeypatch)
-        assert ref.meta["filter"] == {"engine": "reference",
-                                      "from_store": False}
+        # The oracle filtered the run's one stream.
+        assert _ReferenceHierarchy.calls == 1
+        assert ref.meta["filter"]["from_store"] is False
         assert _metrics_doc(fast) == _metrics_doc(ref)
 
     def test_multicore_run_matches_reference(self, monkeypatch):
@@ -619,7 +622,9 @@ class TestRunSpecParity:
                        policy="homogen", n_accesses=3000)
         fast = run(spec)
         ref = _run_on_oracles(spec, monkeypatch)
-        assert all(prov == {"engine": "reference", "from_store": False}
+        # The oracle filtered each distinct application's stream once.
+        assert _ReferenceHierarchy.calls == len(set(spec.apps)) > 1
+        assert all(prov["from_store"] is False
                    for prov in ref.meta["filter"].values())
         assert _metrics_doc(fast) == _metrics_doc(ref)
 

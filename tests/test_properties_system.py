@@ -56,7 +56,7 @@ class TestCoreInvariants:
         gaddrs = s.vline % (8 * MIB)
         core = InOrderWindowCore(s, groups, gaddrs)
         r = core.run_to_completion(_memsys())
-        assert r.n_demand + r.n_writebacks + r.n_prefetches == len(s)
+        assert r.n_demand + r.n_writebacks == len(s)
         assert sum(r.load_misses_by_obj.values()) == r.n_load_misses
         assert sum(r.stall_by_obj.values()) == r.load_stall_cycles
         assert r.cycles >= s.total_instructions  # ipc=1 floor

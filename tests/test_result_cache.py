@@ -164,8 +164,8 @@ class TestMetricsRoundTrip:
         including exact float values and int-keyed per-object maps."""
         core = CoreResult(
             core_id=0, cycles=exec_cycles, total_instructions=123,
-            n_demand=7, n_load_misses=5, n_writebacks=1, n_prefetches=0,
-            n_episodes=3, mem_access_cycles=mem_access_cycles,
+            n_demand=7, n_load_misses=5, n_writebacks=1, n_episodes=3,
+            mem_access_cycles=mem_access_cycles,
             load_stall_cycles=11, stall_by_obj=dict(per_obj),
             load_misses_by_obj=dict(per_obj), demand_by_obj=dict(per_obj))
         m = RunMetrics(

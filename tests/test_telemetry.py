@@ -499,3 +499,29 @@ class TestCampaignAcceptance:
         assert "telemetry" not in manifest
         assert not (off / "telemetry.jsonl").exists()
         assert not (off / "trace.json").exists()
+
+    def test_traced_worker_manifest_has_one_record(self, tmp_path,
+                                                   isolated_settings,
+                                                   monkeypatch):
+        """Under ``--trace`` with workers, the manifest's counters and
+        span times live only in its ``telemetry`` block, which folds
+        every unit; no top-level block read from the parent's registry
+        alone sits beside it."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        save = tmp_path / "save"
+        _runner.single_sweep.cache_clear()
+        try:
+            rc = exp_main(["fig08", "--fidelity", "tiny", "--no-cache",
+                           "--trace", str(tmp_path / "trace.json"),
+                           "--save", str(save)])
+        finally:
+            OBS.reset().disable()
+        assert rc == 0
+        doc = json.loads((save / "manifest.json").read_text())
+        assert "counters" not in doc and "phase_seconds" not in doc
+        telem = doc["telemetry"]
+        assert telem["units"] == len(APPS) * FIG08_SYSTEMS
+        assert len(telem["workers"]) == 2
+        assert telem["counters"]["memsys.requests"] > 0
+        assert telem["spans"]["core_replay"]["count"] == telem["units"]

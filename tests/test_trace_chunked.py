@@ -14,9 +14,9 @@ import json
 
 import numpy as np
 import pytest
+import reference_filter
 
 from repro.cpu.hierarchy import CacheHierarchy
-from repro.cpu.prefetch import StridePrefetcher
 from repro.sim import run, stream_store
 from repro.sim.spec import RunSpec
 import repro.sim.single as single
@@ -138,19 +138,25 @@ class TestFilterChunkedParity:
     @pytest.mark.parametrize("fast", [True, False])
     def test_matches_monolithic(self, tiny_behaviors, tmp_path, chunk,
                                 fast):
-        """On both engines; a prefetcher selects the reference loop."""
+        """On the kernel, and on the oracle: its windowed loop against
+        its monolithic form, so cross-window state is pinned there too."""
         mono = TraceBuilder(tiny_behaviors).build(N, stream("chunktest", 4))
         ct = chunked.chunk_trace(mono, tmp_path / f"e-{chunk}-{fast}",
                                  chunk_accesses=chunk)
-
-        def hierarchy():
-            return CacheHierarchy(
-                prefetcher=None if fast else StridePrefetcher())
-        h_mono, h_chunk = hierarchy(), hierarchy()
-        res_mono = h_mono.filter_trace(mono)
-        res_chunk = h_chunk.filter_chunked(ct)
+        h_mono, h_chunk = CacheHierarchy(), CacheHierarchy()
+        if fast:
+            res_mono = h_mono.filter_trace(mono)
+            res_chunk = h_chunk.filter_chunked(ct)
+        else:
+            warm_until = int(len(mono) * 0.2)
+            res_mono = reference_filter.filter_trace(h_mono, mono,
+                                                     warm_until)
+            state = reference_filter.ReferenceFilterState()
+            for window in ct.windows():
+                reference_filter.filter_window(h_chunk, window, warm_until,
+                                               state)
+            res_chunk = state.finalize(h_chunk)
         _assert_filter_equal(res_chunk, res_mono)
-        assert h_chunk.last_engine == ("kernel" if fast else "reference")
 
     def test_invalid_warmup_frac(self, tiny_behaviors, tmp_path):
         mono = TraceBuilder(tiny_behaviors).build(2000, stream("ct", 5))
